@@ -1,74 +1,15 @@
 """Multilevel, continuous-level and quasi continuous-level Monte Carlo
 estimators for an elliptic PDE with a random discontinuous diffusion
 coefficient, on top of an adaptive P1 finite element solver with residual
-a-posteriori error control."""
+a-posteriori error control.
 
-from .clmc import (
-    AdaptivePathSampler,
-    ClmcConfig,
-    ClmcRateFit,
-    SamplePath,
-    clip_and_index,
-    clmc_cost,
-    continuous_level,
-    continuous_levels,
-    estimate_rates_clmc,
-    optimal_rate_param,
-    path_contribution,
-    path_contribution_curve,
-    run_clmc,
-    theoretical_sample_size,
-    truncation_bias_bound,
-    variance_estimate,
-    weights,
-)
-from .coefficient import CoefficientSample, sample_box, sample_cross
-from .fem import (
-    FESolution,
-    SparseSystem,
-    assemble,
-    energy_norm,
-    error_norms,
-    h1_norm,
-    pcg,
-    solve,
-)
-from .indicator import (
-    ErrorIndicators,
-    adaptive_hierarchy,
-    doerfler_mark,
-    residual_indicators,
-    total_estimator,
-)
-from .mesh import (
-    TriMesh,
-    aligned_structured_mesh,
-    bisect_refine,
-    structured_unit_square,
-    uniform_family,
-)
-from .mlmc import (
-    EstimatorRun,
-    MlmcConfig,
-    MlmcRateFit,
-    PdeLevelModel,
-    bias_level,
-    bias_stop,
-    computable_mlmc_cost,
-    estimate_rates_mlmc,
-    mc_estimate,
-    optimal_bias_weight,
-    optimal_samples,
-    run_mlmc,
-    theoretical_samples,
-)
-from .sampling import (
-    ExponentialLevelSampler,
-    UniformSource,
-    exp_cdf,
-    inv_exp_cdf,
-    moment_mse_experiment,
-    radical_inverse_base2,
-)
+The package exports the estimator entry points; everything else is
+imported from its submodule (``levelmc.mesh``, ``levelmc.fem``, ...).
+"""
+
+from .clmc import ClmcConfig, run_clmc
+from .mlmc import EstimatorRun, MlmcConfig, PdeLevelModel, run_mlmc
+
+__all__ = ["ClmcConfig", "EstimatorRun", "MlmcConfig", "PdeLevelModel", "run_clmc", "run_mlmc"]
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ import json
 import sys
 from pathlib import Path
 
+from .fem import AssemblyError, SolverError
 from .harness import (
     CompareConfig,
     ConfigError,
@@ -80,7 +81,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, SolverError, AssemblyError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     print(f"{args.experiment}: results written to {out_dir}")

@@ -28,15 +28,14 @@ from __future__ import annotations
 import logging
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficient import sample_box, sample_cross
+from .coefficient import draw_coefficient
 from .indicator import adaptive_hierarchy
 from .mesh import structured_unit_square
-from .mlmc import EstimatorRun, _log_fit
+from .mlmc import EstimatorRun, _masked_log_fit
 from .sampling import ExponentialLevelSampler, UniformSource
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "ClmcConfig",
     "SamplePath",
     "AdaptivePathSampler",
-    "continuous_level",
     "continuous_levels",
     "clip_and_index",
     "weights",
@@ -64,15 +62,9 @@ log = logging.getLogger(__name__)
 MONOTONE_GAP = 1e-6  # enforced minimal level increment for non-decaying estimators
 
 
-def continuous_level(e_j: float, e_0: float) -> float:
-    """Samplewise continuous level -log(e_j / e_0) of a relative estimator."""
-    if e_j <= 0 or e_0 <= 0:
-        raise ValueError("estimator values must be positive")
-    return -math.log(e_j / e_0)
-
-
 def continuous_levels(estimators) -> tuple[np.ndarray, int]:
-    """Continuous levels of an estimator sequence, forced strictly increasing.
+    """Continuous levels -log(e_j / e_0) of an estimator sequence, forced
+    strictly increasing.
 
     A non-decaying estimator (e_j >= e_{j-1}) would break the weight
     formula; such levels are nudged to the previous level plus a tiny gap.
@@ -122,7 +114,6 @@ class SamplePath:
     max_level: float
     levels: np.ndarray       # l_0 = 0 < l_1 < ... < l_J
     qois: np.ndarray         # Q_0 .. Q_J
-    estimators: np.ndarray   # e_0 .. e_J
     clipped: np.ndarray      # min(l_j, L) for j = 1..J
     index: int               # J
     truncated: bool
@@ -171,20 +162,15 @@ def path_contribution_curve(levels, qois, rate: float, max_levels) -> np.ndarray
     return (w * dq).sum(axis=1)
 
 
-def variance_estimate(ys) -> float:
-    """Estimator-variance estimate (1/(M-1)) (mean(Y^2) - mean(Y)^2).
+def variance_estimate(count: int, sum_y: float, sum_y2: float) -> float:
+    """Estimator-variance estimate (1/(M-1)) (mean(Y^2) - mean(Y)^2) from
+    the running sums of M samples Y and Y^2.
 
     This is the variance of the *estimator*, carrying the extra 1/M
     relative to the sample variance of Y.
     """
-    arr = np.asarray(ys, dtype=np.float64)
-    if arr.size < 2:
+    if count < 2:
         raise ValueError("need at least 2 samples for a variance estimate")
-    m = arr.size
-    return float(((arr**2).mean() - arr.mean() ** 2) / (m - 1))
-
-
-def _variance_from_sums(count: int, sum_y: float, sum_y2: float) -> float:
     return (sum_y2 / count - (sum_y / count) ** 2) / (count - 1)
 
 
@@ -210,16 +196,11 @@ class AdaptivePathSampler:
             self._mesh0 = structured_unit_square(self.base_n)
         return self._mesh0
 
-    def coefficient(self, k: int):
-        source = UniformSource("pseudo", seed=self.seed, stream=k)
-        draw = sample_box if self.kind == "box" else sample_cross
-        return draw(source, self.contrast)
-
     def path(self, k: int, max_level: float | None = None,
              max_refinements: int | None = None) -> SamplePath:
         """Refine sample k until its continuous level reaches max_level
         (or for a fixed number of refinements), bounded by the DOF cap."""
-        coeff = self.coefficient(k)
+        coeff = draw_coefficient(self.kind, self.contrast, self.seed, k)
         state = {"fixes": 0}
 
         def levels_of(steps):
@@ -254,7 +235,6 @@ class AdaptivePathSampler:
             max_level=math.inf if max_level is None else max_level,
             levels=levels,
             qois=hierarchy.qois,
-            estimators=hierarchy.estimators,
             clipped=clipped,
             index=index,
             truncated=truncated,
@@ -325,22 +305,13 @@ def estimate_rates_clmc(sampler: AdaptivePathSampler, refinements: int = 12,
     var = derivs.var(axis=0, ddof=1)
     cost = costs.mean(axis=0)
 
-    def masked_fit(values, name):
-        values = np.asarray(values, float)
-        usable = values > 0
-        if not usable.all():
-            warnings.warn(f"excluding {int((~usable).sum())} grid points from the {name} fit")
-        if usable.sum() < 3:
-            raise ValueError(f"fewer than 3 usable grid points for the {name} fit")
-        slope, intercept, r2 = _log_fit(grid[usable], np.log(values[usable]))
-        return slope, math.exp(intercept), r2
-
-    mean_slope, c4, r2_mean = masked_fit(np.abs(mean), "mean")
-    var_slope, c5, r2_var = masked_fit(var, "variance")
-    cost_slope, c6, r2_cost = masked_fit(cost, "cost")
+    mean_slope, log_c4, r2_mean = _masked_log_fit(grid, np.abs(mean), "mean")
+    var_slope, log_c5, r2_var = _masked_log_fit(grid, var, "variance")
+    cost_slope, log_c6, r2_cost = _masked_log_fit(grid, cost, "cost")
     return ClmcRateFit(
         alpha=-mean_slope, beta=-var_slope, gamma=cost_slope,
-        c4=c4, c5=c5, c6=c6, level_domain=(float(lo), float(hi)),
+        c4=math.exp(log_c4), c5=math.exp(log_c5), c6=math.exp(log_c6),
+        level_domain=(float(lo), float(hi)),
         samples=samples,
         r_squared={"mean": r2_mean, "variance": r2_var, "cost": r2_cost},
     )
@@ -455,7 +426,7 @@ def run_clmc(config: ClmcConfig, kind: str = "box", contrast: float = 300.0,
         if path.truncated:
             truncated_paths += 1
             truncation_levels.append(path.levels[-1])
-        variance = 1.0 if count <= config.m_ini else _variance_from_sums(count, sum_y, sum_y2)
+        variance = 1.0 if count <= config.m_ini else variance_estimate(count, sum_y, sum_y2)
         rows.append(
             {
                 "k": count,
@@ -475,11 +446,11 @@ def run_clmc(config: ClmcConfig, kind: str = "box", contrast: float = 300.0,
             break
 
     level_cap = min(truncation_levels) if truncation_levels else math.inf
-    bias_bound = count * math.exp(-config.rate * level_cap) if truncated_paths else 0.0
+    bias_bound = truncation_bias_bound(count, config.rate, level_cap) if truncated_paths else 0.0
     return EstimatorRun(
         method="qclmc" if config.sampler_kind == "low-discrepancy" else "clmc",
         estimate=sum_y / count,
-        variance_estimate=_variance_from_sums(count, sum_y, sum_y2),
+        variance_estimate=variance_estimate(count, sum_y, sum_y2),
         bias_proxy=bias_bound,
         cost_dof=float(cost_dof),
         cost_seconds=cost_seconds,

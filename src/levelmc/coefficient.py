@@ -24,7 +24,7 @@ import numpy as np
 from .mesh import TriMesh
 from .sampling import UniformSource
 
-__all__ = ["CoefficientSample", "sample_box", "sample_cross"]
+__all__ = ["CoefficientSample", "draw_coefficient", "sample_box", "sample_cross"]
 
 BOX_CENTER_RANGE = (0.4, 0.6)
 BOX_LENGTH_RANGE = (0.2, 0.3)
@@ -101,3 +101,11 @@ def sample_cross(source: UniformSource, contrast: float) -> CoefficientSample:
         y=lo + (hi - lo) * u[1],
         contrast=contrast,
     )
+
+
+def draw_coefficient(kind: str, contrast: float, seed: int, stream) -> CoefficientSample:
+    """Draw a box or cross sample from the pseudo-random substream (seed, stream)."""
+    source = UniformSource("pseudo", seed=seed, stream=stream)
+    if kind == "box":
+        return sample_box(source, contrast)
+    return sample_cross(source, contrast)

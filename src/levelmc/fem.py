@@ -177,8 +177,8 @@ def assemble(mesh: TriMesh, coeff=None, f=1.0) -> SparseSystem:
     )
 
 
-def pcg(matrix, rhs, rtol=CG_RTOL, maxiter=None, preconditioned=True):
-    """Conjugate gradients with optional Jacobi preconditioning.
+def pcg(matrix, rhs, rtol=CG_RTOL, maxiter=None):
+    """Jacobi-preconditioned conjugate gradients.
 
     Returns (solution, iterations, relative residual).  The reduction order
     is fixed, so results are bit-reproducible for identical inputs.
@@ -189,7 +189,7 @@ def pcg(matrix, rhs, rtol=CG_RTOL, maxiter=None, preconditioned=True):
         return np.zeros(n), 0, 0.0
     if maxiter is None:
         maxiter = int(np.ceil(20.0 * np.sqrt(n)))
-    inv_diag = 1.0 / matrix.diagonal() if preconditioned else np.ones(n)
+    inv_diag = 1.0 / matrix.diagonal()
 
     x = np.zeros(n)
     r = rhs.copy()

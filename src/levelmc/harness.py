@@ -15,10 +15,12 @@ byte.  Wall-clock timings live in run records and summaries only.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +28,9 @@ import numpy as np
 from .clmc import (
     AdaptivePathSampler,
     ClmcConfig,
-    ClmcRateFit,
     estimate_rates_clmc,
     optimal_rate_param,
     run_clmc,
-    truncation_bias_bound,
 )
 from .coefficient import CoefficientSample
 from .fem import assemble, h1_norm, solve
@@ -40,9 +40,9 @@ from .mlmc import (
     EstimatorRun,
     MlmcConfig,
     MlmcRateFit,
-    PairSample,
     PdeLevelModel,
     Welford,
+    _log_fit,
     estimate_rates_mlmc,
     optimal_bias_weight,
     run_mlmc,
@@ -102,15 +102,28 @@ def _parse_config(cls, raw: dict, full_scale: bool):
         )
     try:
         cfg = cls(full_scale=full_scale, **raw)
-    except TypeError as exc:
+        cfg.validate()
+    except TypeError as exc:  # a value of the wrong type, e.g. a number for a list
         raise ConfigError(str(exc)) from exc
-    cfg.validate()
     return cfg
 
 
 def _require(condition, message):
     if not condition:
         raise ConfigError(message)
+
+
+# range checks shared by every config that has the field (None = default to come)
+_BOUNDS = (
+    ("theta", lambda v: 0 < v < 1, "must lie in (0,1)"),
+    ("dof_max", lambda v: v > 0, "must be positive"),
+    ("pilot_levels", lambda v: v >= 3, "must be >= 3"),
+    ("pilot_m", lambda v: v >= 2, "must be >= 2"),
+    ("m_ini", lambda v: v >= 2, "must be >= 2"),
+    ("m_ini_mlmc", lambda v: v >= 2, "must be >= 2"),
+    ("m_ini_clmc", lambda v: v >= 1, "must be >= 1"),
+    ("level_cap", lambda v: v >= 1, "must be >= 1"),
+)
 
 
 class _ConfigBase:
@@ -137,11 +150,10 @@ class _ConfigBase:
             _require(len(kinds) > 0, "kinds must be nonempty")
             _require(all(k in ("box", "cross") for k in kinds),
                      f"kinds must be 'box'/'cross', got {kinds}")
-
-
-def _default(desk, full):
-    """Sentinel-free dual default: resolved in __post_init__ via None."""
-    return field(default=None), desk, full
+        for name, ok, rule in _BOUNDS:
+            value = getattr(self, name, None)
+            if value is not None:
+                _require(ok(value), f"{name} {rule}, got {value!r}")
 
 
 @dataclass
@@ -167,7 +179,6 @@ class ConvergeConfig(_ConfigBase):
         if self.reference_n is None:
             self.reference_n = 640 if self.full_scale else 256
         _require(self.contrast > 0, "contrast must be positive")
-        _require(0 < self.theta < 1, "theta must lie in (0,1)")
         _require(self.adaptive_steps >= self.fit_window >= 3,
                  "need adaptive_steps >= fit_window >= 3")
 
@@ -319,9 +330,7 @@ def _fixed_sample(kind: str, contrast: float) -> CoefficientSample:
 
 
 def _loglog_slope(x, y) -> float:
-    x = np.log(np.asarray(x, float))
-    y = np.log(np.asarray(y, float))
-    return float(np.polyfit(x, y, 1)[0])
+    return _log_fit(np.log(x), np.log(y))[0]
 
 
 # --------------------------------------------------------------------------
@@ -480,51 +489,7 @@ def cmd_lds(config: LdsConfig, out_dir) -> dict:
 # reference
 
 
-@dataclass
-class AlignedLevelModel:
-    """Level pairs on meshes aligned with each sample's discontinuities.
-
-    The coefficient is represented exactly, so the weak error decays at the
-    fast (aligned) rate; used only for the reference computation.
-    """
-
-    kind: str
-    contrast: float
-    base_n: int = 15
-    seed: int = 0
-    f: float = 1.0
-
-    def _resolution(self, level: int) -> int:
-        return int(np.floor(self.base_n * 1.5**level + 0.5))
-
-    def _coefficient(self, level: int, k: int):
-        from .coefficient import sample_box, sample_cross
-        from .sampling import UniformSource
-
-        source = UniformSource("pseudo", seed=self.seed, stream=(level, k))
-        draw = sample_box if self.kind == "box" else sample_cross
-        return draw(source, self.contrast)
-
-    def _solve(self, coeff, level: int):
-        bx, by = coeff.break_lines()
-        mesh = aligned_structured_mesh(bx, by, self._resolution(level))
-        return h1_norm(solve(assemble(mesh, coeff, self.f))), mesh.num_vertices
-
-    def pair(self, level: int, k: int) -> PairSample:
-        coeff = self._coefficient(level, k)
-        t0 = time.perf_counter()
-        fine, n_fine = self._solve(coeff, level)
-        coarse, n_coarse = self._solve(coeff, level - 1)
-        return PairSample(fine, coarse, n_fine + n_coarse, time.perf_counter() - t0)
-
-    def single(self, level: int, k: int):
-        coeff = self._coefficient(level, k)
-        t0 = time.perf_counter()
-        q, n = self._solve(coeff, level)
-        return q, n, time.perf_counter() - t0
-
-
-def _mc_to_variance(single, level, target_var, seed_tag, min_samples=50):
+def _mc_to_variance(single, level, target_var, min_samples=50):
     """Plain MC of a level QoI until the estimator variance is below target."""
     acc = Welford()
     cost = 0
@@ -554,28 +519,22 @@ def cmd_reference(config: ReferenceConfig, out_dir) -> dict:
     for kind in config.kinds:
         for contrast in config.contrasts:
             key = f"{kind}:{contrast:g}"
-            aligned = AlignedLevelModel(kind=kind, contrast=contrast,
-                                        base_n=config.base_n, seed=config.seed)
-            pilot = estimate_rates_mlmc(aligned, levels=config.pilot_levels,
-                                        samples=config.pilot_m)
+            model = partial(PdeLevelModel, kind=kind, contrast=contrast, base_n=config.base_n)
+            pilot = estimate_rates_mlmc(model(seed=config.seed, aligned=True),
+                                        levels=config.pilot_levels, samples=config.pilot_m)
             # difference part: variance <= t^2/2, squared bias <= t^2
             eps = math.sqrt(1.5) * t
             b_w = 2.0 / 3.0
             diff_run = run_mlmc(
                 MlmcConfig(eps=eps, alpha=pilot.alpha, b_w=b_w,
                            m_ini=config.m_ini, l_max=config.l_max),
-                AlignedLevelModel(kind=kind, contrast=contrast,
-                                  base_n=config.base_n, seed=config.seed + 1),
+                model(seed=config.seed + 1, aligned=True),
             )
             # aligned coarse level: variance <= t^2/2
-            mc0_aligned = _mc_to_variance(
-                AlignedLevelModel(kind=kind, contrast=contrast,
-                                  base_n=config.base_n, seed=config.seed + 2).single,
-                0, t**2 / 2.0, "aligned0")
+            mc0_aligned = _mc_to_variance(model(seed=config.seed + 2, aligned=True).single,
+                                          0, t**2 / 2.0)
             # standard coarse level Q_0: variance <= t^2
-            std_model = PdeLevelModel(kind=kind, contrast=contrast,
-                                      base_n=config.base_n, seed=config.seed + 3)
-            mc0_std = _mc_to_variance(std_model.single, 0, t**2, "std0")
+            mc0_std = _mc_to_variance(model(seed=config.seed + 3).single, 0, t**2)
 
             reference = diff_run.estimate + mc0_aligned[0] - mc0_std[0]
             results[key] = {
@@ -633,70 +592,63 @@ def cmd_compare(config: CompareConfig, out_dir) -> dict:
     reference = _load_json(config.reference_file, "reference")
 
     eps_sq = tolerance_ladder(config.tolerance_indices)
-    records = []
-    for kind in config.kinds:
-        for contrast in config.contrasts:
-            key = f"{kind}:{contrast:g}"
-            if key not in rates["fits"]:
-                raise ConfigError(f"no rate fit for {key}; rerun `uq rates`")
-            if key not in reference["values"]:
-                raise ConfigError(f"no reference value for {key}; rerun `uq reference`")
-            fit = _mlmc_fit_from_dict(rates["fits"][key]["mlmc"])
-            entry = rates["fits"][key]
-            if "r_hat" not in entry:
-                raise NumericalError(
-                    f"no feasible exponential rate for {key}; the continuous-level "
-                    "hypotheses failed in calibration")
-            r_hat = entry["r_hat"]
-            ref_value = reference["values"][key]["reference"]
+    inputs, b_w = {}, {}
+    for kind, contrast in itertools.product(config.kinds, config.contrasts):
+        key = f"{kind}:{contrast:g}"
+        if key not in rates["fits"]:
+            raise ConfigError(f"no rate fit for {key}; rerun `uq rates`")
+        if key not in reference["values"]:
+            raise ConfigError(f"no reference value for {key}; rerun `uq reference`")
+        entry = rates["fits"][key]
+        fit = _mlmc_fit_from_dict(entry["mlmc"])
+        if "r_hat" not in entry:
+            raise NumericalError(
+                f"no feasible exponential rate for {key}; the continuous-level "
+                "hypotheses failed in calibration")
+        inputs[kind, contrast] = fit.alpha, entry["r_hat"], reference["values"][key]["reference"]
+        for tol_index, e2 in zip(config.tolerance_indices, eps_sq):
+            b_w[kind, contrast, tol_index] = optimal_bias_weight(fit, math.sqrt(e2),
+                                                                 config.level_cap)
 
-            for tol_index, e2 in zip(config.tolerance_indices, eps_sq):
-                eps = math.sqrt(e2)
-                b_w = optimal_bias_weight(fit, eps, config.level_cap)
-                for run_idx in range(config.runs):
-                    pde_seed = config.seed_base + run_idx
-                    lvl_seed = config.scramble_base + run_idx
-                    for method in config.methods:
-                        t0 = time.perf_counter()
-                        if method == "mlmc":
-                            run = run_mlmc(
-                                MlmcConfig(eps=eps, alpha=fit.alpha, b_w=b_w,
-                                           m_ini=config.m_ini_mlmc, l_max=config.l_max),
-                                PdeLevelModel(kind=kind, contrast=contrast,
-                                              base_n=config.base_n, seed=pde_seed),
-                            )
-                        else:
-                            run = run_clmc(
-                                ClmcConfig(
-                                    eps=eps, rate=r_hat, m_ini=config.m_ini_clmc,
-                                    dof_max=config.dof_max,
-                                    sampler_kind="low-discrepancy" if method == "qclmc" else "pseudo",
-                                    theta=config.theta, seed=pde_seed,
-                                    level_seed=lvl_seed,
-                                ),
-                                kind=kind, contrast=contrast, base_n=config.base_n,
-                            )
-                        seconds = time.perf_counter() - t0
-                        records.append({
-                            "method": method, "kind": kind, "contrast": contrast,
-                            "tol_index": tol_index, "eps_sq": e2, "run": run_idx,
-                            "estimate": run.estimate,
-                            "sq_error": (run.estimate - ref_value) ** 2,
-                            "seconds": seconds,
-                            "cost_dof": run.cost_dof,
-                            "samples": run.samples,
-                            "flags": ";".join(run.flags),
-                        })
-                        if config.emit_samples and method != "mlmc":
-                            write_clmc_samples_csv(
-                                run,
-                                out / "samples" / f"{method}_{kind}_{contrast:g}_t{tol_index}_r{run_idx}.csv",
-                                chash, pde_seed)
-                        elif config.emit_samples:
-                            write_mlmc_levels_csv(
-                                run,
-                                out / "samples" / f"{method}_{kind}_{contrast:g}_t{tol_index}_r{run_idx}.csv",
-                                chash, pde_seed)
+    records = []
+    for kind, contrast, (tol_index, e2), run_idx, method in itertools.product(
+            config.kinds, config.contrasts, zip(config.tolerance_indices, eps_sq),
+            range(config.runs), config.methods):
+        alpha, r_hat, ref_value = inputs[kind, contrast]
+        eps = math.sqrt(e2)
+        pde_seed = config.seed_base + run_idx
+        t0 = time.perf_counter()
+        if method == "mlmc":
+            run = run_mlmc(
+                MlmcConfig(eps=eps, alpha=alpha, b_w=b_w[kind, contrast, tol_index],
+                           m_ini=config.m_ini_mlmc, l_max=config.l_max),
+                PdeLevelModel(kind=kind, contrast=contrast, base_n=config.base_n, seed=pde_seed),
+            )
+        else:
+            run = run_clmc(
+                ClmcConfig(
+                    eps=eps, rate=r_hat, m_ini=config.m_ini_clmc, dof_max=config.dof_max,
+                    sampler_kind="low-discrepancy" if method == "qclmc" else "pseudo",
+                    theta=config.theta, seed=pde_seed,
+                    level_seed=config.scramble_base + run_idx,
+                ),
+                kind=kind, contrast=contrast, base_n=config.base_n,
+            )
+        seconds = time.perf_counter() - t0
+        records.append({
+            "method": method, "kind": kind, "contrast": contrast,
+            "tol_index": tol_index, "eps_sq": e2, "run": run_idx,
+            "estimate": run.estimate,
+            "sq_error": (run.estimate - ref_value) ** 2,
+            "seconds": seconds,
+            "cost_dof": run.cost_dof,
+            "samples": run.samples,
+            "flags": ";".join(run.flags),
+        })
+        if config.emit_samples:
+            write = write_mlmc_levels_csv if method == "mlmc" else write_clmc_samples_csv
+            write(run, out / "samples" / f"{method}_{kind}_{contrast:g}_t{tol_index}_r{run_idx}.csv",
+                  chash, pde_seed)
 
     write_csv(out / "records.csv",
               ["method", "kind", "contrast", "tol_index", "eps_sq", "run",

@@ -36,7 +36,6 @@ from .mesh import TriMesh, bisect_refine
 __all__ = [
     "ErrorIndicators",
     "residual_indicators",
-    "total_estimator",
     "doerfler_mark",
     "HierarchyStep",
     "Hierarchy",
@@ -97,10 +96,6 @@ def residual_indicators(sol: FESolution, coeff=None, f=1.0) -> ErrorIndicators:
     return ErrorIndicators(eta=np.sqrt(eta_sq))
 
 
-def total_estimator(indicators: ErrorIndicators) -> float:
-    return indicators.total
-
-
 def doerfler_mark(indicators: ErrorIndicators, theta: float) -> np.ndarray:
     """Smallest-cardinality element set holding a theta-fraction of the squared mass.
 
@@ -150,11 +145,6 @@ class Hierarchy:
     @property
     def dofs(self) -> np.ndarray:
         return np.array([s.dof for s in self.steps])
-
-    @property
-    def cost_dof(self) -> int:
-        """Cumulative solve cost of the whole path in DOF."""
-        return int(self.dofs.sum())
 
 
 def adaptive_hierarchy(

@@ -15,13 +15,12 @@ degree-of-freedom unit in all cost accounting.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 __all__ = [
     "TriMesh",
     "structured_unit_square",
+    "level_resolution",
     "uniform_family",
     "aligned_structured_mesh",
     "bisect_refine",
@@ -115,33 +114,6 @@ class TriMesh:
         """Element diameters h_K (longest edge of each triangle)."""
         return self.edge_lengths[self.tri_edges].max(axis=1)
 
-    def _check_tri(self, k):
-        if not 0 <= k < self.num_triangles:
-            raise IndexError(f"triangle id {k} out of range")
-
-    def diameter(self, k: int) -> float:
-        self._check_tri(k)
-        return float(self.diameters[k])
-
-    def area(self, k: int) -> float:
-        self._check_tri(k)
-        return float(self._signed_areas[k])
-
-    def barycenter(self, k: int) -> np.ndarray:
-        self._check_tri(k)
-        return self.vertices[self.triangles[k]].mean(axis=0)
-
-    def edge_length(self, e: int) -> float:
-        if not 0 <= e < len(self.edges):
-            raise IndexError(f"edge id {e} out of range")
-        return float(self.edge_lengths[e])
-
-    def interior_edges(self, k: int) -> np.ndarray:
-        """Edge ids of triangle k that are not on the domain boundary."""
-        self._check_tri(k)
-        eids = self.tri_edges[k]
-        return eids[~self.boundary_edge[eids]]
-
     def min_angle(self) -> float:
         """Smallest interior angle over all triangles (radians)."""
         p = self.vertices[self.triangles]
@@ -152,17 +124,6 @@ class TriMesh:
             cosang = (a * b).sum(axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
             angles.append(np.arccos(np.clip(cosang, -1.0, 1.0)))
         return float(np.min(angles))
-
-    def to_json(self, path=None):
-        """Dump vertex/triangle arrays as JSON (debugging/plotting aid)."""
-        payload = {
-            "vertices": self.vertices.tolist(),
-            "triangles": self.triangles.tolist(),
-        }
-        if path is None:
-            return json.dumps(payload)
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
 
 
 def _tensor_triangulation(xs, ys) -> TriMesh:
@@ -195,15 +156,19 @@ def structured_unit_square(n: int) -> TriMesh:
     return _tensor_triangulation(grid, grid)
 
 
+def level_resolution(level: int, base_n: int = 15) -> int:
+    """Per-dimension resolution round(base_n * 1.5^level) of a mesh level."""
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    return int(np.floor(base_n * 1.5**level + 0.5))
+
+
 def uniform_family(level: int, base_n: int = 15) -> TriMesh:
-    """Structured mesh at per-dimension resolution round(base_n * 1.5^level).
+    """Structured mesh at the resolution of ``level_resolution``.
 
     Vertex counts grow by a factor of about 1.5^2 = 2.25 per level.
     """
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    resolution = int(np.floor(base_n * 1.5**level + 0.5))
-    return structured_unit_square(resolution)
+    return structured_unit_square(level_resolution(level, base_n))
 
 
 def aligned_structured_mesh(break_x, break_y, n: int) -> TriMesh:

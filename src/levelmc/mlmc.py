@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficient import sample_box, sample_cross
+from .coefficient import draw_coefficient
 from .fem import assemble, h1_norm, solve
-from .mesh import uniform_family
-from .sampling import UniformSource
+from .mesh import aligned_structured_mesh, level_resolution, uniform_family
 
 __all__ = [
     "EstimatorRun",
@@ -34,7 +33,6 @@ __all__ = [
     "PairSample",
     "PdeLevelModel",
     "Welford",
-    "mc_estimate",
     "estimate_rates_mlmc",
     "bias_level",
     "computable_mlmc_cost",
@@ -86,14 +84,6 @@ class Welford:
         return self._m2 / (self.count - 1)
 
 
-def mc_estimate(samples) -> float:
-    """Plain Monte Carlo mean of a nonempty sample list."""
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("cannot average an empty sample list")
-    return float(arr.mean())
-
-
 @dataclass
 class PairSample:
     fine: float
@@ -108,7 +98,13 @@ class PairSample:
 
 @dataclass
 class PdeLevelModel:
-    """Coupled level pairs of the H1-norm QoI on the uniform mesh family.
+    """Coupled level pairs of the H1-norm QoI on a family of level meshes.
+
+    The meshes are the uniform family, or with ``aligned`` set, tensor meshes
+    of the same resolutions whose gridlines contain each sample's
+    discontinuities.  Aligned meshes represent the coefficient exactly, so
+    the weak error decays at the fast rate; the reference computation uses
+    them.
 
     Each (level, k) pair owns an independent substream of the coefficient
     seed, so extending sample counts never re-draws earlier samples and
@@ -120,18 +116,20 @@ class PdeLevelModel:
     f: float = 1.0
     base_n: int = 15
     seed: int = 0
-    source_kind: str = "pseudo"
-    _meshes: dict = field(default_factory=dict, repr=False)
+    aligned: bool = False
+    _meshes: dict = field(default_factory=dict, init=False, repr=False)
 
-    def mesh(self, level: int):
+    def mesh(self, level: int, coeff=None):
+        """Mesh of a level; aligned meshes need the coefficient sample."""
+        if self.aligned:
+            return aligned_structured_mesh(*coeff.break_lines(),
+                                           level_resolution(level, self.base_n))
         if level not in self._meshes:
             self._meshes[level] = uniform_family(level, self.base_n)
         return self._meshes[level]
 
     def _draw_coefficient(self, level: int, k: int):
-        source = UniformSource(self.source_kind, seed=self.seed, stream=(level, k))
-        draw = sample_box if self.kind == "box" else sample_cross
-        return draw(source, self.contrast)
+        return draw_coefficient(self.kind, self.contrast, self.seed, (level, k))
 
     def _qoi(self, mesh, coeff) -> float:
         return h1_norm(solve(assemble(mesh, coeff, self.f)))
@@ -141,7 +139,7 @@ class PdeLevelModel:
         if level < 1:
             raise ValueError("coupled pairs need level >= 1")
         coeff = self._draw_coefficient(level, k)
-        fine_mesh, coarse_mesh = self.mesh(level), self.mesh(level - 1)
+        fine_mesh, coarse_mesh = self.mesh(level, coeff), self.mesh(level - 1, coeff)
         t0 = time.perf_counter()
         fine = self._qoi(fine_mesh, coeff)
         coarse = self._qoi(coarse_mesh, coeff)
@@ -152,7 +150,7 @@ class PdeLevelModel:
     def single(self, level: int, k: int):
         """One plain QoI sample at a level; returns (qoi, cost_dof, seconds)."""
         coeff = self._draw_coefficient(level, k)
-        mesh = self.mesh(level)
+        mesh = self.mesh(level, coeff)
         t0 = time.perf_counter()
         q = self._qoi(mesh, coeff)
         return q, mesh.num_vertices, time.perf_counter() - t0
@@ -189,6 +187,23 @@ def _log_fit(x, y):
     return float(slope), float(intercept), float(r2)
 
 
+def _masked_log_fit(x, values, name: str, base: float = math.e):
+    """Line through (x, log_base(values)) over the positive values only.
+
+    Nonpositive values are excluded with a warning; fewer than 3 usable
+    points is an error.  Returns slope, intercept, R^2 as ``_log_fit``;
+    log(e) is exactly 1, so the default base divides by one.
+    """
+    values = np.asarray(values, float)
+    usable = values > 0
+    if not usable.all():
+        warnings.warn(f"excluding {int((~usable).sum())} points from the {name} fit "
+                      "(nonpositive estimates)")
+    if usable.sum() < 3:
+        raise ValueError(f"fewer than 3 usable points for the {name} fit")
+    return _log_fit(np.asarray(x, float)[usable], np.log(values[usable]) / math.log(base))
+
+
 def estimate_rates_mlmc(model, levels: int = 6, samples: int = 100, s: float = DEFAULT_S) -> MlmcRateFit:
     """Calibrate (alpha, beta, gamma) and constants from per-level pilot runs.
 
@@ -210,27 +225,12 @@ def estimate_rates_mlmc(model, levels: int = 6, samples: int = 100, s: float = D
         costs.append(np.mean([p.cost_dof for p in pairs]))
 
     lvl = np.arange(1, levels + 1, dtype=float)
-    log_s = math.log(s)
-
-    def masked_fit(values, name):
-        values = np.asarray(values, float)
-        usable = values > 0
-        if not usable.all():
-            warnings.warn(
-                f"excluding levels {list(lvl[~usable].astype(int))} from the "
-                f"{name} fit (nonpositive estimates)"
-            )
-        if usable.sum() < 3:
-            raise ValueError(f"fewer than 3 usable levels for the {name} fit")
-        slope, intercept, r2 = _log_fit(lvl[usable], np.log(values[usable]) / log_s)
-        return slope, s**intercept, r2
-
-    mean_slope, c1, r2_mean = masked_fit(np.abs(means), "mean")
-    var_slope, c2, r2_var = masked_fit(variances, "variance")
-    cost_slope, c3, r2_cost = masked_fit(costs, "cost")
+    mean_slope, log_c1, r2_mean = _masked_log_fit(lvl, np.abs(means), "mean", s)
+    var_slope, log_c2, r2_var = _masked_log_fit(lvl, variances, "variance", s)
+    cost_slope, log_c3, r2_cost = _masked_log_fit(lvl, costs, "cost", s)
     return MlmcRateFit(
         alpha=-mean_slope, beta=-var_slope, gamma=cost_slope,
-        c1=c1, c2=c2, c3=c3, s=s, levels=(1, levels), samples=samples,
+        c1=s**log_c1, c2=s**log_c2, c3=s**log_c3, s=s, levels=(1, levels), samples=samples,
         r_squared={"mean": r2_mean, "variance": r2_var, "cost": r2_cost},
     )
 

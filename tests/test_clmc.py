@@ -10,7 +10,6 @@ from levelmc.clmc import (
     SamplePath,
     clip_and_index,
     clmc_cost,
-    continuous_level,
     continuous_levels,
     estimate_rates_clmc,
     optimal_rate_param,
@@ -30,7 +29,7 @@ def make_path(levels, qois, max_level, truncated=None):
     J, clipped, trunc = clip_and_index(levels, max_level)
     return SamplePath(
         max_level=max_level, levels=levels, qois=np.asarray(qois, float),
-        estimators=np.exp(-levels), clipped=clipped, index=J,
+        clipped=clipped, index=J,
         truncated=trunc if truncated is None else truncated,
         dofs=np.ones(len(levels)),
     )
@@ -44,10 +43,12 @@ def make_fit(alpha=2.0, beta=4.0, gamma=2.0, c4=1.0, c5=1.0, c6=1.0):
 
 class TestContinuousLevel:
     def test_equal_estimator_is_level_zero(self):
-        assert continuous_level(0.7, 0.7) == 0.0
+        levels, fixes = continuous_levels([0.7])
+        assert levels[0] == 0.0 and fixes == 0
 
     def test_exp_decay(self):
-        assert continuous_level(0.5 * math.exp(-2.0), 0.5) == pytest.approx(2.0)
+        levels, _ = continuous_levels([0.5, 0.5 * math.exp(-2.0)])
+        assert levels[1] == pytest.approx(2.0)
 
     def test_halving_gives_log_two_ladder(self):
         e = 0.8 * 0.5 ** np.arange(5)
@@ -57,7 +58,7 @@ class TestContinuousLevel:
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
-            continuous_level(0.0, 1.0)
+            continuous_levels([1.0, 0.0])
 
     def test_monotone_fix(self):
         levels, fixes = continuous_levels([1.0, 0.5, 0.6])
@@ -158,22 +159,28 @@ class TestPathContribution:
                 assert val + tail == pytest.approx(1.0, abs=1e-10)
 
 
+def variance_of(ys):
+    """variance_estimate from the running sums of the samples ys."""
+    ys = np.asarray(ys, float)
+    return variance_estimate(len(ys), ys.sum(), (ys**2).sum())
+
+
 class TestVarianceEstimate:
     def test_constant_samples(self):
-        assert variance_estimate([3.0, 3.0]) == 0.0
+        assert variance_of([3.0, 3.0]) == 0.0
 
     def test_hand_case(self):
-        assert variance_estimate([0.0, 2.0]) == pytest.approx(1.0)
+        assert variance_of([0.0, 2.0]) == pytest.approx(1.0)
 
     def test_scales_inversely_with_sample_count(self):
         rng = np.random.default_rng(9)
-        small = np.mean([variance_estimate(rng.normal(size=50)) for _ in range(400)])
-        large = np.mean([variance_estimate(rng.normal(size=100)) for _ in range(400)])
+        small = np.mean([variance_of(rng.normal(size=50)) for _ in range(400)])
+        large = np.mean([variance_of(rng.normal(size=100)) for _ in range(400)])
         assert large == pytest.approx(small / 2.0, rel=0.15)
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
-            variance_estimate([1.0])
+            variance_of([1.0])
 
 
 class FakeSampler:
@@ -196,8 +203,7 @@ class FakeSampler:
         qois = np.concatenate([[0.0], np.cumsum(dq)])
         dofs = np.diff(np.exp(self.gamma * levels), prepend=0.0)
         return SamplePath(
-            max_level=math.inf, levels=levels, qois=qois,
-            estimators=np.exp(-levels), clipped=levels[1:].copy(),
+            max_level=math.inf, levels=levels, qois=qois, clipped=levels[1:].copy(),
             index=len(levels) - 1, truncated=False, dofs=dofs,
         )
 

@@ -103,7 +103,7 @@ class TestSolve:
             [0.0, 1.0, 5.0],
         ]))
         rhs = np.array([1.0, 2.0, 3.0])
-        x, iterations, relres = pcg(matrix, rhs, rtol=1e-12, preconditioned=False)
+        x, iterations, relres = pcg(matrix, rhs, rtol=1e-12)
         assert iterations <= 3  # Krylov exactness in at most n steps
         assert np.allclose(matrix @ x, rhs, atol=1e-10)
 

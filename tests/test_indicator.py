@@ -8,7 +8,6 @@ from levelmc.indicator import (
     adaptive_hierarchy,
     doerfler_mark,
     residual_indicators,
-    total_estimator,
 )
 from levelmc.mesh import structured_unit_square
 
@@ -79,18 +78,14 @@ class TestResidualIndicators:
 
 class TestTotalEstimator:
     def test_simple_values(self):
-        assert total_estimator(ErrorIndicators(np.array([1.0, 1.0]))) == pytest.approx(
-            np.sqrt(2)
-        )
-        assert total_estimator(ErrorIndicators(np.array([3.0, 4.0]))) == pytest.approx(5.0)
+        assert ErrorIndicators(np.array([1.0, 1.0])).total == pytest.approx(np.sqrt(2))
+        assert ErrorIndicators(np.array([3.0, 4.0])).total == pytest.approx(5.0)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         eta = rng.random(20)
         shuffled = rng.permutation(eta)
-        assert total_estimator(ErrorIndicators(eta)) == pytest.approx(
-            total_estimator(ErrorIndicators(shuffled))
-        )
+        assert ErrorIndicators(eta).total == pytest.approx(ErrorIndicators(shuffled).total)
 
 
 class TestDoerflerMark:

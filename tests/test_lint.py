@@ -1,0 +1,85 @@
+"""Dead-code checks on src/levelmc with the standard library's ast module.
+
+The project depends on no linter, so the three checks a linter would make
+on dead code are spelled out here: every module-level import is used,
+every function parameter is read, and every ``__all__`` entry names a
+module-level definition.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "levelmc"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def names_in(nodes):
+    return {n.id for node in nodes for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def exported(tree):
+    """The string entries of a module-level ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def imported(tree):
+    """Names bound by module-level imports, except ``from __future__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+def defined(tree):
+    """Names bound at module level."""
+    out = set(imported(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out |= names_in(targets)
+    return out
+
+
+def unused_parameters(tree):
+    """(function, parameter) pairs whose parameter the body never reads."""
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = func.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        used = names_in(func.body)
+        for name in params:
+            if name not in ("self", "cls") and not name.startswith("_") and name not in used:
+                yield f"{func.name}({name})"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = parse(path)
+    used = names_in([tree]) | set(exported(tree))
+    assert [name for name in imported(tree) if name not in used] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert list(unused_parameters(parse(path))) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_entries_resolve(path):
+    tree = parse(path)
+    assert [name for name in exported(tree) if name not in defined(tree)] == []

@@ -92,7 +92,7 @@ class TestBisectRefine:
         refined = bisect_refine(mesh, marked)
         # child barycenters lie inside the parent triangle
         for child, parent in enumerate(refined.parent_ids):
-            bary = refined.barycenter(child)
+            bary = refined.barycenters[child]
             tri = mesh.vertices[mesh.triangles[parent]]
             # barycentric coordinates of the point
             T = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
@@ -155,40 +155,24 @@ class TestAlignedMesh:
 class TestGeometryQueries:
     def test_unit_right_triangle(self):
         mesh = TriMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
-        assert mesh.diameter(0) == pytest.approx(np.sqrt(2))
-        assert mesh.area(0) == pytest.approx(0.5)
-        assert np.allclose(mesh.barycenter(0), [1 / 3, 1 / 3])
+        assert mesh.diameters[0] == pytest.approx(np.sqrt(2))
+        assert mesh.areas[0] == pytest.approx(0.5)
+        assert np.allclose(mesh.barycenters[0], [1 / 3, 1 / 3])
 
     def test_edge_length(self):
         mesh = TriMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
         eid = next(
             e for e, (a, b) in enumerate(mesh.edges.tolist()) if (a, b) == (0, 1)
         )
-        assert mesh.edge_length(eid) == pytest.approx(1.0)
+        assert mesh.edge_lengths[eid] == pytest.approx(1.0)
 
     def test_interior_edges_two_triangle_square(self):
         mesh = structured_unit_square(1)
         for k in range(2):
-            interior = mesh.interior_edges(k)
+            eids = mesh.tri_edges[k]
+            interior = eids[~mesh.boundary_edge[eids]]
             assert len(interior) == 1
             a, b = mesh.edges[interior[0]]
             assert {tuple(mesh.vertices[a]), tuple(mesh.vertices[b])} == {
                 (0.0, 0.0), (1.0, 1.0),
             }
-
-    def test_invalid_ids(self):
-        mesh = structured_unit_square(1)
-        with pytest.raises(IndexError):
-            mesh.area(2)
-        with pytest.raises(IndexError):
-            mesh.edge_length(len(mesh.edges))
-
-    def test_json_dump(self, tmp_path):
-        mesh = structured_unit_square(2)
-        path = tmp_path / "mesh.json"
-        mesh.to_json(path)
-        import json
-
-        payload = json.loads(path.read_text())
-        assert len(payload["vertices"]) == mesh.num_vertices
-        assert len(payload["triangles"]) == mesh.num_triangles
