@@ -12,6 +12,7 @@ error in the estimators) with an iteration cap of 20 * sqrt(DOF).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,12 +59,18 @@ def element_coefficients(mesh: TriMesh, coeff) -> np.ndarray:
 
 
 def _gradient_factors(mesh: TriMesh):
-    """Barycentric gradient coefficients: grad phi_i = (b_i, c_i) / (2 area)."""
-    p = mesh.vertices[mesh.triangles]
-    x, y = p[:, :, 0], p[:, :, 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    return b, c
+    """Barycentric gradient coefficients grad phi_i = (b_i, c_i) / (2 area),
+    as the column triples (b_0, b_1, b_2), (c_0, c_1, c_2)."""
+    (x0, x1, x2), (y0, y1, y2) = mesh.corner_coordinates()
+    return (y1 - y2, y2 - y0, y0 - y1), (x2 - x1, x0 - x2, x1 - x0)
+
+
+def _corner_sum(values, b):
+    """sum_i values[t_i] * b_i over the corners t_0, t_1, t_2 of every triangle,
+    added in corner order."""
+    v0, v1, v2 = values
+    b0, b1, b2 = b
+    return v0 * b0 + v1 * b1 + v2 * b2
 
 
 @dataclass
@@ -92,19 +99,23 @@ class FESolution:
     residual: float = 0.0
 
 
+def _edge_midpoints(mesh: TriMesh) -> np.ndarray:
+    """(M, 3, 2) midpoints of the edges opposite each local vertex."""
+    p = mesh.vertices[mesh.triangles]
+    return 0.5 * (p[:, [1, 2, 0]] + p[:, [2, 0, 1]])
+
+
 def _load_vector(mesh: TriMesh, f) -> np.ndarray:
     areas = mesh.areas
-    load = np.zeros(mesh.num_vertices)
     if callable(f):
-        p = mesh.vertices[mesh.triangles]
-        mids = 0.5 * (p[:, [1, 2, 0]] + p[:, [2, 0, 1]])  # midpoint of edge opposite vertex k
-        fm = np.asarray(f(mids.reshape(-1, 2))).reshape(-1, 3)
+        fm = np.asarray(f(_edge_midpoints(mesh).reshape(-1, 2))).reshape(-1, 3)
         # phi_i = 1/2 at the two midpoints not opposite vertex i
         contrib = (areas / 6.0)[:, None] * (fm[:, [1, 2, 0]] + fm[:, [2, 0, 1]])
     else:
-        contrib = np.broadcast_to((float(f) * areas / 3.0)[:, None], (len(areas), 3))
-    np.add.at(load, mesh.triangles.ravel(), contrib.ravel())
-    return load
+        contrib = np.repeat(float(f) * areas / 3.0, 3)
+    # bincount adds in input order from zero, as np.add.at would
+    return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
+                       minlength=mesh.num_vertices)
 
 
 class _MeshAssembler:
@@ -117,34 +128,44 @@ class _MeshAssembler:
         if np.any(areas <= DEGENERATE_AREA):
             raise AssemblyError("degenerate triangle encountered during assembly")
         self.mesh = mesh
-        self.free = np.nonzero(~mesh.boundary_vertex)[0]
+        self.free = np.flatnonzero(~mesh.boundary_vertex)
+        n = len(self.free)
         dof_of = np.full(mesh.num_vertices, -1, dtype=np.int64)
-        dof_of[self.free] = np.arange(len(self.free))
+        dof_of[self.free] = np.arange(n)
+
+        # entry (K, i, j) couples the corners t_i, t_j of element K; entries
+        # stay in this element-major order, which fixes the order in which
+        # stiffness() adds them up
+        dofs = dof_of[mesh.triangles]
+        rows = np.repeat(dofs, 3, axis=1).ravel()
+        cols = np.tile(dofs, (1, 3)).ravel()
+        keep = (rows >= 0) & (cols >= 0)
+        keys = rows[keep]
+        keys *= n
+        keys += cols[keep]
+        del dofs, rows, cols
+        pattern, slots = np.unique(keys, return_inverse=True)
+        del keys
+        self._slots = slots.astype(np.int32)
+        del slots
+        self.nnz = len(pattern)
+        # int32 indices, which scipy would otherwise make for every matrix
+        self.indptr = np.searchsorted(pattern, np.arange(n + 1) * n).astype(np.int32)
+        pattern %= n
+        self.indices = pattern.astype(np.int32)
+        for arr in (self.indices, self.indptr):
+            arr.setflags(write=False)
 
         b, c = _gradient_factors(mesh)
-        geo = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) \
-            / (4.0 * areas)[:, None, None]
-
-        t = mesh.triangles
-        rows = dof_of[np.repeat(t, 3, axis=1).ravel()]
-        cols = dof_of[np.tile(t, (1, 3)).ravel()]
-        keep = (rows >= 0) & (cols >= 0)
-        rows, cols = rows[keep], cols[keep]
+        scale = 4.0 * areas
+        geo = np.empty((mesh.num_triangles, 3, 3))
+        for i in range(3):
+            for j in range(i, 3):
+                geo[:, i, j] = (b[i] * b[j] + c[i] * c[j]) / scale
+                geo[:, j, i] = geo[:, i, j]
         self._geo_entries = geo.ravel()[keep]
-        self._entry_elem = np.repeat(np.arange(len(t)), 9)[keep]
-
-        n = len(self.free)
-        order = np.lexsort((cols, rows))
-        ro, co = rows[order], cols[order]
-        new_entry = np.ones(len(ro), dtype=bool)
-        new_entry[1:] = (ro[1:] != ro[:-1]) | (co[1:] != co[:-1])
-        slot_sorted = np.cumsum(new_entry) - 1
-        self._slots = np.empty(len(ro), dtype=np.int64)
-        self._slots[order] = slot_sorted
-        self.nnz = int(slot_sorted[-1]) + 1
-        self.indices = co[new_entry]
-        counts = np.bincount(ro[new_entry], minlength=n)
-        self.indptr = np.concatenate([[0], np.cumsum(counts)])
+        del geo
+        self._entry_elem = (np.flatnonzero(keep) // 9).astype(np.int32)
         self._unit_load = _load_vector(mesh, 1.0)[self.free]
 
     def stiffness(self, a_k: np.ndarray) -> sp.csr_matrix:
@@ -177,6 +198,11 @@ def assemble(mesh: TriMesh, coeff=None, f=1.0) -> SparseSystem:
     )
 
 
+def _norm(v) -> float:
+    """Euclidean norm; the same bits as np.linalg.norm of a 1-D float array."""
+    return math.sqrt(v @ v)
+
+
 def pcg(matrix, rhs, rtol=CG_RTOL, maxiter=None):
     """Jacobi-preconditioned conjugate gradients.
 
@@ -184,35 +210,38 @@ def pcg(matrix, rhs, rtol=CG_RTOL, maxiter=None):
     is fixed, so results are bit-reproducible for identical inputs.
     """
     n = len(rhs)
-    rhs_norm = np.linalg.norm(rhs)
+    rhs_norm = _norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros(n), 0, 0.0
     if maxiter is None:
         maxiter = int(np.ceil(20.0 * np.sqrt(n)))
     inv_diag = 1.0 / matrix.diagonal()
+    tol = rtol * rhs_norm
 
     x = np.zeros(n)
     r = rhs.copy()
     z = inv_diag * r
     p = z.copy()
+    step = np.empty(n)
     rz = r @ z
     for it in range(1, maxiter + 1):
         ap = matrix @ p
         alpha = rz / (p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        if np.linalg.norm(r) <= rtol * rhs_norm:
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, ap, out=step)
+        if _norm(r) <= tol:
             # the recursive residual drifts below the true one; certify
             # convergence against the actual residual
-            true_res = np.linalg.norm(rhs - matrix @ x)
-            if true_res <= rtol * rhs_norm:
+            np.subtract(rhs, matrix @ x, out=r)
+            true_res = _norm(r)
+            if true_res <= tol:
                 return x, it, true_res / rhs_norm
-            r = rhs - matrix @ x
-        z = inv_diag * r
+        np.multiply(inv_diag, r, out=z)
         rz_new = r @ z
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
-    return x, maxiter, np.linalg.norm(rhs - matrix @ x) / rhs_norm
+    return x, maxiter, _norm(rhs - matrix @ x) / rhs_norm
 
 
 def solve(system: SparseSystem, rtol=CG_RTOL) -> FESolution:
@@ -236,17 +265,17 @@ def solve(system: SparseSystem, rtol=CG_RTOL) -> FESolution:
 def _element_grad_sq(mesh: TriMesh, values) -> np.ndarray:
     """Per-element |grad v|^2 * area for a nodal field v."""
     b, c = _gradient_factors(mesh)
-    ue = values[mesh.triangles]
-    gx = (ue * b).sum(axis=1)
-    gy = (ue * c).sum(axis=1)
+    ue = mesh.corner_values(values)
+    gx = _corner_sum(ue, b)
+    gy = _corner_sum(ue, c)
     return (gx**2 + gy**2) / (4.0 * mesh.areas)
 
 
 def h1_norm(sol: FESolution) -> float:
     """Full H1 norm of the P1 field, integrated exactly elementwise."""
     mesh, u = sol.mesh, sol.values
-    ue = u[mesh.triangles]
-    mass = (mesh.areas / 12.0) * ((ue.sum(axis=1)) ** 2 + (ue**2).sum(axis=1))
+    u0, u1, u2 = mesh.corner_values(u)
+    mass = (mesh.areas / 12.0) * ((u0 + u1 + u2) ** 2 + (u0 * u0 + u1 * u1 + u2 * u2))
     return float(np.sqrt(mass.sum() + _element_grad_sq(mesh, u).sum()))
 
 
@@ -284,8 +313,8 @@ def error_norms(sol: FESolution, exact, exact_grad):
     ue = u[mesh.triangles]
     uh = np.einsum("qi,mi->mq", _QP, ue)
     b, c = _gradient_factors(mesh)
-    gxh = (ue * b).sum(axis=1) / (2.0 * mesh.areas)
-    gyh = (ue * c).sum(axis=1) / (2.0 * mesh.areas)
+    gxh = _corner_sum(ue.T, b) / (2.0 * mesh.areas)
+    gyh = _corner_sum(ue.T, c) / (2.0 * mesh.areas)
 
     du = (np.asarray(exact(flat)).reshape(uh.shape) - uh) ** 2
     g = np.asarray(exact_grad(flat)).reshape(pts.shape[0], pts.shape[1], 2)

@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -100,12 +101,30 @@ def _parse_config(cls, raw: dict, full_scale: bool):
             f"unknown config keys for {cls.__name__}: {sorted(unknown)}; "
             f"known keys: {sorted(known)}"
         )
+    # an integer field takes an int, not a float or a bool; null selects the
+    # default of an optional one
+    for f in fields(cls):
+        value = raw.get(f.name)
+        if f.type == "int | None" and value is None:
+            continue
+        if f.type in ("int", "int | None") and f.name in raw and (
+                isinstance(value, bool) or not isinstance(value, int)):
+            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
     try:
         cfg = cls(full_scale=full_scale, **raw)
         cfg.validate()
     except TypeError as exc:  # a value of the wrong type, e.g. a number for a list
         raise ConfigError(str(exc)) from exc
     return cfg
+
+
+@contextmanager
+def _fit_failures(key):
+    """Report a rate fit that fails on its data as a numerical failure of ``key``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise NumericalError(f"rate fit for {key} failed: {exc}") from exc
 
 
 def _require(condition, message):
@@ -428,13 +447,14 @@ def cmd_rates(config: RatesConfig, out_dir) -> dict:
             key = f"{kind}:{contrast:g}"
             model = PdeLevelModel(kind=kind, contrast=contrast,
                                   base_n=config.base_n, seed=config.seed)
-            mlmc_fit = estimate_rates_mlmc(model, levels=config.mlmc_levels,
-                                           samples=config.pilot_m)
             sampler = AdaptivePathSampler(kind=kind, contrast=contrast,
                                           theta=config.theta, base_n=config.base_n,
                                           seed=config.seed + 1, dof_max=config.dof_max)
-            clmc_fit = estimate_rates_clmc(sampler, refinements=config.clmc_refinements,
-                                           samples=config.pilot_m)
+            with _fit_failures(key):
+                mlmc_fit = estimate_rates_mlmc(model, levels=config.mlmc_levels,
+                                               samples=config.pilot_m)
+                clmc_fit = estimate_rates_clmc(sampler, refinements=config.clmc_refinements,
+                                               samples=config.pilot_m)
             entry = {
                 "mlmc": _fit_dict(mlmc_fit),
                 "clmc": _fit_dict(clmc_fit),
@@ -442,7 +462,8 @@ def cmd_rates(config: RatesConfig, out_dir) -> dict:
                 "clmc_hypotheses_hold": clmc_fit.hypotheses_hold(),
             }
             if clmc_fit.hypotheses_hold():
-                entry["r_hat"] = optimal_rate_param(clmc_fit, eps=1.0)
+                with _fit_failures(key):
+                    entry["r_hat"] = optimal_rate_param(clmc_fit, eps=1.0)
                 entry["feasible_interval"] = list(clmc_fit.feasible_interval())
             results[key] = entry
     payload = {
@@ -520,8 +541,9 @@ def cmd_reference(config: ReferenceConfig, out_dir) -> dict:
         for contrast in config.contrasts:
             key = f"{kind}:{contrast:g}"
             model = partial(PdeLevelModel, kind=kind, contrast=contrast, base_n=config.base_n)
-            pilot = estimate_rates_mlmc(model(seed=config.seed, aligned=True),
-                                        levels=config.pilot_levels, samples=config.pilot_m)
+            with _fit_failures(key):
+                pilot = estimate_rates_mlmc(model(seed=config.seed, aligned=True),
+                                            levels=config.pilot_levels, samples=config.pilot_m)
             # difference part: variance <= t^2/2, squared bias <= t^2
             eps = math.sqrt(1.5) * t
             b_w = 2.0 / 3.0

@@ -25,6 +25,8 @@ import numpy as np
 
 from .fem import (
     FESolution,
+    _corner_sum,
+    _edge_midpoints,
     _gradient_factors,
     assemble,
     element_coefficients,
@@ -65,27 +67,27 @@ def residual_indicators(sol: FESolution, coeff=None, f=1.0) -> ErrorIndicators:
 
     # interior residual: h_K^2 a_K^-1 ||f||^2_{L2(K)}
     if callable(f):
-        p = mesh.vertices[mesh.triangles]
-        mids = 0.5 * (p[:, [1, 2, 0]] + p[:, [2, 0, 1]])
-        fsq = (np.asarray(f(mids.reshape(-1, 2))).reshape(-1, 3) ** 2).mean(axis=1) * areas
+        fm = np.asarray(f(_edge_midpoints(mesh).reshape(-1, 2))).reshape(-1, 3)
+        fsq = (fm**2).mean(axis=1) * areas
     else:
         fsq = float(f) ** 2 * areas
     eta_sq = mesh.diameters**2 / a_k * fsq
 
     # flux jumps: constant per edge for P1
     b, c = _gradient_factors(mesh)
-    ue = sol.values[mesh.triangles]
-    flux = np.column_stack(
-        [(ue * b).sum(axis=1), (ue * c).sum(axis=1)]
-    ) * (a_k / (2.0 * areas))[:, None]
+    ue = mesh.corner_values(sol.values)
+    scale = a_k / (2.0 * areas)
+    flux_x = _corner_sum(ue, b) * scale
+    flux_y = _corner_sum(ue, c) * scale
 
-    interior = ~mesh.boundary_edge
-    left = mesh.edge_tris[interior, 0]
-    right = mesh.edge_tris[interior, 1]
-    evec = mesh.vertices[mesh.edges[interior, 1]] - mesh.vertices[mesh.edges[interior, 0]]
-    h_e = np.hypot(evec[:, 0], evec[:, 1])
-    normal = np.column_stack([evec[:, 1], -evec[:, 0]]) / h_e[:, None]
-    jump = ((flux[left] - flux[right]) * normal).sum(axis=1)
+    interior = np.flatnonzero(~mesh.boundary_edge)
+    left, right = mesh.edge_tris[interior].T
+    head, tail = mesh.edges[interior].T
+    x, y = mesh.vertices.T
+    h_e = mesh.edge_lengths[interior]
+    normal_x = (y[tail] - y[head]) / h_e
+    normal_y = -(x[tail] - x[head]) / h_e
+    jump = (flux_x[left] - flux_x[right]) * normal_x + (flux_y[left] - flux_y[right]) * normal_y
     a_e = np.maximum(a_k[left], a_k[right])
     # ||jump||^2_{L2(e)} = jump^2 h_e; the 1/2 accounts for each edge
     # appearing in the edge set of both neighbours
@@ -109,7 +111,7 @@ def doerfler_mark(indicators: ErrorIndicators, theta: float) -> np.ndarray:
     total = eta_sq.sum()
     if total == 0.0:
         return np.empty(0, dtype=np.int64)
-    order = np.lexsort((np.arange(len(eta_sq)), -eta_sq))
+    order = np.argsort(-eta_sq, kind="stable")
     csum = np.cumsum(eta_sq[order])
     k = int(np.searchsorted(csum, theta * total, side="left")) + 1
     return np.sort(order[:k])

@@ -47,15 +47,11 @@ class TriMesh:
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must be an (N, 2) array")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
-            raise ValueError("triangles must be an (M, 3) array")
+        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3 or not len(self.triangles):
+            raise ValueError("triangles must be a nonempty (M, 3) array")
         self.parent_ids = None if parent_ids is None else np.asarray(parent_ids, np.int64)
 
-        p = self.vertices[self.triangles]
-        self._signed_areas = 0.5 * (
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-        )
+        self._signed_areas = _signed_areas(*self.corner_coordinates())
         if np.any(self._signed_areas <= 0):
             raise ValueError("all triangles must be positively oriented with area > 0")
         self._build_edges()
@@ -64,27 +60,58 @@ class TriMesh:
 
     def _build_edges(self):
         t = self.triangles
-        n = len(self.vertices)
-        # local edge k is opposite vertex k
-        pairs = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]])
-        pairs = np.sort(pairs, axis=1)
-        keys = pairs[:, 0] * np.int64(n) + pairs[:, 1]
-        unique_keys, inverse = np.unique(keys, return_inverse=True)
-        self.edges = np.column_stack([unique_keys // n, unique_keys % n])
-        self.tri_edges = inverse.reshape(3, -1).T.copy()
-        counts = np.bincount(inverse, minlength=len(unique_keys))
+        m, n = len(t), len(self.vertices)
+        # half-edge h = k * m + i is local edge k of triangle i, opposite vertex k
+        a = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
+        b = np.concatenate([t[:, 2], t[:, 0], t[:, 1]])
+        lo = np.minimum(a, b)
+        hi = np.maximum(a, b, out=b)
+        del a
+        keys = lo * np.int64(n)
+        keys += hi
+        # edge ids follow the sorted vertex pairs
+        order = np.argsort(keys)
+        keys = keys[order]
+        starts = np.empty(3 * m, dtype=bool)
+        starts[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+        del keys
+        first = np.flatnonzero(starts)  # sorted position of each edge's first half-edge
+        counts = np.diff(first, append=3 * m)
         if counts.max() > 2:
             raise ValueError("non-manifold edge: more than two adjacent triangles")
+        edge_of_sorted = np.cumsum(starts)
+        edge_of_sorted -= 1
+        inverse = np.empty(3 * m, dtype=np.int64)
+        inverse[order] = edge_of_sorted
+        del edge_of_sorted
+        self.tri_edges = inverse.reshape(3, -1).T.copy()
+        del inverse, starts
         self.boundary_edge = counts == 1
-        order = np.argsort(inverse, kind="stable")
-        tri_ids = np.tile(np.arange(len(t), dtype=np.int64), 3)[order]
-        first = np.searchsorted(inverse[order], np.arange(len(unique_keys)))
-        self.edge_tris = np.full((len(unique_keys), 2), -1, dtype=np.int64)
-        self.edge_tris[:, 0] = tri_ids[first]
-        interior = counts == 2
-        self.edge_tris[interior, 1] = tri_ids[first[interior] + 1]
-        self.boundary_vertex = np.zeros(len(self.vertices), dtype=bool)
+        interior = ~self.boundary_edge
+        # the sort is not stable: put each interior edge's two half-edges
+        # back in half-edge order
+        h0 = order[first]
+        h1 = order[first[interior] + 1]
+        pair_first = h0[interior]
+        h0[interior] = np.minimum(pair_first, h1)
+        h1 = np.maximum(pair_first, h1)
+        self.edges = np.column_stack([lo[h0], hi[h0]])
+        self.edge_tris = np.full((len(first), 2), -1, dtype=np.int64)
+        self.edge_tris[:, 0] = h0 % m
+        self.edge_tris[interior, 1] = h1 % m
+        self.boundary_vertex = np.zeros(n, dtype=bool)
         self.boundary_vertex[self.edges[self.boundary_edge].ravel()] = True
+
+    def corner_values(self, values):
+        """Nodal values at the three corners of every triangle, as (v0, v1, v2)."""
+        t0, t1, t2 = self.triangles.T
+        return values[t0], values[t1], values[t2]
+
+    def corner_coordinates(self):
+        """Corner coordinates of every triangle as ((x0, x1, x2), (y0, y1, y2))."""
+        x, y = self.vertices.T
+        return self.corner_values(x), self.corner_values(y)
 
     # -- geometry ----------------------------------------------------------
 
@@ -102,17 +129,21 @@ class TriMesh:
 
     @property
     def barycenters(self) -> np.ndarray:
-        return self.vertices[self.triangles].mean(axis=1)
+        (x0, x1, x2), (y0, y1, y2) = self.corner_coordinates()
+        return np.column_stack([(x0 + x1 + x2) / 3.0, (y0 + y1 + y2) / 3.0])
 
     @property
     def edge_lengths(self) -> np.ndarray:
-        d = self.vertices[self.edges[:, 0]] - self.vertices[self.edges[:, 1]]
-        return np.hypot(d[:, 0], d[:, 1])
+        a, b = self.edges.T
+        x, y = self.vertices.T
+        return np.hypot(x[a] - x[b], y[a] - y[b])
 
     @property
     def diameters(self) -> np.ndarray:
         """Element diameters h_K (longest edge of each triangle)."""
-        return self.edge_lengths[self.tri_edges].max(axis=1)
+        lengths = self.edge_lengths
+        e0, e1, e2 = self.tri_edges.T
+        return np.maximum(np.maximum(lengths[e0], lengths[e1]), lengths[e2])
 
     def min_angle(self) -> float:
         """Smallest interior angle over all triangles (radians)."""
@@ -124,6 +155,12 @@ class TriMesh:
             cosang = (a * b).sum(axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
             angles.append(np.arccos(np.clip(cosang, -1.0, 1.0)))
         return float(np.min(angles))
+
+
+def _signed_areas(xs, ys) -> np.ndarray:
+    """Signed triangle areas from corner coordinate columns."""
+    (x0, x1, x2), (y0, y1, y2) = xs, ys
+    return 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
 
 
 def _tensor_triangulation(xs, ys) -> TriMesh:
@@ -207,45 +244,47 @@ def bisect_refine(mesh: TriMesh, marked) -> TriMesh:
     if marked.min() < 0 or marked.max() >= mesh.num_triangles:
         raise IndexError("marked triangle id out of range")
 
-    tri_edges = mesh.tri_edges
+    e0, e1, e2 = mesh.tri_edges.T
     edge_marked = np.zeros(len(mesh.edges), dtype=bool)
-    edge_marked[tri_edges[marked, 2]] = True
-    # closure: a triangle with any marked edge must have its refinement edge marked
+    edge_marked[e2[marked]] = True
+    # closure: a triangle with any marked edge must have its refinement edge
+    # marked.  split: the refinement edge (v0, v1) is bisected; split_a: child
+    # (v2, v0, m01) splits again; split_b: child (v1, v2, m01) splits again
     while True:
-        need = edge_marked[tri_edges].any(axis=1) & ~edge_marked[tri_edges[:, 2]]
+        split_b, split_a, split = edge_marked[e0], edge_marked[e1], edge_marked[e2]
+        need = (split_a | split_b) & ~split
         if not need.any():
             break
-        edge_marked[tri_edges[need, 2]] = True
+        edge_marked[e2[need]] = True
 
     n_old = mesh.num_vertices
-    marked_edge_ids = np.nonzero(edge_marked)[0]
-    midpoints = mesh.vertices[mesh.edges[marked_edge_ids]].mean(axis=1)
+    marked_edge_ids = np.flatnonzero(edge_marked)
+    a, b = mesh.edges[marked_edge_ids].T
+    midpoints = (mesh.vertices[a] + mesh.vertices[b]) / 2.0
     mid_of_edge = np.full(len(mesh.edges), -1, dtype=np.int64)
-    mid_of_edge[marked_edge_ids] = n_old + np.arange(len(marked_edge_ids))
+    mid_of_edge[marked_edge_ids] = np.arange(n_old, n_old + len(marked_edge_ids))
     vertices = np.concatenate([mesh.vertices, midpoints])
 
-    t = mesh.triangles
-    v0, v1, v2 = t[:, 0], t[:, 1], t[:, 2]
-    m12 = mid_of_edge[tri_edges[:, 0]]  # midpoint of (v1, v2)
-    m20 = mid_of_edge[tri_edges[:, 1]]  # midpoint of (v2, v0)
-    m01 = mid_of_edge[tri_edges[:, 2]]  # midpoint of the refinement edge
-    split = edge_marked[tri_edges[:, 2]]
-    split_a = edge_marked[tri_edges[:, 1]]  # child (v2, v0, m01) splits again
-    split_b = edge_marked[tri_edges[:, 0]]  # child (v1, v2, m01) splits again
+    v0, v1, v2 = mesh.triangles.T
+    m12 = mid_of_edge[e0]  # midpoint of (v1, v2)
+    m20 = mid_of_edge[e1]  # midpoint of (v2, v0)
+    m01 = mid_of_edge[e2]  # midpoint of the refinement edge
 
-    ids = np.arange(mesh.num_triangles, dtype=np.int64)
-    blocks, parents = [], []
-
-    def emit(sel, a, b, c):
-        blocks.append(np.column_stack([a[sel], b[sel], c[sel]]))
-        parents.append(ids[sel])
-
-    emit(~split, v0, v1, v2)
-    emit(split & ~split_a, v2, v0, m01)
-    emit(split & split_a, m01, v2, m20)
-    emit(split & split_a, v0, m01, m20)
-    emit(split & ~split_b, v1, v2, m01)
-    emit(split & split_b, m01, v1, m12)
-    emit(split & split_b, v2, m01, m12)
-
-    return TriMesh(vertices, np.concatenate(blocks), parent_ids=np.concatenate(parents))
+    whole = np.flatnonzero(~split)
+    half_a = np.flatnonzero(split & ~split_a)
+    quarter_a = np.flatnonzero(split & split_a)
+    half_b = np.flatnonzero(split & ~split_b)
+    quarter_b = np.flatnonzero(split & split_b)
+    children = (  # (parent triangle ids, child corners)
+        (whole, (v0, v1, v2)),
+        (half_a, (v2, v0, m01)),
+        (quarter_a, (m01, v2, m20)),
+        (quarter_a, (v0, m01, m20)),
+        (half_b, (v1, v2, m01)),
+        (quarter_b, (m01, v1, m12)),
+        (quarter_b, (v2, m01, m12)),
+    )
+    triangles = np.concatenate([np.column_stack([c[ids] for c in corners])
+                                for ids, corners in children])
+    parents = np.concatenate([ids for ids, _ in children])
+    return TriMesh(vertices, triangles, parent_ids=parents)

@@ -36,6 +36,7 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 _SCRAMBLE_DEPTH = 32  # digits beyond 2^-32 are irrelevant for the level range used here
+LEVEL_BLOCK = 64  # maximal levels drawn from the source at a time
 
 
 def _mix64_int(z: int) -> int:
@@ -179,19 +180,33 @@ def exp_cdf(t, r: float):
 
 @dataclass
 class ExponentialLevelSampler:
-    """Exp(rate) maximal-level draws via inverse transform of a uniform source."""
+    """Exp(rate) maximal-level draws via inverse transform of a uniform source.
+
+    Single draws are served from blocks of ``LEVEL_BLOCK`` levels, which is
+    the same stream as drawing them one at a time (see
+    ``UniformSource.next_block``); the source runs ahead of the levels
+    handed out by up to one block.
+    """
 
     rate: float
     source: UniformSource
+    _buffered: list = field(default_factory=list, init=False, repr=False)  # next level last
 
     def __post_init__(self):
         if self.rate <= 0:
             raise ValueError("rate must be positive")
 
     def draw_max_level(self) -> float:
-        return inv_exp_cdf(self.source.next_uniform(), self.rate)
+        if not self._buffered:
+            self._buffered = self._draw(LEVEL_BLOCK).tolist()[::-1]
+        return self._buffered.pop()
 
     def draw_block(self, n: int) -> np.ndarray:
+        """The next n levels, continuing the stream of draw_max_level."""
+        head = [self._buffered.pop() for _ in range(min(n, len(self._buffered)))]
+        return np.concatenate([head, self._draw(n - len(head))])
+
+    def _draw(self, n: int) -> np.ndarray:
         return inv_exp_cdf(self.source.next_block(n), self.rate)
 
 

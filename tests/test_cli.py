@@ -8,7 +8,10 @@ import pytest
 
 import levelmc.harness
 from levelmc.cli import main
+from levelmc.clmc import ClmcRateFit
 from levelmc.fem import SolverError
+from levelmc.harness import CompareConfig, ReferenceConfig
+from levelmc.mlmc import MlmcRateFit
 
 # MLMC fit of a desk-scale `uq rates` run for the box coefficient (rounded),
 # with the continuous-level rate r-hat of a 24-refinement calibration
@@ -39,12 +42,52 @@ def run(tmp_path, experiment, config, out="out"):
     ("compare", {"m_ini_clmc": 0}),
     ("compare", {"level_cap": 0}),
     ("compare", {"kinds": "box"}),
+    ("lds", {"runs": 2.5}),
+    ("lds", {"seed": True}),
+    ("lds", {"max_exponent": 9.0}),
+    ("rates", {"mlmc_levels": 3.5}),
+    ("rates", {"pilot_m": 100.0}),
+    ("converge", {"fit_window": None}),
+    ("reference", {"seed": "5000"}),
+    ("compare", {"runs": False}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, experiment, config):
     assert run(tmp_path, experiment, config) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_integer_fields_keep_their_defaults_and_hashes():
+    # an explicit null selects the default of an optional integer field
+    assert CompareConfig.from_dict({"runs": None}).runs == 20
+    # the reference config that the benchmark's E_ref cites
+    assert ReferenceConfig.from_dict({"kinds": ["box"]}).hash() == "e06b4949bcbc"
+
+
+MLMC_FIT = MlmcRateFit(alpha=0.7, beta=0.9, gamma=1.0, c1=1.0, c2=1.0, c3=1.0, s=2.25,
+                       levels=(1, 3), samples=2, r_squared={})
+CLMC_FIT = ClmcRateFit(alpha=1.1, beta=2.3, gamma=1.6, c4=1.0, c5=1.0, c6=1.0,
+                       level_domain=(0.2, 1.2), samples=2, r_squared={})
+
+
+@pytest.mark.parametrize("experiment, fit", [
+    ("rates", "estimate_rates_mlmc"),
+    ("rates", "estimate_rates_clmc"),
+    ("rates", "optimal_rate_param"),
+    ("reference", "estimate_rates_mlmc"),
+])
+def test_rate_fit_failure_exits_3(tmp_path, capsys, monkeypatch, experiment, fit):
+    def failing_fit(*args, **kwargs):
+        raise ValueError("fewer than 3 usable points for the mean fit")
+
+    monkeypatch.setattr(levelmc.harness, "estimate_rates_mlmc", lambda *a, **k: MLMC_FIT)
+    monkeypatch.setattr(levelmc.harness, "estimate_rates_clmc", lambda *a, **k: CLMC_FIT)
+    monkeypatch.setattr(levelmc.harness, fit, failing_fit)
+    assert run(tmp_path, experiment, {"kinds": ["box"]}) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: rate fit for box:300 failed: fewer than 3")
+    assert "Traceback" not in err
 
 
 def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -42,7 +44,7 @@ class TestAssemble:
         # boundary elimination by assembling elementwise ourselves
         from levelmc.fem import _gradient_factors, element_coefficients
 
-        b, c = _gradient_factors(mesh)
+        b, c = (np.column_stack(columns) for columns in _gradient_factors(mesh))
         a_k = element_coefficients(mesh, None)
         full = np.zeros((4, 4))
         for m, tri in enumerate(mesh.triangles):
@@ -209,3 +211,121 @@ class TestManufacturedSolution:
         rate_l2 = np.polyfit(np.log(h), np.log(l2), 1)[0]
         assert rate_h1 == pytest.approx(1.0, abs=0.15)
         assert rate_l2 == pytest.approx(2.0, abs=0.2)
+
+
+# -- the column kernels against the array formulas they replaced -------------
+# Per-sample outputs are discontinuous in round-off, so these checks ask for
+# equal bits, not closeness.
+
+
+def contrast_300_meshes():
+    """A box coefficient at contrast 300 and meshes refined towards its jumps."""
+    coeff = CoefficientSample("box", 0.47, 0.53, 300.0, length=0.26)
+    hierarchy = adaptive_hierarchy(coeff, 1.0, 0.5, structured_unit_square(7),
+                                   max_refinements=6)
+    return coeff, [step.mesh for step in hierarchy.steps]
+
+
+def gathered_gradient_factors(mesh):
+    p = mesh.vertices[mesh.triangles]
+    x, y = p[:, :, 0], p[:, :, 1]
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    return b, c
+
+
+def lexsort_stiffness(mesh, a_k):
+    """CSR indices, indptr and data by a lexsorted slot map of the entries."""
+    free = np.nonzero(~mesh.boundary_vertex)[0]
+    dof_of = np.full(mesh.num_vertices, -1, dtype=np.int64)
+    dof_of[free] = np.arange(len(free))
+    b, c = gathered_gradient_factors(mesh)
+    geo = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) \
+        / (4.0 * mesh.areas)[:, None, None]
+    t = mesh.triangles
+    rows = dof_of[np.repeat(t, 3, axis=1).ravel()]
+    cols = dof_of[np.tile(t, (1, 3)).ravel()]
+    keep = (rows >= 0) & (cols >= 0)
+    rows, cols = rows[keep], cols[keep]
+    order = np.lexsort((cols, rows))
+    ro, co = rows[order], cols[order]
+    new_entry = np.ones(len(ro), dtype=bool)
+    new_entry[1:] = (ro[1:] != ro[:-1]) | (co[1:] != co[:-1])
+    slots = np.empty(len(ro), dtype=np.int64)
+    slots[order] = np.cumsum(new_entry) - 1
+    weights = a_k[np.repeat(np.arange(len(t)), 9)[keep]] * geo.ravel()[keep]
+    data = np.bincount(slots, weights=weights, minlength=int(new_entry.sum()))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(ro[new_entry], minlength=len(free)))])
+    return co[new_entry], indptr, data
+
+
+def allocating_pcg(matrix, rhs, rtol=1e-10):
+    """Jacobi-PCG with a fresh array for every update and np.linalg.norm."""
+    n = len(rhs)
+    rhs_norm = np.linalg.norm(rhs)
+    maxiter = int(np.ceil(20.0 * np.sqrt(n)))
+    inv_diag = 1.0 / matrix.diagonal()
+    x = np.zeros(n)
+    r = rhs.copy()
+    z = inv_diag * r
+    p = z.copy()
+    rz = r @ z
+    for it in range(1, maxiter + 1):
+        ap = matrix @ p
+        alpha = rz / (p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        if np.linalg.norm(r) <= rtol * rhs_norm:
+            true_res = np.linalg.norm(rhs - matrix @ x)
+            if true_res <= rtol * rhs_norm:
+                return x, it, true_res / rhs_norm
+            r = rhs - matrix @ x
+        z = inv_diag * r
+        rz_new = r @ z
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, maxiter, np.linalg.norm(rhs - matrix @ x) / rhs_norm
+
+
+class TestColumnKernelsBitIdentical:
+    def test_assembler_pattern_and_data_match_lexsort_build(self):
+        coeff, meshes = contrast_300_meshes()
+        for mesh in meshes:
+            matrix = assemble(mesh, coeff, 1.0).matrix
+            indices, indptr, data = lexsort_stiffness(mesh, coeff.element_values(mesh))
+            assert np.array_equal(matrix.indices, indices)
+            assert np.array_equal(matrix.indptr, indptr)
+            assert np.array_equal(matrix.data, data)
+
+    def test_unit_load_matches_add_at(self):
+        _, meshes = contrast_300_meshes()
+        for mesh in meshes:
+            load = np.zeros(mesh.num_vertices)
+            np.add.at(load, mesh.triangles.ravel(), np.repeat(mesh.areas / 3.0, 3))
+            assert np.array_equal(assemble(mesh, None, 1.0).rhs, load[~mesh.boundary_vertex])
+
+    def test_pcg_matches_allocating_loop(self):
+        coeff, meshes = contrast_300_meshes()
+        counts = []
+        # at 1e-14 one recursive residual passes while the true one does
+        # not, so the loop restarts from the true residual once
+        for mesh, rtol in itertools.product(meshes, (1e-10, 1e-14)):
+            system = assemble(mesh, coeff, 1.0)
+            x, iterations, relres = pcg(system.matrix, system.rhs, rtol=rtol)
+            x_ref, iterations_ref, relres_ref = allocating_pcg(system.matrix, system.rhs, rtol)
+            assert iterations == iterations_ref
+            assert relres == relres_ref
+            assert np.array_equal(x, x_ref)
+            counts.append(iterations)
+        assert max(counts) > 30
+
+    def test_h1_norm_matches_row_reductions(self):
+        coeff, meshes = contrast_300_meshes()
+        for mesh in meshes:
+            sol = solve(assemble(mesh, coeff, 1.0))
+            ue = sol.values[mesh.triangles]
+            b, c = gathered_gradient_factors(mesh)
+            grad_sq = ((ue * b).sum(axis=1) ** 2 + (ue * c).sum(axis=1) ** 2) \
+                / (4.0 * mesh.areas)
+            mass = (mesh.areas / 12.0) * (ue.sum(axis=1) ** 2 + (ue**2).sum(axis=1))
+            assert h1_norm(sol) == float(np.sqrt(mass.sum() + grad_sq.sum()))

@@ -176,3 +176,52 @@ class TestEnergyGalerkin:
         sol = solve(assemble(mesh, coeff, 1.0))
         diff = FESolution(mesh, sol.values - sol.values)
         assert energy_norm(diff, coeff) == 0.0
+
+
+def row_reduction_indicators(sol, coeff, f=1.0):
+    """Residual indicators with the flux, normal and jump taken by row
+    reductions over 3-D gathers."""
+    mesh = sol.mesh
+    a_k = coeff.element_values(mesh)
+    areas = mesh.areas
+    d = mesh.vertices[mesh.edges[:, 0]] - mesh.vertices[mesh.edges[:, 1]]
+    diameters = np.hypot(d[:, 0], d[:, 1])[mesh.tri_edges].max(axis=1)
+    eta_sq = diameters**2 / a_k * (float(f) ** 2 * areas)
+    p = mesh.vertices[mesh.triangles]
+    x, y = p[:, :, 0], p[:, :, 1]
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    ue = sol.values[mesh.triangles]
+    flux = np.column_stack([(ue * b).sum(axis=1), (ue * c).sum(axis=1)]) \
+        * (a_k / (2.0 * areas))[:, None]
+    interior = ~mesh.boundary_edge
+    left, right = mesh.edge_tris[interior, 0], mesh.edge_tris[interior, 1]
+    evec = mesh.vertices[mesh.edges[interior, 1]] - mesh.vertices[mesh.edges[interior, 0]]
+    h_e = np.hypot(evec[:, 0], evec[:, 1])
+    normal = np.column_stack([evec[:, 1], -evec[:, 0]]) / h_e[:, None]
+    jump = ((flux[left] - flux[right]) * normal).sum(axis=1)
+    edge_term = 0.5 * h_e**2 / np.maximum(a_k[left], a_k[right]) * jump**2
+    np.add.at(eta_sq, left, edge_term)
+    np.add.at(eta_sq, right, edge_term)
+    return np.sqrt(eta_sq)
+
+
+class TestColumnKernelsBitIdentical:
+    def test_indicators_match_row_reductions(self):
+        # equal bits, not closeness: a marking decision can flip on one ulp
+        coeff = CoefficientSample("box", 0.47, 0.53, 300.0, length=0.26)
+        hierarchy = adaptive_hierarchy(coeff, 1.0, 0.5, structured_unit_square(7),
+                                       max_refinements=6)
+        for step in hierarchy.steps:
+            want = row_reduction_indicators(step.solution, coeff)
+            assert np.array_equal(step.indicators.eta, want)
+            assert np.array_equal(residual_indicators(step.solution, coeff).eta, want)
+
+    def test_marking_matches_lexsort_order(self):
+        rng = np.random.default_rng(5)
+        for theta in (0.3, 0.5, 0.8):
+            # repeated values exercise the tie-break towards lower ids
+            eta = rng.choice([0.0, 0.5, 1.0, 2.0], size=200) * rng.choice([1.0, 3.0], size=200)
+            order = np.lexsort((np.arange(len(eta)), -(eta**2)))
+            k = int(np.searchsorted(np.cumsum(eta[order] ** 2), theta * (eta**2).sum())) + 1
+            assert np.array_equal(doerfler_mark(ErrorIndicators(eta), theta), np.sort(order[:k]))

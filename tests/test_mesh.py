@@ -176,3 +176,114 @@ class TestGeometryQueries:
             assert {tuple(mesh.vertices[a]), tuple(mesh.vertices[b])} == {
                 (0.0, 0.0), (1.0, 1.0),
             }
+
+
+# -- the column kernels against the array formulas they replaced -------------
+# Per-sample outputs are discontinuous in round-off (a flipped marking or
+# level decision moves a sample by far more than an ulp), so these checks
+# ask for equal bits, not closeness.
+
+
+def unique_edge_build(mesh):
+    """Edges, tri_edges, edge_tris and boundary flags by np.unique, a stable
+    argsort and searchsorted; the stable sort lists the two triangles of an
+    edge in half-edge order (local edge, then triangle id)."""
+    t, n = mesh.triangles, mesh.num_vertices
+    pairs = np.sort(np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]]), axis=1)
+    unique_keys, inverse = np.unique(pairs[:, 0] * np.int64(n) + pairs[:, 1],
+                                     return_inverse=True)
+    edges = np.column_stack([unique_keys // n, unique_keys % n])
+    counts = np.bincount(inverse, minlength=len(unique_keys))
+    order = np.argsort(inverse, kind="stable")
+    tri_ids = np.tile(np.arange(len(t), dtype=np.int64), 3)[order]
+    first = np.searchsorted(inverse[order], np.arange(len(unique_keys)))
+    edge_tris = np.full((len(unique_keys), 2), -1, dtype=np.int64)
+    edge_tris[:, 0] = tri_ids[first]
+    edge_tris[counts == 2, 1] = tri_ids[first[counts == 2] + 1]
+    boundary_vertex = np.zeros(n, dtype=bool)
+    boundary_vertex[edges[counts == 1].ravel()] = True
+    return {"edges": edges, "tri_edges": inverse.reshape(3, -1).T, "edge_tris": edge_tris,
+            "boundary_edge": counts == 1, "boundary_vertex": boundary_vertex}
+
+
+def gathered_geometry(mesh):
+    """Areas, barycenters, edge lengths and diameters from 3-D row gathers."""
+    p = mesh.vertices[mesh.triangles]
+    d = mesh.vertices[mesh.edges[:, 0]] - mesh.vertices[mesh.edges[:, 1]]
+    lengths = np.hypot(d[:, 0], d[:, 1])
+    return {
+        "areas": 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])),
+        "barycenters": p.mean(axis=1),
+        "edge_lengths": lengths,
+        "diameters": lengths[mesh.tri_edges].max(axis=1),
+    }
+
+
+def reduction_bisect_refine(mesh, marked):
+    """Newest-vertex bisection with the closure and split masks taken by
+    row reductions, children emitted by boolean masks."""
+    tri_edges = mesh.tri_edges
+    edge_marked = np.zeros(len(mesh.edges), dtype=bool)
+    edge_marked[tri_edges[marked, 2]] = True
+    while True:
+        need = edge_marked[tri_edges].any(axis=1) & ~edge_marked[tri_edges[:, 2]]
+        if not need.any():
+            break
+        edge_marked[tri_edges[need, 2]] = True
+    marked_edge_ids = np.nonzero(edge_marked)[0]
+    midpoints = mesh.vertices[mesh.edges[marked_edge_ids]].mean(axis=1)
+    mid_of_edge = np.full(len(mesh.edges), -1, dtype=np.int64)
+    mid_of_edge[marked_edge_ids] = mesh.num_vertices + np.arange(len(marked_edge_ids))
+    v0, v1, v2 = mesh.triangles.T
+    m12, m20, m01 = (mid_of_edge[tri_edges[:, k]] for k in range(3))
+    split = edge_marked[tri_edges[:, 2]]
+    split_a, split_b = edge_marked[tri_edges[:, 1]], edge_marked[tri_edges[:, 0]]
+    ids = np.arange(mesh.num_triangles)
+    blocks = [(~split, v0, v1, v2), (split & ~split_a, v2, v0, m01),
+              (split & split_a, m01, v2, m20), (split & split_a, v0, m01, m20),
+              (split & ~split_b, v1, v2, m01), (split & split_b, m01, v1, m12),
+              (split & split_b, v2, m01, m12)]
+    triangles = np.concatenate([np.column_stack([a[s], b[s], c[s]]) for s, a, b, c in blocks])
+    parents = np.concatenate([ids[s] for s, *_ in blocks])
+    return np.concatenate([mesh.vertices, midpoints]), triangles, parents
+
+
+def refined_meshes(steps=7, seed=3):
+    """An NVB-refined mesh sequence with random marking, as in an adaptive path."""
+    mesh = structured_unit_square(6)
+    rng = np.random.default_rng(seed)
+    meshes = [mesh]
+    for _ in range(steps):
+        marked = np.sort(rng.choice(mesh.num_triangles, mesh.num_triangles // 6, replace=False))
+        mesh = bisect_refine(mesh, marked)
+        meshes.append(mesh)
+    return meshes
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+class TestColumnKernelsBitIdentical:
+    def test_edge_build_matches_unique_build(self):
+        for mesh in refined_meshes():
+            for name, want in unique_edge_build(mesh).items():
+                assert_same_bits(getattr(mesh, name), want)
+
+    def test_geometry_matches_gathered_formulas(self):
+        for mesh in refined_meshes():
+            for name, want in gathered_geometry(mesh).items():
+                assert_same_bits(getattr(mesh, name), want)
+
+    def test_bisect_refine_matches_reduction_formulas(self):
+        rng = np.random.default_rng(11)
+        for mesh in refined_meshes(steps=5):
+            marked = np.sort(rng.choice(mesh.num_triangles, mesh.num_triangles // 4,
+                                        replace=False))
+            refined = bisect_refine(mesh, marked)
+            vertices, triangles, parents = reduction_bisect_refine(mesh, marked)
+            assert_same_bits(refined.vertices, vertices)
+            assert_same_bits(refined.triangles, triangles)
+            assert_same_bits(refined.parent_ids, parents)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelmc.sampling import (
+    LEVEL_BLOCK,
     ExponentialLevelSampler,
     UniformSource,
     exp_cdf,
@@ -138,6 +139,27 @@ class TestExponentialLevelSampler:
     def test_levels_nonnegative(self):
         src = UniformSource("pseudo", seed=2)
         assert ExponentialLevelSampler(0.7, src).draw_block(1000).min() >= 0
+
+    @pytest.mark.parametrize("kind", ["pseudo", "low-discrepancy"])
+    def test_buffered_draws_equal_single_draws(self, kind):
+        # equal bits across two block boundaries: the sampler serves single
+        # draws from blocks, each level must be the one a lone draw gives
+        single = UniformSource(kind, seed=77001)
+        want = [inv_exp_cdf(single.next_uniform(), 1.9) for _ in range(2 * LEVEL_BLOCK + 5)]
+        sampler = ExponentialLevelSampler(1.9, UniformSource(kind, seed=77001))
+        got = [sampler.draw_max_level() for _ in range(2 * LEVEL_BLOCK + 5)]
+        assert all(type(v) is float for v in got)
+        assert got == want
+
+    @pytest.mark.parametrize("kind", ["pseudo", "low-discrepancy"])
+    def test_draw_block_continues_buffered_stream(self, kind):
+        want = ExponentialLevelSampler(1.9, UniformSource(kind, seed=5)).draw_block(
+            2 * LEVEL_BLOCK)
+        sampler = ExponentialLevelSampler(1.9, UniformSource(kind, seed=5))
+        head = [sampler.draw_max_level() for _ in range(3)]
+        got = np.concatenate([head, sampler.draw_block(LEVEL_BLOCK),
+                              [sampler.draw_max_level()], sampler.draw_block(LEVEL_BLOCK - 4)])
+        assert np.array_equal(got, want)
 
 
 class TestMomentMseExperiment:
