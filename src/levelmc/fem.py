@@ -66,8 +66,8 @@ def _gradient_factors(mesh: TriMesh):
 
 
 def _corner_sum(values, b):
-    """sum_i values[t_i] * b_i over the corners t_0, t_1, t_2 of every triangle,
-    added in corner order."""
+    """v_0 b_0 + v_1 b_1 + v_2 b_2 of per-corner columns, added left to right
+    (the order of a row sum over an (M, 3) array)."""
     v0, v1, v2 = values
     b0, b1, b2 = b
     return v0 * b0 + v1 * b1 + v2 * b2
