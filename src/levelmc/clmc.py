@@ -28,7 +28,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .coefficient import draw_coefficient
 from .indicator import adaptive_hierarchy
 from .mesh import structured_unit_square
 from .mlmc import EstimatorRun, _masked_log_fit
-from .sampling import ExponentialLevelSampler, UniformSource
+from .sampling import SOURCE_KINDS, ExponentialLevelSampler, UniformSource
 
 __all__ = [
     "ClmcRateFit",
@@ -60,6 +60,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 MONOTONE_GAP = 1e-6  # enforced minimal level increment for non-decaying estimators
+RATE_GRID_POINTS = 50  # level grid of the continuous-level rate calibration
 
 
 def continuous_levels(estimators) -> tuple[np.ndarray, int]:
@@ -184,7 +185,6 @@ class AdaptivePathSampler:
 
     kind: str
     contrast: float
-    f: float = 1.0
     theta: float = 0.5
     base_n: int = 15
     seed: int = 0
@@ -201,29 +201,22 @@ class AdaptivePathSampler:
         """Refine sample k until its continuous level reaches max_level
         (or for a fixed number of refinements), bounded by the DOF cap."""
         coeff = draw_coefficient(self.kind, self.contrast, self.seed, k)
-        state = {"fixes": 0}
-
-        def levels_of(steps):
-            lv, fixes = continuous_levels([s.estimator for s in steps])
-            state["fixes"] = fixes
-            return lv
-
         stop_when = None
         if max_level is not None:
             def stop_when(steps):
                 if len(steps) < 2:
                     return False
-                return levels_of(steps)[-1] >= max_level
+                return continuous_levels([s.estimator for s in steps])[0][-1] >= max_level
 
         t0 = time.perf_counter()
         hierarchy = adaptive_hierarchy(
-            coeff, self.f, self.theta, self.initial_mesh(),
+            coeff, self.theta, self.initial_mesh(),
             max_refinements=max_refinements, max_dof=self.dof_max,
             stop_when=stop_when,
         )
         seconds = time.perf_counter() - t0
 
-        levels = levels_of(hierarchy.steps)
+        levels, fixes = continuous_levels(hierarchy.estimators)
         if max_level is not None:
             index, clipped, truncated = clip_and_index(levels, max_level)
             truncated = truncated or hierarchy.truncated
@@ -240,7 +233,7 @@ class AdaptivePathSampler:
             truncated=truncated,
             dofs=hierarchy.dofs,
             cost_seconds=seconds,
-            level_fixes=state["fixes"],
+            level_fixes=fixes,
         )
 
 
@@ -272,7 +265,7 @@ class ClmcRateFit:
 
 
 def estimate_rates_clmc(sampler: AdaptivePathSampler, refinements: int = 12,
-                        samples: int = 100, grid_points: int = 50) -> ClmcRateFit:
+                        samples: int = 100) -> ClmcRateFit:
     """Calibrate continuous-level rates from fixed-depth pilot paths.
 
     Per sample the piecewise-constant level derivative
@@ -291,10 +284,10 @@ def estimate_rates_clmc(sampler: AdaptivePathSampler, refinements: int = 12,
         raise ValueError(
             "empty common level domain; increase the number of refinements"
         )
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, RATE_GRID_POINTS)
 
-    derivs = np.empty((samples, grid_points))
-    costs = np.empty((samples, grid_points))
+    derivs = np.empty((samples, RATE_GRID_POINTS))
+    costs = np.empty((samples, RATE_GRID_POINTS))
     for i, p in enumerate(paths):
         j = np.searchsorted(p.levels, grid, side="left")  # l_{j-1} < g <= l_j
         gaps = np.diff(p.levels)
@@ -375,22 +368,17 @@ class ClmcConfig:
             raise ValueError("eps and rate must be positive")
         if self.m_ini < 1:
             raise ValueError("m_ini must be >= 1")
-        if self.sampler_kind not in ("pseudo", "low-discrepancy"):
+        if self.sampler_kind not in SOURCE_KINDS:
             raise ValueError(f"unknown sampler kind {self.sampler_kind!r}")
         if self.level_seed is None:
             self.level_seed = self.seed + 1_000_003
 
     def asdict(self) -> dict:
-        return {
-            "eps": self.eps, "rate": self.rate, "m_ini": self.m_ini,
-            "dof_max": self.dof_max, "sampler_kind": self.sampler_kind,
-            "theta": self.theta, "seed": self.seed, "level_seed": self.level_seed,
-            "m_max": self.m_max,
-        }
+        return asdict(self)
 
 
 def run_clmc(config: ClmcConfig, kind: str = "box", contrast: float = 300.0,
-             f: float = 1.0, base_n: int = 15) -> EstimatorRun:
+             base_n: int = 15) -> EstimatorRun:
     """Sequential sampling loop: draw a maximal level, refine, accumulate Y,
     stop once the on-the-fly variance estimate reaches eps^2.
 
@@ -398,7 +386,7 @@ def run_clmc(config: ClmcConfig, kind: str = "box", contrast: float = 300.0,
     m_ini + 1 samples are always computed.
     """
     sampler = AdaptivePathSampler(
-        kind=kind, contrast=contrast, f=f, theta=config.theta,
+        kind=kind, contrast=contrast, theta=config.theta,
         base_n=base_n, seed=config.seed, dof_max=config.dof_max,
     )
     level_source = UniformSource(config.sampler_kind, seed=config.level_seed)

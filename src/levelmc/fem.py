@@ -81,7 +81,6 @@ class SparseSystem:
     rhs: np.ndarray
     free: np.ndarray          # interior vertex ids in DOF order
     mesh: TriMesh
-    coeff: object = None
 
     @property
     def num_dof(self) -> int:
@@ -94,7 +93,6 @@ class FESolution:
 
     mesh: TriMesh
     values: np.ndarray
-    coeff: object = None
     iterations: int = 0
     residual: float = 0.0
 
@@ -193,9 +191,7 @@ def assemble(mesh: TriMesh, coeff=None, f=1.0) -> SparseSystem:
     """Assemble the stiffness system for -div(a grad u) = f, u = 0 on the boundary."""
     asm = _assembler(mesh)
     a_k = element_coefficients(mesh, coeff)
-    return SparseSystem(
-        matrix=asm.stiffness(a_k), rhs=asm.load(f), free=asm.free, mesh=mesh, coeff=coeff
-    )
+    return SparseSystem(matrix=asm.stiffness(a_k), rhs=asm.load(f), free=asm.free, mesh=mesh)
 
 
 def _norm(v) -> float:
@@ -203,8 +199,8 @@ def _norm(v) -> float:
     return math.sqrt(v @ v)
 
 
-def pcg(matrix, rhs, rtol=CG_RTOL, maxiter=None):
-    """Jacobi-preconditioned conjugate gradients.
+def pcg(matrix, rhs, rtol=CG_RTOL):
+    """Jacobi-preconditioned conjugate gradients, capped at 20 sqrt(n) iterations.
 
     Returns (solution, iterations, relative residual).  The reduction order
     is fixed, so results are bit-reproducible for identical inputs.
@@ -213,8 +209,7 @@ def pcg(matrix, rhs, rtol=CG_RTOL, maxiter=None):
     rhs_norm = _norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros(n), 0, 0.0
-    if maxiter is None:
-        maxiter = int(np.ceil(20.0 * np.sqrt(n)))
+    maxiter = int(np.ceil(20.0 * np.sqrt(n)))
     inv_diag = 1.0 / matrix.diagonal()
     tol = rtol * rhs_norm
 
@@ -256,10 +251,7 @@ def solve(system: SparseSystem, rtol=CG_RTOL) -> FESolution:
         )
     values = np.zeros(system.mesh.num_vertices)
     values[system.free] = x
-    return FESolution(
-        mesh=system.mesh, values=values, coeff=system.coeff,
-        iterations=iterations, residual=relres,
-    )
+    return FESolution(mesh=system.mesh, values=values, iterations=iterations, residual=relres)
 
 
 def _element_grad_sq(mesh: TriMesh, values) -> np.ndarray:
@@ -279,10 +271,8 @@ def h1_norm(sol: FESolution) -> float:
     return float(np.sqrt(mass.sum() + _element_grad_sq(mesh, u).sum()))
 
 
-def energy_norm(sol: FESolution, coeff=None) -> float:
+def energy_norm(sol: FESolution, coeff) -> float:
     """Energy norm sqrt(sum_K a_K int_K |grad v|^2) of a solution or difference."""
-    if coeff is None:
-        coeff = sol.coeff
     a_k = element_coefficients(sol.mesh, coeff)
     return float(np.sqrt((a_k * _element_grad_sq(sol.mesh, sol.values)).sum()))
 

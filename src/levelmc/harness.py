@@ -20,7 +20,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -48,7 +48,7 @@ from .mlmc import (
     optimal_bias_weight,
     run_mlmc,
 )
-from .sampling import moment_mse_experiment
+from .sampling import SOURCE_KINDS, moment_mse_experiment
 
 __all__ = [
     "ConfigError",
@@ -67,12 +67,13 @@ __all__ = [
     "write_clmc_samples_csv",
 ]
 
-# fixed single-sample parameters of the convergence study
-CONVERGE_BOX = dict(x=0.4, y=0.6, length=0.3)
-CONVERGE_CROSS = dict(x=0.4, y=0.6)
+# fixed single-sample parameters of the convergence study, by kind
+CONVERGE_SAMPLES = {"box": dict(x=0.4, y=0.6, length=0.3), "cross": dict(x=0.4, y=0.6)}
 
 TOLERANCE_BASE = 0.04    # eps_i^2 = 0.04 * 0.8^(2 i)
 TOLERANCE_DECAY = 0.8
+
+REFERENCE_MIN_SAMPLES = 50  # plain MC samples of a reference level before its stop test
 
 
 class ConfigError(ValueError):
@@ -92,8 +93,29 @@ def tolerance_ladder(indices) -> list[float]:
 # config ingestion
 
 
+# the JSON values a field of each annotation takes, in a config or a rates file;
+# JSON true/false are Python bools, which are ints, so only a "bool" field takes them
+_FIELD_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+    "str": ((str,), "a string"),
+    "tuple": ((list, tuple), "a list"),
+    "dict": ((dict,), "an object"),
+}
+# the annotation of the entries of each "tuple" field
+_ENTRY_TYPES = {"kinds": "str", "methods": "str", "contrasts": "float", "tolerance_indices": "int"}
+
+
+def _check_type(name, value, annotation):
+    types, what = _FIELD_TYPES[annotation]
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
 def _parse_config(cls, raw: dict, full_scale: bool):
-    """Build a config dataclass from a JSON dict; unknown keys are errors."""
+    """Build a config dataclass from a JSON dict; unknown keys and values of
+    the wrong type are errors."""
     known = {f.name for f in fields(cls)} - {"full_scale"}
     unknown = set(raw) - known
     if unknown:
@@ -101,30 +123,25 @@ def _parse_config(cls, raw: dict, full_scale: bool):
             f"unknown config keys for {cls.__name__}: {sorted(unknown)}; "
             f"known keys: {sorted(known)}"
         )
-    # an integer field takes an int, not a float or a bool; null selects the
-    # default of an optional one
     for f in fields(cls):
         value = raw.get(f.name)
-        if f.type == "int | None" and value is None:
-            continue
-        if f.type in ("int", "int | None") and f.name in raw and (
-                isinstance(value, bool) or not isinstance(value, int)):
-            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-    try:
-        cfg = cls(full_scale=full_scale, **raw)
-        cfg.validate()
-    except TypeError as exc:  # a value of the wrong type, e.g. a number for a list
-        raise ConfigError(str(exc)) from exc
+        if f.name not in raw or (value is None and f.type.endswith(" | None")):
+            continue  # null selects the default of an optional field
+        _check_type(f.name, value, f.type.removesuffix(" | None"))
+        for entry in value if f.type == "tuple" else ():
+            _check_type(f"each entry of {f.name}", entry, _ENTRY_TYPES[f.name])
+    cfg = cls(full_scale=full_scale, **raw)
+    cfg.validate()
     return cfg
 
 
 @contextmanager
-def _fit_failures(key):
-    """Report a rate fit that fails on its data as a numerical failure of ``key``."""
+def _reraised(exceptions, error, context):
+    """Report ``exceptions`` raised in the block as ``error``, prefixed by ``context``."""
     try:
         yield
-    except ValueError as exc:
-        raise NumericalError(f"rate fit for {key} failed: {exc}") from exc
+    except exceptions as exc:
+        raise error(f"{context}: {exc}") from exc
 
 
 def _require(condition, message):
@@ -153,11 +170,7 @@ class _ConfigBase:
         return _parse_config(cls, dict(raw), full_scale)
 
     def asdict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
+        return asdict(self)
 
     def hash(self) -> str:
         payload = json.dumps(self.asdict(), sort_keys=True).encode()
@@ -297,7 +310,8 @@ class CompareConfig(_ConfigBase):
         _require(self.runs >= 2, "need at least 2 runs per cell")
         _require(all(m in ("mlmc", "clmc", "qclmc") for m in self.methods),
                  f"unknown method in {self.methods}")
-        _require(len(self.tolerance_indices) > 0, "tolerance ladder must be nonempty")
+        _require(len(self.tolerance_indices) > 0 and min(self.tolerance_indices) >= 0,
+                 "tolerance_indices must be a nonempty list of nonnegative integers")
 
 
 # --------------------------------------------------------------------------
@@ -342,12 +356,6 @@ def write_clmc_samples_csv(run: EstimatorRun, path, config_hash="-", seed="-") -
     write_csv(path, columns, run.diagnostics["per_sample"], config_hash, seed)
 
 
-def _fixed_sample(kind: str, contrast: float) -> CoefficientSample:
-    if kind == "box":
-        return CoefficientSample(kind="box", contrast=contrast, **CONVERGE_BOX)
-    return CoefficientSample(kind="cross", contrast=contrast, **CONVERGE_CROSS)
-
-
 def _loglog_slope(x, y) -> float:
     return _log_fit(np.log(x), np.log(y))[0]
 
@@ -356,11 +364,11 @@ def _loglog_slope(x, y) -> float:
 # converge
 
 
-def aligned_reference_qoi(sample: CoefficientSample, resolution: int, f=1.0) -> float:
+def aligned_reference_qoi(sample: CoefficientSample, resolution: int) -> float:
     """QoI on a fine mesh aligned with the sample's discontinuities."""
     bx, by = sample.break_lines()
     mesh = aligned_structured_mesh(bx, by, resolution)
-    return h1_norm(solve(assemble(mesh, sample, f)))
+    return h1_norm(solve(assemble(mesh, sample)))
 
 
 def cmd_converge(config: ConvergeConfig, out_dir) -> dict:
@@ -369,22 +377,20 @@ def cmd_converge(config: ConvergeConfig, out_dir) -> dict:
     chash = config.hash()
     rows, summary = [], {}
     for kind in config.kinds:
-        sample = _fixed_sample(kind, config.contrast)
+        sample = CoefficientSample(kind=kind, contrast=config.contrast, **CONVERGE_SAMPLES[kind])
         q_ref = aligned_reference_qoi(sample, config.reference_n)
 
         for level in range(config.uniform_levels + 1):
             mesh = uniform_family(level, config.base_n)
-            q = h1_norm(solve(assemble(mesh, sample, 1.0)))
+            q = h1_norm(solve(assemble(mesh, sample)))
             rows.append({
                 "kind": kind, "series": "uniform", "level": level,
                 "dof": mesh.num_vertices, "weak_h1_error": abs(q_ref - q),
                 "estimator": "", "qoi": q,
             })
 
-        hierarchy = adaptive_hierarchy(
-            sample, 1.0, config.theta, structured_unit_square(config.base_n),
-            max_refinements=config.adaptive_steps,
-        )
+        hierarchy = adaptive_hierarchy(sample, config.theta, structured_unit_square(config.base_n),
+                                       max_refinements=config.adaptive_steps)
         for level, step in enumerate(hierarchy.steps):
             rows.append({
                 "kind": kind, "series": "adaptive", "level": level,
@@ -423,20 +429,6 @@ def cmd_converge(config: ConvergeConfig, out_dir) -> dict:
 # rates
 
 
-def _fit_dict(fit) -> dict:
-    out = {k: getattr(fit, k) for k in ("alpha", "beta", "gamma")}
-    for k in ("c1", "c2", "c3", "c4", "c5", "c6", "s"):
-        if hasattr(fit, k):
-            out[k] = getattr(fit, k)
-    out["r_squared"] = fit.r_squared
-    out["samples"] = fit.samples
-    if hasattr(fit, "levels"):
-        out["levels"] = list(fit.levels)
-    if hasattr(fit, "level_domain"):
-        out["level_domain"] = list(fit.level_domain)
-    return out
-
-
 def cmd_rates(config: RatesConfig, out_dir) -> dict:
     """Pilot rate calibration for both estimator families; persists fits."""
     out = Path(out_dir)
@@ -450,19 +442,19 @@ def cmd_rates(config: RatesConfig, out_dir) -> dict:
             sampler = AdaptivePathSampler(kind=kind, contrast=contrast,
                                           theta=config.theta, base_n=config.base_n,
                                           seed=config.seed + 1, dof_max=config.dof_max)
-            with _fit_failures(key):
+            with _reraised(ValueError, NumericalError, f"rate fit for {key} failed"):
                 mlmc_fit = estimate_rates_mlmc(model, levels=config.mlmc_levels,
                                                samples=config.pilot_m)
                 clmc_fit = estimate_rates_clmc(sampler, refinements=config.clmc_refinements,
                                                samples=config.pilot_m)
             entry = {
-                "mlmc": _fit_dict(mlmc_fit),
-                "clmc": _fit_dict(clmc_fit),
+                "mlmc": asdict(mlmc_fit),
+                "clmc": asdict(clmc_fit),
                 "mlmc_hypotheses_hold": mlmc_fit.hypotheses_hold(),
                 "clmc_hypotheses_hold": clmc_fit.hypotheses_hold(),
             }
             if clmc_fit.hypotheses_hold():
-                with _fit_failures(key):
+                with _reraised(ValueError, NumericalError, f"rate fit for {key} failed"):
                     entry["r_hat"] = optimal_rate_param(clmc_fit, eps=1.0)
                 entry["feasible_interval"] = list(clmc_fit.feasible_interval())
             results[key] = entry
@@ -488,7 +480,7 @@ def cmd_lds(config: LdsConfig, out_dir) -> dict:
               rows, chash, config.seed)
 
     slopes = {}
-    for kind in ("pseudo", "low-discrepancy"):
+    for kind in SOURCE_KINDS:
         sub = [r for r in rows if r["kind"] == kind]
         slopes[kind] = {
             "mean_mse_slope": _loglog_slope([r["count"] for r in sub],
@@ -510,18 +502,14 @@ def cmd_lds(config: LdsConfig, out_dir) -> dict:
 # reference
 
 
-def _mc_to_variance(single, level, target_var, min_samples=50):
-    """Plain MC of a level QoI until the estimator variance is below target."""
+def _mc_to_variance(single, target_var):
+    """Plain MC of the level-0 QoI until the estimator variance is below target;
+    returns the mean, the estimator variance and the sample count."""
     acc = Welford()
-    cost = 0
-    k = 0
     while True:
-        q, dof, _ = single(level, k)
-        acc.push(q)
-        cost += dof
-        k += 1
-        if k >= min_samples and acc.variance / k <= target_var:
-            return acc.mean, acc.variance / k, k, cost
+        acc.push(single(0, acc.count))
+        if acc.count >= REFERENCE_MIN_SAMPLES and acc.variance / acc.count <= target_var:
+            return acc.mean, acc.variance / acc.count, acc.count
 
 
 def cmd_reference(config: ReferenceConfig, out_dir) -> dict:
@@ -541,7 +529,7 @@ def cmd_reference(config: ReferenceConfig, out_dir) -> dict:
         for contrast in config.contrasts:
             key = f"{kind}:{contrast:g}"
             model = partial(PdeLevelModel, kind=kind, contrast=contrast, base_n=config.base_n)
-            with _fit_failures(key):
+            with _reraised(ValueError, NumericalError, f"rate fit for {key} failed"):
                 pilot = estimate_rates_mlmc(model(seed=config.seed, aligned=True),
                                             levels=config.pilot_levels, samples=config.pilot_m)
             # difference part: variance <= t^2/2, squared bias <= t^2
@@ -554,9 +542,9 @@ def cmd_reference(config: ReferenceConfig, out_dir) -> dict:
             )
             # aligned coarse level: variance <= t^2/2
             mc0_aligned = _mc_to_variance(model(seed=config.seed + 2, aligned=True).single,
-                                          0, t**2 / 2.0)
+                                          t**2 / 2.0)
             # standard coarse level Q_0: variance <= t^2
-            mc0_std = _mc_to_variance(model(seed=config.seed + 3).single, 0, t**2)
+            mc0_std = _mc_to_variance(model(seed=config.seed + 3).single, t**2)
 
             reference = diff_run.estimate + mc0_aligned[0] - mc0_std[0]
             results[key] = {
@@ -590,44 +578,50 @@ def cmd_reference(config: ReferenceConfig, out_dir) -> dict:
 # compare
 
 
-def _load_json(path, hint):
+def _load_table(path, hint, key) -> dict:
+    """The ``key`` object of a JSON file that ``uq {hint}`` writes."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{hint} file {path} not found; run `uq {hint}` first")
-    return json.loads(path.read_text())
-
-
-def _mlmc_fit_from_dict(d: dict) -> MlmcRateFit:
-    return MlmcRateFit(
-        alpha=d["alpha"], beta=d["beta"], gamma=d["gamma"],
-        c1=d["c1"], c2=d["c2"], c3=d["c3"], s=d["s"],
-        levels=tuple(d.get("levels", (1, 6))), samples=d["samples"],
-        r_squared=d["r_squared"],
-    )
+    with _reraised((OSError, json.JSONDecodeError), ConfigError, f"cannot read {hint} file {path}"):
+        payload = json.loads(path.read_text())
+    table = payload.get(key) if isinstance(payload, dict) else None
+    if not isinstance(table, dict):
+        raise ConfigError(f"{hint} file {path} has no {key!r} object; rerun `uq {hint}`")
+    return table
 
 
 def cmd_compare(config: CompareConfig, out_dir) -> dict:
     """Timed MSE comparison of the three estimators over the tolerance ladder."""
     out = Path(out_dir)
     chash = config.hash()
-    rates = _load_json(config.rates_file, "rates")
-    reference = _load_json(config.reference_file, "reference")
+    fits = _load_table(config.rates_file, "rates", "fits")
+    references = _load_table(config.reference_file, "reference", "values")
 
     eps_sq = tolerance_ladder(config.tolerance_indices)
     inputs, b_w = {}, {}
     for kind, contrast in itertools.product(config.kinds, config.contrasts):
         key = f"{kind}:{contrast:g}"
-        if key not in rates["fits"]:
+        if key not in fits:
             raise ConfigError(f"no rate fit for {key}; rerun `uq rates`")
-        if key not in reference["values"]:
+        if key not in references:
             raise ConfigError(f"no reference value for {key}; rerun `uq reference`")
-        entry = rates["fits"][key]
-        fit = _mlmc_fit_from_dict(entry["mlmc"])
+        entry = fits[key]
+        rates_at = f"{key} in {config.rates_file}"
+        ref_at = f"{key} in {config.reference_file}"
+        with _reraised((KeyError, TypeError), ConfigError, f"malformed entry {rates_at}"):
+            fit = MlmcRateFit(**entry["mlmc"])
+        with _reraised((KeyError, TypeError), ConfigError, f"malformed entry {ref_at}"):
+            ref_value = references[key]["reference"]
         if "r_hat" not in entry:
             raise NumericalError(
                 f"no feasible exponential rate for {key}; the continuous-level "
                 "hypotheses failed in calibration")
-        inputs[kind, contrast] = fit.alpha, entry["r_hat"], reference["values"][key]["reference"]
+        for f in fields(fit):
+            _check_type(f"{f.name} of the MLMC fit {rates_at}", getattr(fit, f.name), f.type)
+        _check_type(f"r_hat of {rates_at}", entry["r_hat"], "float")
+        _check_type(f"reference of {ref_at}", ref_value, "float")
+        inputs[kind, contrast] = fit.alpha, entry["r_hat"], ref_value
         for tol_index, e2 in zip(config.tolerance_indices, eps_sq):
             b_w[kind, contrast, tol_index] = optimal_bias_weight(fit, math.sqrt(e2),
                                                                  config.level_cap)
@@ -686,60 +680,52 @@ def cmd_compare(config: CompareConfig, out_dir) -> dict:
 
 
 def _summarize_compare(records, config: CompareConfig) -> dict:
-    cells = {}
+    groups = {}
     for rec in records:
-        cell_key = (rec["method"], rec["kind"], rec["contrast"], rec["tol_index"])
-        cells.setdefault(cell_key, []).append(rec)
+        key = (rec["method"], rec["kind"], rec["contrast"], rec["tol_index"])
+        groups.setdefault(key, []).append(rec)
 
-    out = {"cells": [], "methods": {}}
-    for (method, kind, contrast, tol_index), recs in sorted(cells.items()):
+    cells = {}    # (method, kind, contrast, tol_index) -> cell summary
+    for (method, kind, contrast, tol_index), recs in sorted(groups.items()):
         errors = np.array([r["sq_error"] for r in recs])
         secs = np.array([r["seconds"] for r in recs])
         n = len(errors)
         mean_mse = float(errors.mean())
         half = 1.96 * float(errors.std(ddof=1)) / math.sqrt(n)
-        out["cells"].append({
+        cells[method, kind, contrast, tol_index] = {
             "method": method, "kind": kind, "contrast": contrast,
             "tol_index": tol_index, "eps_sq": tolerance_ladder([tol_index])[0],
             "runs": n, "mean_mse": mean_mse,
             "ci_low": mean_mse - half, "ci_high": mean_mse + half,
             "mean_seconds": float(secs.mean()),
             "mean_cost_dof": float(np.mean([r["cost_dof"] for r in recs])),
-        })
+        }
 
+    cases = list(itertools.product(config.kinds, config.contrasts))
+    ladder = sorted(set(config.tolerance_indices))
+    out = {"cells": list(cells.values()), "methods": {}}
     for method in config.methods:
         per_kind = {}
-        for kind in config.kinds:
-            for contrast in config.contrasts:
-                cells_m = [c for c in out["cells"]
-                           if c["method"] == method and c["kind"] == kind
-                           and c["contrast"] == contrast]
-                if len(cells_m) >= 2:
-                    slope = _loglog_slope([c["mean_seconds"] for c in cells_m],
-                                          [c["mean_mse"] for c in cells_m])
-                else:
-                    slope = math.nan
-                per_kind[f"{kind}:{contrast:g}"] = {
-                    "time_mse_slope": slope,
-                    "mse_within_budget": all(
-                        c["mean_mse"] <= 1.5 * c["eps_sq"] for c in cells_m),
-                }
+        for kind, contrast in cases:
+            cells_m = [cells[method, kind, contrast, t] for t in ladder]
+            slope = math.nan
+            if len(cells_m) >= 2:
+                slope = _loglog_slope([c["mean_seconds"] for c in cells_m],
+                                      [c["mean_mse"] for c in cells_m])
+            per_kind[f"{kind}:{contrast:g}"] = {
+                "time_mse_slope": slope,
+                "mse_within_budget": all(c["mean_mse"] <= 1.5 * c["eps_sq"] for c in cells_m),
+            }
         out["methods"][method] = per_kind
 
     if "clmc" in config.methods and "qclmc" in config.methods:
-        orderings = {}
-        for kind in config.kinds:
-            for contrast in config.contrasts:
-                wins = total = 0
-                for tol_index in config.tolerance_indices:
-                    c = {m: next((x for x in out["cells"]
-                                  if x["method"] == m and x["kind"] == kind
-                                  and x["contrast"] == contrast
-                                  and x["tol_index"] == tol_index), None)
-                         for m in ("clmc", "qclmc")}
-                    if c["clmc"] and c["qclmc"]:
-                        total += 1
-                        wins += c["qclmc"]["mean_mse"] <= c["clmc"]["mean_mse"]
-                orderings[f"{kind}:{contrast:g}"] = {"qclmc_wins": wins, "cells": total}
-        out["qclmc_vs_clmc"] = orderings
+        out["qclmc_vs_clmc"] = {
+            f"{kind}:{contrast:g}": {
+                "qclmc_wins": sum(cells["qclmc", kind, contrast, t]["mean_mse"]
+                                  <= cells["clmc", kind, contrast, t]["mean_mse"]
+                                  for t in config.tolerance_indices),
+                "cells": len(config.tolerance_indices),
+            }
+            for kind, contrast in cases
+        }
     return out

@@ -57,11 +57,9 @@ class ErrorIndicators:
         return float(np.sqrt((self.eta**2).sum()))
 
 
-def residual_indicators(sol: FESolution, coeff=None, f=1.0) -> ErrorIndicators:
+def residual_indicators(sol: FESolution, coeff, f=1.0) -> ErrorIndicators:
     """Elementwise residual indicators for the discontinuous-coefficient problem."""
     mesh = sol.mesh
-    if coeff is None:
-        coeff = sol.coeff
     a_k = element_coefficients(mesh, coeff)
     areas = mesh.areas
 
@@ -149,17 +147,10 @@ class Hierarchy:
         return np.array([s.dof for s in self.steps])
 
 
-def adaptive_hierarchy(
-    coeff,
-    f,
-    theta: float,
-    initial_mesh: TriMesh,
-    *,
-    max_refinements: int | None = None,
-    max_dof: int | None = None,
-    stop_when=None,
-) -> Hierarchy:
-    """Solve/estimate/mark/refine until a stopping rule fires.
+def adaptive_hierarchy(coeff, theta: float, initial_mesh: TriMesh, *,
+                       max_refinements: int | None = None, max_dof: int | None = None,
+                       stop_when=None) -> Hierarchy:
+    """Solve/estimate/mark/refine, for the source f = 1, until a stopping rule fires.
 
     Stopping rules (combined; whichever fires first):
       * ``max_refinements`` -- stop after this many refinements,
@@ -171,8 +162,8 @@ def adaptive_hierarchy(
     hierarchy = Hierarchy()
     mesh = initial_mesh
     while True:
-        sol = solve(assemble(mesh, coeff, f))
-        ind = residual_indicators(sol, coeff, f)
+        sol = solve(assemble(mesh, coeff))
+        ind = residual_indicators(sol, coeff)
         hierarchy.steps.append(
             HierarchyStep(
                 mesh=mesh, solution=sol, indicators=ind,

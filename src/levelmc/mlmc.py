@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -113,7 +113,6 @@ class PdeLevelModel:
 
     kind: str                  # "box" | "cross"
     contrast: float
-    f: float = 1.0
     base_n: int = 15
     seed: int = 0
     aligned: bool = False
@@ -131,8 +130,9 @@ class PdeLevelModel:
     def _draw_coefficient(self, level: int, k: int):
         return draw_coefficient(self.kind, self.contrast, self.seed, (level, k))
 
-    def _qoi(self, mesh, coeff) -> float:
-        return h1_norm(solve(assemble(mesh, coeff, self.f)))
+    @staticmethod
+    def _qoi(mesh, coeff) -> float:
+        return h1_norm(solve(assemble(mesh, coeff)))
 
     def pair(self, level: int, k: int) -> PairSample:
         """Solve one coefficient draw on levels (level, level-1)."""
@@ -147,13 +147,10 @@ class PdeLevelModel:
         return PairSample(fine, coarse,
                           fine_mesh.num_vertices + coarse_mesh.num_vertices, seconds)
 
-    def single(self, level: int, k: int):
-        """One plain QoI sample at a level; returns (qoi, cost_dof, seconds)."""
+    def single(self, level: int, k: int) -> float:
+        """One plain QoI sample at a level."""
         coeff = self._draw_coefficient(level, k)
-        mesh = self.mesh(level, coeff)
-        t0 = time.perf_counter()
-        q = self._qoi(mesh, coeff)
-        return q, mesh.num_vertices, time.perf_counter() - t0
+        return self._qoi(self.mesh(level, coeff), coeff)
 
 
 @dataclass
@@ -340,10 +337,7 @@ class MlmcConfig:
             raise ValueError("need at least 2 initial samples per level")
 
     def asdict(self) -> dict:
-        return {
-            "eps": self.eps, "alpha": self.alpha, "b_w": self.b_w,
-            "s": self.s, "m_ini": self.m_ini, "l_max": self.l_max,
-        }
+        return asdict(self)
 
 
 class _LevelState:

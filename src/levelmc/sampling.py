@@ -35,19 +35,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+SOURCE_KINDS = ("pseudo", "low-discrepancy")
 _SCRAMBLE_DEPTH = 32  # digits beyond 2^-32 are irrelevant for the level range used here
 LEVEL_BLOCK = 64  # maximal levels drawn from the source at a time
-
-
-def _mix64_int(z: int) -> int:
-    """splitmix64 finalizer on python ints (mod 2^64)."""
-    z &= _MASK64
-    z ^= z >> 30
-    z = (z * _MIX1) & _MASK64
-    z ^= z >> 27
-    z = (z * _MIX2) & _MASK64
-    z ^= z >> 31
-    return z
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -64,10 +54,10 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 def _scramble_key(seed: int, stream) -> int:
     """Derive the 64-bit Owen scrambling key from (seed, stream)."""
-    key = _mix64_int(seed ^ _GOLDEN)
+    key = _mix64(np.array([(seed ^ _GOLDEN) & _MASK64], dtype=np.uint64))
     for part in np.atleast_1d(stream):
-        key = _mix64_int(key ^ ((int(part) * _GOLDEN) & _MASK64))
-    return key
+        key = _mix64(key ^ np.uint64((int(part) * _GOLDEN) & _MASK64))
+    return int(key[0])
 
 
 def radical_inverse_base2(indices) -> np.ndarray:
@@ -118,12 +108,12 @@ class UniformSource:
     seed: int = 0
     stream: int | tuple = 0
     scramble: bool = True
-    counter: int = 0
-    _gen: np.random.Generator | None = field(default=None, repr=False)
-    _key: int = field(default=0, repr=False)
+    counter: int = field(default=0, init=False)
+    _gen: np.random.Generator | None = field(default=None, init=False, repr=False)
+    _key: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("pseudo", "low-discrepancy"):
+        if self.kind not in SOURCE_KINDS:
             raise ValueError(f"unknown source kind {self.kind!r}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
@@ -134,12 +124,9 @@ class UniformSource:
         else:
             self._key = _scramble_key(self.seed, self.stream)
 
-    def next_uniform(self) -> float:
-        """Draw the next variate; advances the counter by one."""
-        return float(self.next_block(1)[0])
-
     def next_block(self, n: int) -> np.ndarray:
-        """Draw the next n variates as one array (same stream as repeated draws)."""
+        """Draw the next n variates and advance the counter by n; a block of
+        n and n blocks of one give the same stream."""
         if n < 0:
             raise ValueError("n must be nonnegative")
         if self.kind == "pseudo":
@@ -198,25 +185,12 @@ class ExponentialLevelSampler:
 
     def draw_max_level(self) -> float:
         if not self._buffered:
-            self._buffered = self._draw(LEVEL_BLOCK).tolist()[::-1]
+            block = inv_exp_cdf(self.source.next_block(LEVEL_BLOCK), self.rate)
+            self._buffered = block.tolist()[::-1]
         return self._buffered.pop()
 
-    def draw_block(self, n: int) -> np.ndarray:
-        """The next n levels, continuing the stream of draw_max_level."""
-        head = [self._buffered.pop() for _ in range(min(n, len(self._buffered)))]
-        return np.concatenate([head, self._draw(n - len(head))])
 
-    def _draw(self, n: int) -> np.ndarray:
-        return inv_exp_cdf(self.source.next_block(n), self.rate)
-
-
-def moment_mse_experiment(
-    rate: float,
-    sample_counts,
-    runs: int,
-    seed: int = 0,
-    kinds=("pseudo", "low-discrepancy"),
-):
+def moment_mse_experiment(rate: float, sample_counts, runs: int, seed: int = 0):
     """MSE of empirical mean/variance of Exp(rate) draws vs the exact moments.
 
     For each source kind and each count ``n``, the first ``n`` draws of
@@ -234,12 +208,11 @@ def moment_mse_experiment(
     exact_var = 1.0 / rate**2
 
     rows = []
-    for kind in kinds:
+    for kind in SOURCE_KINDS:
         sq_mean = np.zeros(len(counts))
         sq_var = np.zeros(len(counts))
         for run in range(runs):
-            source = UniformSource(kind, seed=seed + run)
-            levels = ExponentialLevelSampler(rate, source).draw_block(n_max)
+            levels = inv_exp_cdf(UniformSource(kind, seed=seed + run).next_block(n_max), rate)
             for i, n in enumerate(counts):
                 head = levels[:n]
                 sq_mean[i] += (head.mean() - exact_mean) ** 2

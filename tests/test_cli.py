@@ -3,6 +3,7 @@ output files, on configurations small enough to run in a few seconds."""
 
 import json
 import math
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -10,7 +11,17 @@ import levelmc.harness
 from levelmc.cli import main
 from levelmc.clmc import ClmcRateFit
 from levelmc.fem import SolverError
-from levelmc.harness import CompareConfig, ReferenceConfig
+from levelmc.harness import (
+    _ENTRY_TYPES,
+    _FIELD_TYPES,
+    CompareConfig,
+    ConfigError,
+    ConvergeConfig,
+    LdsConfig,
+    RatesConfig,
+    ReferenceConfig,
+    _ConfigBase,
+)
 from levelmc.mlmc import MlmcRateFit
 
 # MLMC fit of a desk-scale `uq rates` run for the box coefficient (rounded),
@@ -50,6 +61,15 @@ def run(tmp_path, experiment, config, out="out"):
     ("converge", {"fit_window": None}),
     ("reference", {"seed": "5000"}),
     ("compare", {"runs": False}),
+    ("lds", {"rate": True, "runs": 2, "max_exponent": 7}),
+    ("compare", {"emit_samples": "no"}),
+    ("compare", {"rates_file": 3}),
+    ("compare", {"tolerance_indices": [0.5]}),
+    ("compare", {"tolerance_indices": [-1]}),
+    ("converge", {"contrast": True}),
+    ("reference", {"component_tol": False}),
+    ("rates", {"contrasts": [300, True]}),
+    ("compare", {"methods": ["mlmc", 1]}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, experiment, config):
     assert run(tmp_path, experiment, config) == 2
@@ -58,11 +78,53 @@ def test_malformed_config_exits_2(tmp_path, capsys, experiment, config):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("config", [
+    {"emit_samples": "no"},
+    {"rates_file": 3},
+    {"tolerance_indices": [0.5]},
+    {"tolerance_indices": [-1]},
+    {"methods": ["mlmc", 1]},
+])
+def test_compare_config_types_checked_before_reading_results(config):
+    # `uq compare` would also exit 2 on the missing rates file
+    with pytest.raises(ConfigError):
+        CompareConfig.from_dict(config)
+
+
 def test_integer_fields_keep_their_defaults_and_hashes():
     # an explicit null selects the default of an optional integer field
     assert CompareConfig.from_dict({"runs": None}).runs == 20
     # the reference config that the benchmark's E_ref cites
     assert ReferenceConfig.from_dict({"kinds": ["box"]}).hash() == "e06b4949bcbc"
+
+
+@pytest.mark.parametrize("cls, desk, full", [
+    (ConvergeConfig, "525f2a7c51b8", "2823ec9014ad"),
+    (RatesConfig, "a6e5effaa0dd", "37c1faa1bdba"),
+    (LdsConfig, "635f45d35242", "334173637c94"),
+    (ReferenceConfig, "04dc3ede46d6", "e0c04d1fea2f"),
+    (CompareConfig, "bbac9a8d9308", "457fcba30c1c"),
+])
+def test_default_config_hashes_pinned(cls, desk, full):
+    # every emitted file carries its config hash; a serializer change must keep them
+    assert cls.from_dict({}).hash() == desk
+    assert cls.from_dict({}, full_scale=True).hash() == full
+
+
+def test_every_config_field_is_type_checked():
+    configs = _ConfigBase.__subclasses__()
+    assert len(configs) == 5
+    for cls in configs:
+        for f in fields(cls):
+            assert f.type.removesuffix(" | None") in _FIELD_TYPES, (cls.__name__, f.name)
+            assert f.type != "tuple" or f.name in _ENTRY_TYPES, (cls.__name__, f.name)
+
+
+def test_mlmc_fit_round_trips_through_the_rates_file_format():
+    entry = RATES["fits"]["box:300"]["mlmc"]
+    fit = MlmcRateFit(**entry)
+    assert json.loads(json.dumps(asdict(fit))) == entry
+    assert MlmcRateFit(**json.loads(json.dumps(asdict(fit)))) == fit
 
 
 MLMC_FIT = MlmcRateFit(alpha=0.7, beta=0.9, gamma=1.0, c1=1.0, c2=1.0, c3=1.0, s=2.25,
@@ -97,6 +159,35 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(levelmc.harness, "solve", failing_solve)
     assert run(tmp_path, "converge", {"kinds": ["box"]}) == 3
     assert capsys.readouterr().err.startswith("numerical failure: CG did not converge")
+
+
+def with_mlmc_fit(**changes):
+    """The RATES file text with the MLMC fit's keys changed (None drops a key)."""
+    fit = {**RATES["fits"]["box:300"]["mlmc"], **changes}
+    entry = {"mlmc": {k: v for k, v in fit.items() if v is not None}, "r_hat": 1.9}
+    return json.dumps({"fits": {"box:300": entry}})
+
+
+@pytest.mark.parametrize("name, text, messages", [
+    ("rates.json", "{}", ["has no 'fits' object"]),
+    ("rates.json", "not json", ["cannot read rates file", "Expecting value"]),
+    ("rates.json", with_mlmc_fit(beta=None), ["malformed entry box:300", "'beta'"]),
+    ("rates.json", with_mlmc_fit(alpha="0.7"), ["alpha of the MLMC fit box:300", "a number"]),
+    ("reference.json", json.dumps({"values": {"box:300": {}}}),
+     ["malformed entry box:300", "'reference'"]),
+], ids=["empty", "not-json", "fit-without-beta", "string-alpha", "no-reference-value"])
+def test_malformed_results_file_exits_2(tmp_path, capsys, name, text, messages):
+    files = {"rates.json": json.dumps(RATES), "reference.json": json.dumps(REFERENCE), name: text}
+    for file_name, content in files.items():
+        (tmp_path / file_name).write_text(content)
+    config = {"kinds": ["box"], "rates_file": str(tmp_path / "rates.json"),
+              "reference_file": str(tmp_path / "reference.json")}
+    assert run(tmp_path, "compare", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert str(tmp_path / name) in err
+    assert all(m in err for m in messages)
+    assert not (tmp_path / "out").exists()
 
 
 def test_lds_is_byte_identical_across_runs(tmp_path):

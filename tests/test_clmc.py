@@ -210,8 +210,7 @@ class FakeSampler:
 
 class TestEstimateRatesClmc:
     def test_exact_synthetic_rates(self):
-        fit = estimate_rates_clmc(FakeSampler(alpha=2.0, beta=4.0), refinements=50,
-                                  samples=2, grid_points=50)
+        fit = estimate_rates_clmc(FakeSampler(alpha=2.0, beta=4.0), refinements=50, samples=2)
         assert fit.alpha == pytest.approx(2.0, abs=1e-6)
         assert fit.beta == pytest.approx(4.0, abs=1e-6)
         assert fit.gamma == pytest.approx(1.0, abs=1e-6)

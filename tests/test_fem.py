@@ -163,7 +163,7 @@ class TestNorms:
         coeff = CoefficientSample("box", 0.4, 0.6, 300.0, length=0.3)
         bx, by = coeff.break_lines()
         mesh = aligned_structured_mesh(bx, by, 6)
-        hierarchy = adaptive_hierarchy(coeff, 1.0, 0.5, mesh, max_refinements=4)
+        hierarchy = adaptive_hierarchy(coeff, 0.5, mesh, max_refinements=4)
         energies = [energy_norm(s.solution, coeff) for s in hierarchy.steps]
         assert all(b >= a - 1e-12 for a, b in zip(energies, energies[1:]))
 
@@ -172,9 +172,7 @@ class TestNorms:
 
         coeff = CoefficientSample("box", 0.4, 0.6, 300.0, length=0.3)
         q_ref = aligned_reference_qoi(coeff, 64)
-        hierarchy = adaptive_hierarchy(
-            coeff, 1.0, 0.5, structured_unit_square(15), max_refinements=10
-        )
+        hierarchy = adaptive_hierarchy(coeff, 0.5, structured_unit_square(15), max_refinements=10)
         errors = np.abs(q_ref - hierarchy.qois)
         # statistical trend over levels: the tail is far closer than the head
         assert errors[-1] < 0.1 * errors[0]
@@ -221,7 +219,7 @@ class TestManufacturedSolution:
 def contrast_300_meshes():
     """A box coefficient at contrast 300 and meshes refined towards its jumps."""
     coeff = CoefficientSample("box", 0.47, 0.53, 300.0, length=0.26)
-    hierarchy = adaptive_hierarchy(coeff, 1.0, 0.5, structured_unit_square(7),
+    hierarchy = adaptive_hierarchy(coeff, 0.5, structured_unit_square(7),
                                    max_refinements=6)
     return coeff, [step.mesh for step in hierarchy.steps]
 

@@ -131,7 +131,7 @@ class TestAdaptiveHierarchy:
     def test_zero_refinements_single_step(self):
         coeff = CoefficientSample("box", 0.5, 0.5, 300.0, length=0.25)
         mesh = structured_unit_square(8)
-        h = adaptive_hierarchy(coeff, 1.0, 0.5, mesh, max_refinements=0)
+        h = adaptive_hierarchy(coeff, 0.5, mesh, max_refinements=0)
         assert len(h.steps) == 1
         assert h.steps[0].mesh is mesh
         assert h.steps[0].qoi > 0 and h.steps[0].estimator > 0
@@ -139,7 +139,7 @@ class TestAdaptiveHierarchy:
     def test_refinement_concentrates_at_discontinuity(self):
         coeff = CoefficientSample("box", 0.4, 0.6, 300.0, length=0.3)
         mesh0 = structured_unit_square(15)
-        h = adaptive_hierarchy(coeff, 1.0, 0.5, mesh0, max_refinements=5)
+        h = adaptive_hierarchy(coeff, 0.5, mesh0, max_refinements=5)
         new_vertices = h.steps[-1].mesh.vertices[mesh0.num_vertices:]
         # distance to the boundary of the box [0.25,0.55]x[0.45,0.75]
         dx = np.maximum.reduce([0.25 - new_vertices[:, 0], new_vertices[:, 0] - 0.55,
@@ -156,14 +156,14 @@ class TestAdaptiveHierarchy:
 
     def test_max_dof_truncates(self):
         coeff = CoefficientSample("box", 0.45, 0.55, 300.0, length=0.25)
-        h = adaptive_hierarchy(coeff, 1.0, 0.5, structured_unit_square(15),
+        h = adaptive_hierarchy(coeff, 0.5, structured_unit_square(15),
                                max_refinements=50, max_dof=1000)
         assert h.truncated
         assert h.steps[-1].dof < 1000
 
     def test_estimators_recorded_even_if_non_monotone(self):
         coeff = CoefficientSample("box", 0.4, 0.6, 300.0, length=0.3)
-        h = adaptive_hierarchy(coeff, 1.0, 0.5, structured_unit_square(15),
+        h = adaptive_hierarchy(coeff, 0.5, structured_unit_square(15),
                                max_refinements=6)
         assert len(h.estimators) == 7
         assert (h.estimators > 0).all()
@@ -210,7 +210,7 @@ class TestColumnKernelsBitIdentical:
     def test_indicators_match_row_reductions(self):
         # equal bits, not closeness: a marking decision can flip on one ulp
         coeff = CoefficientSample("box", 0.47, 0.53, 300.0, length=0.26)
-        hierarchy = adaptive_hierarchy(coeff, 1.0, 0.5, structured_unit_square(7),
+        hierarchy = adaptive_hierarchy(coeff, 0.5, structured_unit_square(7),
                                        max_refinements=6)
         for step in hierarchy.steps:
             want = row_reduction_indicators(step.solution, coeff)
