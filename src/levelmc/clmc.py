@@ -12,11 +12,12 @@ contributes
     w_j = (exp(r min(l_j, L)) - exp(r l_{j-1})) / (r (l_j - l_{j-1})),
 
 the discretized form of weighting each level increment by the reciprocal
-survival probability of L.  The estimator is the plain average of the Y
-values; its variance is estimated on the fly and stops the sampling loop
-at the target tolerance.  Feeding the maximal levels from a scrambled
-low-discrepancy stream instead of a pseudo-random one gives the quasi
-variant; nothing else changes.
+survival probability of L.  A path ends at its first level l_j >= L, so
+J is its last index and only w_J is clipped.  The estimator is the plain
+average of the Y values; its variance is estimated on the fly and stops
+the sampling loop at the target tolerance.  Feeding the maximal levels
+from a scrambled low-discrepancy stream instead of a pseudo-random one
+gives the quasi variant; nothing else changes.
 
 Paths that would exceed the machine's DOF budget are cut; the level
 process is frozen beyond the cap (zero further increments), which biases
@@ -44,15 +45,11 @@ __all__ = [
     "SamplePath",
     "AdaptivePathSampler",
     "continuous_levels",
-    "clip_and_index",
-    "weights",
     "path_contribution",
-    "path_contribution_curve",
     "variance_estimate",
     "estimate_rates_clmc",
     "clmc_cost",
     "optimal_rate_param",
-    "theoretical_sample_size",
     "truncation_bias_bound",
     "run_clmc",
 ]
@@ -61,6 +58,7 @@ log = logging.getLogger(__name__)
 
 MONOTONE_GAP = 1e-6  # enforced minimal level increment for non-decaying estimators
 RATE_GRID_POINTS = 50  # level grid of the continuous-level rate calibration
+RATE_SEARCH_POINTS = 1000  # midpoint grid of the cost-optimal rate search
 
 
 def continuous_levels(estimators) -> tuple[np.ndarray, int]:
@@ -86,38 +84,13 @@ def continuous_levels(estimators) -> tuple[np.ndarray, int]:
     return levels, fixes
 
 
-def clip_and_index(levels, max_level: float):
-    """Maximal level index J and clipped levels min(l_j, L) for j = 1..J.
-
-    J is the first index whose level reaches the drawn maximal level; if
-    the recorded path ends before that (machine truncation), J is the last
-    index and the path is flagged truncated.
-    """
-    lv = np.asarray(levels, dtype=np.float64)
-    if len(lv) < 2:
-        raise ValueError("a path needs at least levels l_0 and l_1")
-    if max_level < 0:
-        raise ValueError("maximal level must be nonnegative")
-    reached = np.nonzero(lv[1:] >= max_level)[0]
-    if reached.size:
-        J = int(reached[0]) + 1
-        truncated = False
-    else:
-        J = len(lv) - 1
-        truncated = True
-    return J, np.minimum(lv[1 : J + 1], max_level), truncated
-
-
 @dataclass
 class SamplePath:
     """One sample's adaptive hierarchy summary for the level-continuous estimator."""
 
-    max_level: float
     levels: np.ndarray       # l_0 = 0 < l_1 < ... < l_J
     qois: np.ndarray         # Q_0 .. Q_J
-    clipped: np.ndarray      # min(l_j, L) for j = 1..J
-    index: int               # J
-    truncated: bool
+    truncated: bool          # cut by the DOF cap before its level reached L
     dofs: np.ndarray
     cost_seconds: float = 0.0
     level_fixes: int = 0
@@ -127,39 +100,27 @@ class SamplePath:
         return int(self.dofs.sum())
 
 
-def weights(path: SamplePath, rate: float) -> np.ndarray:
-    """Reciprocal-survival weights w_1..w_J of a sample path."""
+def path_contribution(levels, qois, rate: float, max_levels) -> np.ndarray:
+    """Y(L) = sum_j w_j (Q_j - Q_{j-1}) of one path for each maximal level L,
+
+        w_j = (exp(r min(l_j, max(L, l_{j-1}))) - exp(r l_{j-1})) / (r (l_j - l_{j-1})).
+
+    Intervals above L weigh nothing.  A draw beyond the last level (a
+    truncated path) gets the full weights; the frozen tail of the level
+    process contributes nothing.
+    """
     if rate <= 0:
         raise ValueError("rate must be positive")
-    lv = path.levels[: path.index + 1]
+    lv = np.asarray(levels, dtype=np.float64)
+    if len(lv) < 2:
+        raise ValueError("a path needs at least levels l_0 and l_1")
     gaps = np.diff(lv)
     if np.any(gaps <= 0):
         raise ValueError("degenerate path: levels must be strictly increasing")
-    return (np.exp(rate * path.clipped) - np.exp(rate * lv[:-1])) / (rate * gaps)
-
-
-def path_contribution(path: SamplePath, rate: float) -> float:
-    """Y = sum_j w_j (Q_j - Q_{j-1}).
-
-    On truncated paths all recorded levels lie below the drawn maximal
-    level, so the weights are the full (unclipped) ones; the frozen tail
-    of the level process contributes nothing.
-    """
-    dq = np.diff(path.qois[: path.index + 1])
-    return float((weights(path, rate) * dq).sum())
-
-
-def path_contribution_curve(levels, qois, rate: float, max_levels) -> np.ndarray:
-    """Vectorized Y(L) of a fixed path over many maximal-level draws L.
-
-    Draws beyond the last recorded level are treated as truncated paths
-    (full weights, zero extension), matching the runtime estimator.
-    """
-    lv = np.asarray(levels, dtype=np.float64)
     dq = np.diff(np.asarray(qois, dtype=np.float64))
     L = np.asarray(max_levels, dtype=np.float64)[:, None]
     lo, hi = lv[None, :-1], lv[None, 1:]
-    w = (np.exp(rate * np.minimum(hi, np.maximum(L, lo))) - np.exp(rate * lo)) / (rate * (hi - lo))
+    w = (np.exp(rate * np.minimum(hi, np.maximum(L, lo))) - np.exp(rate * lo)) / (rate * gaps)
     return (w * dq).sum(axis=1)
 
 
@@ -196,17 +157,22 @@ class AdaptivePathSampler:
             self._mesh0 = structured_unit_square(self.base_n)
         return self._mesh0
 
-    def path(self, k: int, max_level: float | None = None,
+    def path(self, k: int, max_level: float = math.inf,
              max_refinements: int | None = None) -> SamplePath:
         """Refine sample k until its continuous level reaches max_level
-        (or for a fixed number of refinements), bounded by the DOF cap."""
+        (or for a fixed number of refinements), bounded by the DOF cap.
+
+        The stop test sees the same prefix that :func:`continuous_levels`
+        later turns into the path's levels, so a path that reached
+        max_level ends at its first level >= max_level.  Any other path
+        stopped at max_refinements or was cut by the cap (``truncated``).
+        """
         coeff = draw_coefficient(self.kind, self.contrast, self.seed, k)
-        stop_when = None
-        if max_level is not None:
-            def stop_when(steps):
-                if len(steps) < 2:
-                    return False
-                return continuous_levels([s.estimator for s in steps])[0][-1] >= max_level
+
+        def stop_when(steps):
+            if len(steps) < 2:
+                return False
+            return continuous_levels([s.estimator for s in steps])[0][-1] >= max_level
 
         t0 = time.perf_counter()
         hierarchy = adaptive_hierarchy(
@@ -217,20 +183,10 @@ class AdaptivePathSampler:
         seconds = time.perf_counter() - t0
 
         levels, fixes = continuous_levels(hierarchy.estimators)
-        if max_level is not None:
-            index, clipped, truncated = clip_and_index(levels, max_level)
-            truncated = truncated or hierarchy.truncated
-        else:
-            index = len(levels) - 1
-            clipped = levels[1:].copy()
-            truncated = hierarchy.truncated
         return SamplePath(
-            max_level=math.inf if max_level is None else max_level,
             levels=levels,
             qois=hierarchy.qois,
-            clipped=clipped,
-            index=index,
-            truncated=truncated,
+            truncated=hierarchy.truncated,
             dofs=hierarchy.dofs,
             cost_seconds=seconds,
             level_fixes=fixes,
@@ -317,7 +273,7 @@ def clmc_cost(fit: ClmcRateFit, eps: float, rate: float) -> float:
     return fit.c6 / (eps**2 * (rate - g)) * var_part
 
 
-def optimal_rate_param(fit: ClmcRateFit, eps: float, grid: int = 1000) -> float:
+def optimal_rate_param(fit: ClmcRateFit, eps: float) -> float:
     """Cost-minimizing exponential rate on the open feasibility interval.
 
     Searches a midpoint grid of (gamma, min(beta, 2 alpha)); endpoints are
@@ -329,19 +285,9 @@ def optimal_rate_param(fit: ClmcRateFit, eps: float, grid: int = 1000) -> float:
             f"infeasible rate interval: need gamma < min(beta, 2 alpha), got "
             f"gamma={fit.gamma:.3g}, beta={fit.beta:.3g}, alpha={fit.alpha:.3g}"
         )
-    rates = lo + (np.arange(grid) + 0.5) * (hi - lo) / grid
+    rates = lo + (np.arange(RATE_SEARCH_POINTS) + 0.5) * (hi - lo) / RATE_SEARCH_POINTS
     costs = np.array([clmc_cost(fit, eps, r) for r in rates])
     return float(rates[np.argmin(costs)])
-
-
-def theoretical_sample_size(fit: ClmcRateFit, eps: float, rate: float) -> int:
-    """Closed-form sample count meeting the tolerance at the given rate."""
-    lo, hi = fit.feasible_interval()
-    if not lo < rate < hi:
-        raise ValueError("rate outside the feasible interval")
-    a, b = fit.alpha, fit.beta
-    var_part = 4.0 * fit.c5 / ((b - rate) * b) + fit.c4**2 * rate / ((2.0 * a - rate) * a**2)
-    return int(math.ceil(var_part / eps**2))
 
 
 def truncation_bias_bound(samples: int, rate: float, level_cap: float) -> float:
@@ -405,7 +351,7 @@ def run_clmc(config: ClmcConfig, kind: str = "box", contrast: float = 300.0,
         count += 1
         max_level = level_sampler.draw_max_level()
         path = sampler.path(count, max_level=max_level)
-        y = path_contribution(path, config.rate)
+        y = float(path_contribution(path.levels, path.qois, config.rate, [max_level])[0])
         sum_y += y
         sum_y2 += y * y
         cost_dof += path.cost_dof
@@ -419,7 +365,7 @@ def run_clmc(config: ClmcConfig, kind: str = "box", contrast: float = 300.0,
             {
                 "k": count,
                 "max_level": max_level,
-                "index": path.index,
+                "index": len(path.levels) - 1,
                 "max_dof": int(path.dofs.max()),
                 "y": y,
                 "cum_estimate": sum_y / count,

@@ -152,7 +152,7 @@ def _require(condition, message):
 # range checks shared by every config that has the field (None = default to come)
 _BOUNDS = (
     ("theta", lambda v: 0 < v < 1, "must lie in (0,1)"),
-    ("dof_max", lambda v: v > 0, "must be positive"),
+    ("base_n", lambda v: v >= 1, "must be >= 1"),
     ("pilot_levels", lambda v: v >= 3, "must be >= 3"),
     ("pilot_m", lambda v: v >= 2, "must be >= 2"),
     ("m_ini", lambda v: v >= 2, "must be >= 2"),
@@ -186,6 +186,13 @@ class _ConfigBase:
             value = getattr(self, name, None)
             if value is not None:
                 _require(ok(value), f"{name} {rule}, got {value!r}")
+        dof_max = getattr(self, "dof_max", None)
+        if dof_max is not None:
+            # the initial mesh has (base_n + 1)^2 vertices; a path refines only
+            # while twice its vertex count stays below the cap
+            floor = 2 * (self.base_n + 1) ** 2
+            _require(dof_max > floor, f"dof_max must exceed 2 (base_n + 1)^2 = {floor} so that "
+                                      f"a path refines at least once, got {dof_max!r}")
 
 
 @dataclass
@@ -253,7 +260,10 @@ class LdsConfig(_ConfigBase):
     def validate(self):
         _require(self.rate > 0, "rate must be positive")
         _require(self.runs >= 2, "need at least 2 runs")
-        _require(self.min_exponent < self.max_exponent, "bad count range")
+        # the low-discrepancy stream ends before index 2^32
+        _require(1 <= self.min_exponent < self.max_exponent <= 31,
+                 f"need 1 <= min_exponent < max_exponent <= 31, got "
+                 f"{self.min_exponent} and {self.max_exponent}")
 
 
 @dataclass
@@ -320,7 +330,7 @@ class CompareConfig(_ConfigBase):
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float's repr names its type
     return str(value)
 
 
@@ -621,6 +631,12 @@ def cmd_compare(config: CompareConfig, out_dir) -> dict:
             _check_type(f"{f.name} of the MLMC fit {rates_at}", getattr(fit, f.name), f.type)
         _check_type(f"r_hat of {rates_at}", entry["r_hat"], "float")
         _check_type(f"reference of {ref_at}", ref_value, "float")
+        if not (math.isfinite(entry["r_hat"]) and entry["r_hat"] > 0):
+            raise ConfigError(f"r_hat of {rates_at} must be finite and positive, "
+                              f"got {entry['r_hat']!r}")
+        if not fit.alpha > 0:
+            raise NumericalError(f"MLMC fit for {key} has alpha {fit.alpha!r} <= 0; "
+                                 "the level-telescoped bias does not decay")
         inputs[kind, contrast] = fit.alpha, entry["r_hat"], ref_value
         for tol_index, e2 in zip(config.tolerance_indices, eps_sq):
             b_w[kind, contrast, tol_index] = optimal_bias_weight(fit, math.sqrt(e2),

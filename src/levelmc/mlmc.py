@@ -39,11 +39,11 @@ __all__ = [
     "optimal_bias_weight",
     "optimal_samples",
     "bias_stop",
-    "theoretical_samples",
     "run_mlmc",
 ]
 
 DEFAULT_S = 1.5**2  # DOF growth factor of the uniform family
+BIAS_WEIGHT_POINTS = 10_000  # midpoint grid of the cost-optimal MSE weight search
 
 
 @dataclass
@@ -238,13 +238,10 @@ def bias_level(fit: MlmcRateFit, eps: float, b_w: float) -> float:
         / (fit.alpha * math.log(fit.s))
 
 
-def computable_mlmc_cost(fit: MlmcRateFit, eps: float, b_w: float, level=None) -> float:
-    """Computable cost bound of the level-telescoped estimator at weight b_w.
-
-    ``level`` defaults to the continuous bias level L(b_w).
-    """
-    if level is None:
-        level = bias_level(fit, eps, b_w)
+def computable_mlmc_cost(fit: MlmcRateFit, eps: float, b_w: float) -> float:
+    """Computable cost bound of the level-telescoped estimator at weight b_w,
+    up to the continuous bias level L(b_w)."""
+    level = bias_level(fit, eps, b_w)
     s, beta, gamma = fit.s, fit.beta, fit.gamma
     geo = fit.c3 * s**gamma * (s ** (gamma * level) - 1.0) / (s**gamma - 1.0)
     q = s ** ((gamma - beta) / 2.0)
@@ -256,7 +253,7 @@ def computable_mlmc_cost(fit: MlmcRateFit, eps: float, b_w: float, level=None) -
     return max(2.0 * geo, var_term) + geo
 
 
-def optimal_bias_weight(fit: MlmcRateFit, eps: float, level_cap: int, grid: int = 10_000) -> float:
+def optimal_bias_weight(fit: MlmcRateFit, eps: float, level_cap: int) -> float:
     """Cost-minimizing MSE weight over (b_low, 1).
 
     b_low makes the continuous bias level meet the largest computable level;
@@ -270,7 +267,7 @@ def optimal_bias_weight(fit: MlmcRateFit, eps: float, level_cap: int, grid: int 
     if b_low >= 1.0 - 1e-6:
         warnings.warn("empty feasible interval for the MSE weight; using 0.5")
         return 0.5
-    bs = b_low + (np.arange(grid) + 0.5) * (1.0 - b_low) / grid
+    bs = b_low + (np.arange(BIAS_WEIGHT_POINTS) + 0.5) * (1.0 - b_low) / BIAS_WEIGHT_POINTS
     costs = np.array([computable_mlmc_cost(fit, eps, b) for b in bs])
     return float(bs[np.argmin(costs)])
 
@@ -306,17 +303,6 @@ def bias_stop(level_means, s: float, alpha: float, b_w: float, eps: float) -> bo
         tail.insert(0, math.inf)
     corrected = max(tail[0] * s ** (-2.0 * alpha), tail[1] * s**-alpha, tail[2])
     return corrected <= math.sqrt(b_w) * eps * abs(1.0 - s**alpha)
-
-
-def theoretical_samples(fit: MlmcRateFit, eps: float, b_w: float, levels: int) -> np.ndarray:
-    """Closed-form per-level sample sizes of the complexity analysis."""
-    if fit.beta <= fit.gamma:
-        raise ValueError("closed-form sample sizes require beta > gamma")
-    s = fit.s
-    q = s ** ((fit.gamma - fit.beta) / 2.0)
-    prefactor = fit.c2 / ((1.0 - b_w) * eps**2) * q * (1.0 - q**levels) / (1.0 - q)
-    lvl = np.arange(1, levels + 1, dtype=float)
-    return np.ceil(prefactor * s ** (-(fit.beta + fit.gamma) / 2.0 * lvl)).astype(np.int64)
 
 
 @dataclass

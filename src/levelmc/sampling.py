@@ -99,7 +99,7 @@ def _owen_scramble(frac: np.ndarray, key: int) -> np.ndarray:
 class UniformSource:
     """A deterministic stream of [0,1) variates.
 
-    Equal (kind, seed, stream, scramble) reproduce the identical stream.
+    Equal (kind, seed, stream) reproduce the identical stream.
     Sources are not shareable between concurrent workers; give each worker
     its own (seed, stream) pair instead.
     """
@@ -107,7 +107,6 @@ class UniformSource:
     kind: str
     seed: int = 0
     stream: int | tuple = 0
-    scramble: bool = True
     counter: int = field(default=0, init=False)
     _gen: np.random.Generator | None = field(default=None, init=False, repr=False)
     _key: int = field(default=0, init=False, repr=False)
@@ -134,9 +133,7 @@ class UniformSource:
         else:
             # raw sequence index 0 maps to the point 0 and is skipped
             idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
-            frac = radical_inverse_base2(idx)
-            if self.scramble:
-                frac = _owen_scramble(frac, self._key)
+            frac = _owen_scramble(radical_inverse_base2(idx), self._key)
             values = frac.astype(np.float64) * 2.0**-32
         self.counter += n
         return values

@@ -70,6 +70,13 @@ def run(tmp_path, experiment, config, out="out"):
     ("reference", {"component_tol": False}),
     ("rates", {"contrasts": [300, True]}),
     ("compare", {"methods": ["mlmc", 1]}),
+    ("converge", {"base_n": 0}),
+    ("compare", {"base_n": 0}),
+    ("reference", {"base_n": -1}),
+    ("compare", {"dof_max": 300}),
+    ("rates", {"dof_max": 512}),  # 2 (base_n + 1)^2: the first refinement is cut
+    ("lds", {"min_exponent": 0}),
+    ("lds", {"min_exponent": -2}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, experiment, config):
     assert run(tmp_path, experiment, config) == 2
@@ -84,11 +91,21 @@ def test_malformed_config_exits_2(tmp_path, capsys, experiment, config):
     {"tolerance_indices": [0.5]},
     {"tolerance_indices": [-1]},
     {"methods": ["mlmc", 1]},
+    {"base_n": 0},
+    {"dof_max": 300},
 ])
 def test_compare_config_types_checked_before_reading_results(config):
     # `uq compare` would also exit 2 on the missing rates file
     with pytest.raises(ConfigError):
         CompareConfig.from_dict(config)
+
+
+def test_lds_stream_bound_checked_before_drawing():
+    # not run through `uq lds`: past the check, 2^32 draws a run would exhaust memory
+    # before the low-discrepancy stream ran out at index 2^32
+    with pytest.raises(ConfigError, match="max_exponent <= 31"):
+        LdsConfig.from_dict({"max_exponent": 32})
+    assert LdsConfig.from_dict({"max_exponent": 31}).max_exponent == 31
 
 
 def test_integer_fields_keep_their_defaults_and_hashes():
@@ -161,11 +178,11 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("numerical failure: CG did not converge")
 
 
-def with_mlmc_fit(**changes):
-    """The RATES file text with the MLMC fit's keys changed (None drops a key)."""
+def with_mlmc_fit(r_hat=1.9, **changes):
+    """The RATES file text with r_hat and the MLMC fit's keys changed (None drops a key)."""
     fit = {**RATES["fits"]["box:300"]["mlmc"], **changes}
-    entry = {"mlmc": {k: v for k, v in fit.items() if v is not None}, "r_hat": 1.9}
-    return json.dumps({"fits": {"box:300": entry}})
+    entry = {"mlmc": {k: v for k, v in fit.items() if v is not None}, "r_hat": r_hat}
+    return json.dumps({"fits": {"box:300": {k: v for k, v in entry.items() if v is not None}}})
 
 
 @pytest.mark.parametrize("name, text, messages", [
@@ -175,7 +192,10 @@ def with_mlmc_fit(**changes):
     ("rates.json", with_mlmc_fit(alpha="0.7"), ["alpha of the MLMC fit box:300", "a number"]),
     ("reference.json", json.dumps({"values": {"box:300": {}}}),
      ["malformed entry box:300", "'reference'"]),
-], ids=["empty", "not-json", "fit-without-beta", "string-alpha", "no-reference-value"])
+    ("rates.json", with_mlmc_fit(r_hat=-1.0), ["r_hat of box:300", "finite and positive"]),
+    ("rates.json", with_mlmc_fit(r_hat=math.inf), ["r_hat of box:300", "got inf"]),
+], ids=["empty", "not-json", "fit-without-beta", "string-alpha", "no-reference-value",
+        "negative-r_hat", "infinite-r_hat"])
 def test_malformed_results_file_exits_2(tmp_path, capsys, name, text, messages):
     files = {"rates.json": json.dumps(RATES), "reference.json": json.dumps(REFERENCE), name: text}
     for file_name, content in files.items():
@@ -190,6 +210,22 @@ def test_malformed_results_file_exits_2(tmp_path, capsys, name, text, messages):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("rates, message", [
+    (with_mlmc_fit(r_hat=None), "no feasible exponential rate for box:300"),
+    (with_mlmc_fit(alpha=0.0), "MLMC fit for box:300 has alpha 0.0 <= 0"),
+    (with_mlmc_fit(alpha=-0.3), "MLMC fit for box:300 has alpha -0.3 <= 0"),
+], ids=["no-r_hat", "zero-alpha", "negative-alpha"])
+def test_unusable_rate_fit_exits_3(tmp_path, capsys, rates, message):
+    (tmp_path / "rates.json").write_text(rates)
+    (tmp_path / "reference.json").write_text(json.dumps(REFERENCE))
+    config = {"kinds": ["box"], "rates_file": str(tmp_path / "rates.json"),
+              "reference_file": str(tmp_path / "reference.json")}
+    assert run(tmp_path, "compare", config) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: {message}") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_lds_is_byte_identical_across_runs(tmp_path):
     config = {"runs": 4, "max_exponent": 9}
     assert run(tmp_path, "lds", config, out="a") == 0
@@ -197,6 +233,16 @@ def test_lds_is_byte_identical_across_runs(tmp_path):
     first = (tmp_path / "a" / "lds.csv").read_bytes()
     assert first == (tmp_path / "b" / "lds.csv").read_bytes()
     assert first.startswith(b"# config_hash=")
+
+
+def test_lds_csv_cells_are_numbers(tmp_path):
+    assert run(tmp_path, "lds", {"runs": 2, "max_exponent": 7}) == 0
+    lines = (tmp_path / "out" / "lds.csv").read_text().splitlines()
+    assert lines[1] == "kind,count,mse_mean,mse_variance"
+    for line in lines[2:]:
+        kind, *numbers = line.split(",")
+        assert kind in ("pseudo", "low-discrepancy")
+        assert all(math.isfinite(float(cell)) for cell in numbers), line
 
 
 def test_reference_on_aligned_meshes(tmp_path):

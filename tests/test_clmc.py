@@ -8,31 +8,16 @@ from levelmc.clmc import (
     ClmcConfig,
     ClmcRateFit,
     SamplePath,
-    clip_and_index,
     clmc_cost,
     continuous_levels,
     estimate_rates_clmc,
     optimal_rate_param,
     path_contribution,
-    path_contribution_curve,
     run_clmc,
-    theoretical_sample_size,
     truncation_bias_bound,
     variance_estimate,
-    weights,
 )
 from levelmc.sampling import UniformSource
-
-
-def make_path(levels, qois, max_level, truncated=None):
-    levels = np.asarray(levels, float)
-    J, clipped, trunc = clip_and_index(levels, max_level)
-    return SamplePath(
-        max_level=max_level, levels=levels, qois=np.asarray(qois, float),
-        clipped=clipped, index=J,
-        truncated=trunc if truncated is None else truncated,
-        dofs=np.ones(len(levels)),
-    )
 
 
 def make_fit(alpha=2.0, beta=4.0, gamma=2.0, c4=1.0, c5=1.0, c6=1.0):
@@ -67,76 +52,110 @@ class TestContinuousLevel:
         assert np.all(np.diff(levels) > 0)
 
 
+def y_of(levels, qois, rate, max_level):
+    """Y of one path at one maximal level."""
+    return float(path_contribution(levels, qois, rate, [max_level])[0])
+
+
+def unit_jump(j, intervals):
+    """QoIs 0 .. 0, 1 .. 1 with the jump on interval j (1-based): Y = w_j."""
+    return (np.arange(intervals + 1) >= j).astype(float)
+
+
+# the paths of the pinned values; the long one has 12 intervals, enough for
+# numpy's 8-way unrolled pairwise sum
+SHORT = ([0.0, 0.3, 0.9, 1.4], [1.0, 1.4, 1.7, 1.75])
+LONG = ([0.0, 0.31, 0.58, 0.83, 1.07, 1.29, 1.52, 1.74, 1.95, 2.17, 2.38, 2.6, 2.81],
+        [0.5, 0.91, 1.13, 1.26, 1.335, 1.38, 1.41, 1.428, 1.44, 1.447, 1.452, 1.4551, 1.4572])
+
+
 class TestClipAndIndex:
+    """A path ends at its first level >= L, so L clips its last interval J,
+    or lies beyond its last level if the path was truncated."""
+
     def test_first_level_exceeds(self):
-        J, clipped, truncated = clip_and_index([0.0, 1.0, 2.0], 0.5)
-        assert J == 1 and not truncated
-        assert clipped.tolist() == [0.5]
+        # L = 0.5 in (l_0, l_1]: w_1 = (e^(0.5 r) - 1) / r
+        assert y_of([0.0, 1.0], [0.0, 1.0], 1.0, 0.5) == pytest.approx(math.exp(0.5) - 1.0)
 
     def test_interior_clip(self):
-        J, clipped, truncated = clip_and_index([0.0, 1.0, 2.0], 1.7)
-        assert J == 2 and not truncated
-        assert clipped.tolist() == [1.0, 1.7]
+        # L = 1.7 in (l_1, l_2]: w_1 is full, w_2 is clipped at L
+        levels = [0.0, 1.0, 2.0]
+        assert y_of(levels, unit_jump(1, 2), 1.0, 1.7) == pytest.approx(math.e - 1.0)
+        assert y_of(levels, unit_jump(2, 2), 1.0, 1.7) == pytest.approx(math.exp(1.7) - math.e)
 
     def test_zero_max_level(self):
-        J, clipped, truncated = clip_and_index([0.0, 1.0], 0.0)
-        assert J == 1 and clipped.tolist() == [0.0]
+        assert y_of([0.0, 1.0], [0.0, 1.0], 1.5, 0.0) == 0.0
 
     def test_truncated_path(self):
-        J, clipped, truncated = clip_and_index([0.0, 1.0, 2.0], 5.0)
-        assert truncated and J == 2
-        assert clipped.tolist() == [1.0, 2.0]
+        # every level lies below L = 5: the full weights
+        levels, rate = [0.0, 1.0, 2.0], 1.3
+        full = [(math.exp(rate * hi) - math.exp(rate * lo)) / rate for lo, hi in [(0, 1), (1, 2)]]
+        for j in (1, 2):
+            assert y_of(levels, unit_jump(j, 2), rate, 5.0) == pytest.approx(full[j - 1])
 
 
 class TestWeights:
+    """The weight w_j is Y of a path whose QoI jumps by one on interval j."""
+
     def test_unit_gap_formula(self):
-        path = make_path([0.0, 1.0], [0.0, 1.0], max_level=2.0)
-        w = weights(path, 1.0)
-        assert w.tolist() == [pytest.approx(math.e - 1.0)]
+        assert y_of([0.0, 1.0], [0.0, 1.0], 1.0, 2.0) == pytest.approx(math.e - 1.0)
 
     def test_zero_weight_when_max_level_hits_lower_endpoint(self):
-        # L = l_0: the clipped level collapses onto the interval start
-        path = make_path([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], max_level=0.0)
-        w = weights(path, 1.5)
-        assert w.tolist() == [0.0]
+        # L = l_0: the clipped level collapses onto the interval start, and
+        # the intervals above L weigh nothing
+        for j in (1, 2):
+            assert y_of([0.0, 1.0, 2.0], unit_jump(j, 2), 1.5, 0.0) == 0.0
 
     def test_small_rate_limit(self):
-        path = make_path([0.0, 0.4, 1.0], [0.0, 1.0, 2.0], max_level=0.7)
-        w = weights(path, 1e-8)
-        assert w[0] == pytest.approx(1.0, rel=1e-6)
-        assert w[1] == pytest.approx(0.3 / 0.6, rel=1e-6)
+        levels = [0.0, 0.4, 1.0]
+        assert y_of(levels, unit_jump(1, 2), 1e-8, 0.7) == pytest.approx(1.0, rel=1e-6)
+        assert y_of(levels, unit_jump(2, 2), 1e-8, 0.7) == pytest.approx(0.3 / 0.6, rel=1e-6)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             lv = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, 4))])
-            path = make_path(lv, rng.normal(size=5), max_level=rng.uniform(0, 4))
-            assert (weights(path, rng.uniform(0.2, 4.0)) >= 0).all()
+            rate, L = rng.uniform(0.2, 4.0), rng.uniform(0, 4)
+            assert all(y_of(lv, unit_jump(j, 4), rate, L) >= 0 for j in range(1, 5))
 
     def test_degenerate_gap_rejected(self):
-        path = make_path([0.0, 1.0], [0.0, 1.0], max_level=2.0)
-        path.levels = np.array([0.0, 0.0])
-        with pytest.raises(ValueError):
-            weights(path, 1.0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            y_of([0.0, 0.0], [0.0, 1.0], 1.0, 2.0)
 
 
 class TestPathContribution:
     def test_constant_qoi_is_zero(self):
-        path = make_path([0.0, 0.5, 1.1], [2.0, 2.0, 2.0], max_level=0.8)
-        assert path_contribution(path, 1.3) == 0.0
+        assert y_of([0.0, 0.5, 1.1], [2.0, 2.0, 2.0], 1.3, 0.8) == 0.0
 
     def test_hand_case(self):
-        path = make_path([0.0, 1.0], [0.0, 1.0], max_level=2.0)
-        assert path_contribution(path, 1.0) == pytest.approx(math.e - 1.0)
+        # w_1 = (e^1 - 1) / (2 * 0.5), w_2 = (e^1.6 - e^1) / (2 * 0.5)
+        y = y_of([0.0, 0.5, 1.0], [1.0, 3.0, 4.0], 2.0, 0.8)
+        assert y == pytest.approx(2.0 * (math.e - 1.0) + math.exp(1.6) - math.e)
 
     def test_curve_matches_scalar(self):
-        levels = [0.0, 0.3, 0.9, 1.4]
-        qois = [1.0, 1.4, 1.7, 1.75]
-        draws = np.array([0.0, 0.2, 0.35, 1.0, 1.2, 2.5])
-        curve = path_contribution_curve(levels, qois, 1.1, draws)
-        for L, y in zip(draws, curve):
-            path = make_path(levels, qois, max_level=L)
-            assert path_contribution(path, 1.1) == pytest.approx(y, rel=1e-12)
+        # many draws of L at once give the bits of one draw at a time
+        draws = [0.0, 0.2, 0.35, 1.0, 1.2, 2.5]
+        ys = path_contribution(*SHORT, 1.1, draws)
+        assert ys.tolist() == [y_of(*SHORT, 1.1, L) for L in draws]
+
+    @pytest.mark.parametrize("path, rate, max_level, expected", [
+        (SHORT, 1.1, 1.2, "0x1.291c0d091f06ap+0"),
+        ((SHORT[0][:2], SHORT[1][:2]), 1.1, 0.2, "0x1.316ef4a998dbfp-2"),
+        (LONG, 1.9, 2.7, "0x1.3c743443b91dep+2"),
+        (LONG, 1.9, 4.0, "0x1.49b0000303e0fp+2"),  # truncated: L beyond the last level
+    ], ids=["short", "first-interval", "twelve-intervals", "truncated"])
+    def test_pinned_values(self, path, rate, max_level, expected):
+        # per-sample Y enters the emitted CSVs; these are the bits of the
+        # formula the estimator has always used
+        assert y_of(*path, rate, max_level).hex() == expected
+
+    def test_single_level_rejected(self):
+        with pytest.raises(ValueError, match="at least levels"):
+            y_of([0.0], [1.0], 1.0, 2.0)
+
+    def test_nonpositive_rate_rejected(self):
+        with pytest.raises(ValueError, match="rate"):
+            y_of([0.0, 1.0], [0.0, 1.0], 0.0, 2.0)
 
     def test_weight_expectation_identity_small(self):
         # E[w_j 1{L > l_{j-1}}] = 1 for each increment
@@ -190,7 +209,7 @@ class FakeSampler:
         self.alpha, self.beta, self.gamma = alpha, beta, gamma
         self.points = points
 
-    def path(self, k, max_level=None, max_refinements=None):
+    def path(self, k, max_level=math.inf, max_refinements=None):
         lo, hi = 0.5, 2.5
         d = (hi - lo) / (self.points - 1)
         levels = np.concatenate([[0.0], lo + d * np.arange(self.points)])
@@ -202,10 +221,7 @@ class FakeSampler:
         dq = (deriv + sign * delta) * np.diff(levels)
         qois = np.concatenate([[0.0], np.cumsum(dq)])
         dofs = np.diff(np.exp(self.gamma * levels), prepend=0.0)
-        return SamplePath(
-            max_level=math.inf, levels=levels, qois=qois, clipped=levels[1:].copy(),
-            index=len(levels) - 1, truncated=False, dofs=dofs,
-        )
+        return SamplePath(levels=levels, qois=qois, truncated=False, dofs=dofs)
 
 
 class TestEstimateRatesClmc:
@@ -217,7 +233,7 @@ class TestEstimateRatesClmc:
 
     def test_empty_common_domain_rejected(self):
         class DisjointSampler(FakeSampler):
-            def path(self, k, max_level=None, max_refinements=None):
+            def path(self, k, max_level=math.inf, max_refinements=None):
                 p = super().path(k, max_level, max_refinements)
                 if k == 0:
                     p.levels = p.levels + np.concatenate([[0.0], np.full(50, 3.0)])
@@ -250,27 +266,6 @@ class TestRateOptimization:
         assert optimal_rate_param(fit, 0.01) == optimal_rate_param(fit, 1.0)
 
 
-class TestTheoreticalSampleSize:
-    def test_hand_evaluation(self):
-        fit = make_fit(alpha=2.0, beta=2.0, c4=1.0, c5=1.0, gamma=0.5)
-        # 4 c5/((b-r) b) + c4^2 r/((2a-r) a^2) at r=1: 2 + 1/12
-        assert theoretical_sample_size(fit, eps=1.0, rate=1.0) == 3
-
-    def test_eps_scaling(self):
-        fit = make_fit()
-        m1 = theoretical_sample_size(fit, eps=0.2, rate=3.0)
-        m2 = theoretical_sample_size(fit, eps=0.1, rate=3.0)
-        assert m2 >= 4 * m1 - 4
-
-    def test_minimum_one(self):
-        fit = make_fit(c4=1e-9, c5=1e-9)
-        assert theoretical_sample_size(fit, eps=10.0, rate=3.0) >= 1
-
-    def test_infeasible_rate(self):
-        with pytest.raises(ValueError):
-            theoretical_sample_size(make_fit(), eps=1.0, rate=10.0)
-
-
 class TestTruncationBiasBound:
     def test_hand_value(self):
         assert truncation_bias_bound(1000, 1.5, 10.0) == pytest.approx(
@@ -282,6 +277,21 @@ class TestTruncationBiasBound:
 
     def test_vanishes_with_level_cap(self):
         assert truncation_bias_bound(1000, 1.5, 1e6) == pytest.approx(0.0, abs=1e-300)
+
+
+class TestAdaptivePath:
+    """Y is read off the whole path, so a path must end at its first level >= L."""
+
+    @pytest.mark.parametrize("max_level", [0.0, 0.6, 1.5])
+    def test_ends_at_first_level_reaching_max_level(self, max_level):
+        path = AdaptivePathSampler("box", 300.0, base_n=4, seed=3).path(1, max_level=max_level)
+        assert not path.truncated
+        assert path.levels[-1] >= max_level and (path.levels[1:-1] < max_level).all()
+
+    def test_cap_truncates_below_max_level(self):
+        sampler = AdaptivePathSampler("box", 300.0, base_n=4, seed=3, dof_max=200)
+        path = sampler.path(1, max_level=5.0)
+        assert path.truncated and len(path.levels) >= 2 and path.levels[-1] < 5.0
 
 
 class TestRunClmc:
@@ -315,6 +325,6 @@ class TestRunClmc:
         qois = [2.0, 2.5, 2.62, 2.7]
         rate = 1.7
         draws = -np.log1p(-UniformSource("pseudo", seed=42).next_block(200_000)) / rate
-        ys = path_contribution_curve(levels, qois, rate, draws)
+        ys = path_contribution(levels, qois, rate, draws)
         se = ys.std(ddof=1) / math.sqrt(len(ys))
         assert abs(ys.mean() - (qois[-1] - qois[0])) <= 3 * se

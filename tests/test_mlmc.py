@@ -18,7 +18,6 @@ from levelmc.mlmc import (
     optimal_bias_weight,
     optimal_samples,
     run_mlmc,
-    theoretical_samples,
 )
 
 
@@ -206,23 +205,6 @@ class TestBiasStop:
 
     def test_short_history_never_stops(self):
         assert not bias_stop([0.0], s=2.0, alpha=1.0, b_w=0.5, eps=0.1)
-
-
-class TestTheoreticalSamples:
-    def test_hand_evaluation(self):
-        fit = make_fit(alpha=1.0, beta=2.0, gamma=1.0, c2=1.0, s=2.0)
-        counts = theoretical_samples(fit, eps=0.1, b_w=0.5, levels=3)
-        # prefactor 200 * 2^-1/2 * (1 - 2^-1.5) / (1 - 2^-1/2) = 312.132...
-        assert counts.tolist() == [111, 40, 14]
-
-    def test_strictly_decreasing(self):
-        fit = make_fit(beta=2.0, gamma=1.0)
-        counts = theoretical_samples(fit, eps=0.05, b_w=0.5, levels=5)
-        assert (np.diff(counts) < 0).all()
-
-    def test_requires_beta_above_gamma(self):
-        with pytest.raises(ValueError):
-            theoretical_samples(make_fit(beta=1.0, gamma=1.5), 0.1, 0.5, 3)
 
 
 class TestOptimalBiasWeight:

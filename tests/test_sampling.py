@@ -28,6 +28,11 @@ def radical_inverse_oracle(n: int) -> float:
     return value
 
 
+def unscrambled(n: int) -> np.ndarray:
+    """The first n points of the low-discrepancy stream before Owen scrambling."""
+    return radical_inverse_base2(np.arange(1, n + 1)) * 2.0**-32
+
+
 class TestUniformSource:
     def test_pseudo_values_distinct_and_in_range(self):
         src = UniformSource("pseudo", seed=3)
@@ -55,14 +60,12 @@ class TestUniformSource:
             assert np.allclose(block, one_by_one)
 
     def test_unscrambled_matches_radical_inverse_oracle(self):
-        src = UniformSource("low-discrepancy", seed=0, scramble=False)
-        values = src.next_block(1024)
+        values = unscrambled(1024)
         expected = [radical_inverse_oracle(n) for n in range(1, 1025)]
         assert np.array_equal(values, expected)
 
     def test_unscrambled_spot_values(self):
-        src = UniformSource("low-discrepancy", seed=0, scramble=False)
-        values = src.next_block(3)
+        values = unscrambled(3)
         assert values[0] == 0.5  # index 1
         assert values[2] == 0.75  # index 3
 
