@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -92,7 +91,6 @@ class SamplePath:
     qois: np.ndarray         # Q_0 .. Q_J
     truncated: bool          # cut by the DOF cap before its level reached L
     dofs: np.ndarray
-    cost_seconds: float = 0.0
     level_fixes: int = 0
 
     @property
@@ -174,13 +172,11 @@ class AdaptivePathSampler:
                 return False
             return continuous_levels([s.estimator for s in steps])[0][-1] >= max_level
 
-        t0 = time.perf_counter()
         hierarchy = adaptive_hierarchy(
             coeff, self.theta, self.initial_mesh(),
             max_refinements=max_refinements, max_dof=self.dof_max,
             stop_when=stop_when,
         )
-        seconds = time.perf_counter() - t0
 
         levels, fixes = continuous_levels(hierarchy.estimators)
         return SamplePath(
@@ -188,7 +184,6 @@ class AdaptivePathSampler:
             qois=hierarchy.qois,
             truncated=hierarchy.truncated,
             dofs=hierarchy.dofs,
-            cost_seconds=seconds,
             level_fixes=fixes,
         )
 
@@ -342,7 +337,6 @@ def run_clmc(config: ClmcConfig, kind: str = "box", contrast: float = 300.0,
     rows = []
     sum_y = sum_y2 = 0.0
     cost_dof = 0
-    cost_seconds = 0.0
     truncated_paths = 0
     level_fixes = 0
     truncation_levels = []
@@ -355,7 +349,6 @@ def run_clmc(config: ClmcConfig, kind: str = "box", contrast: float = 300.0,
         sum_y += y
         sum_y2 += y * y
         cost_dof += path.cost_dof
-        cost_seconds += path.cost_seconds
         level_fixes += path.level_fixes
         if path.truncated:
             truncated_paths += 1
@@ -387,7 +380,6 @@ def run_clmc(config: ClmcConfig, kind: str = "box", contrast: float = 300.0,
         variance_estimate=variance_estimate(count, sum_y, sum_y2),
         bias_proxy=bias_bound,
         cost_dof=float(cost_dof),
-        cost_seconds=cost_seconds,
         samples=count,
         diagnostics={
             "per_sample": rows,
@@ -395,5 +387,4 @@ def run_clmc(config: ClmcConfig, kind: str = "box", contrast: float = 300.0,
             "level_fixes": level_fixes,
         },
         flags=flags,
-        config=config.asdict(),
     )

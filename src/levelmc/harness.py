@@ -1,11 +1,15 @@
 """Experiment drivers: convergence study, calibration, sampling study,
 reference solution and the three-way method comparison.
 
-Every command takes a validated config (strict: unknown keys are errors,
-omitted keys get documented defaults, ``full_scale`` switches to the
-heavyweight defaults) and writes CSV records plus a JSON summary into an
-output directory.  Each emitted file carries the hash of the resolved
-config and the seed, so results are traceable to their exact settings.
+Every command takes a config that ``_parse_config`` resolved and checked
+at the boundary.  Omitted keys get the dataclass defaults, which are desk
+scale; ``full_scale`` lays the paper-scale values of ``_FULL_SCALE`` under
+the given keys.  Unknown keys, wrong types, empty or repeated list entries
+and values outside a rule of ``_RULES`` (one field) or ``_CROSS_RULES``
+(fields together) are errors.  Each command writes CSV records plus a JSON
+summary into an output directory.  Each emitted file carries the hash of
+the resolved config and the seed, so results are traceable to their exact
+settings.
 
 Per-sample and per-level CSVs contain only deterministic columns; rerunning
 an experiment with identical config and seeds reproduces them byte for
@@ -36,7 +40,7 @@ from .clmc import (
 from .coefficient import CoefficientSample
 from .fem import assemble, h1_norm, solve
 from .indicator import adaptive_hierarchy
-from .mesh import aligned_structured_mesh, structured_unit_square, uniform_family
+from .mesh import aligned_structured_mesh, level_resolution, structured_unit_square, uniform_family
 from .mlmc import (
     EstimatorRun,
     MlmcConfig,
@@ -113,9 +117,52 @@ def _check_type(name, value, annotation):
         raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
+def _require(condition, message):
+    if not condition:
+        raise ConfigError(message)
+
+
+def _at_least(bound):
+    return lambda v: v >= bound, f"must be >= {bound}"
+
+
+# range of each field, in every config that has it; a list field's rule holds for each entry
+_RULES = {
+    "theta": (lambda v: 0 < v < 1, "must lie in (0,1)"),
+    "kinds": (lambda v: v in ("box", "cross"), "must be 'box' or 'cross'"),
+    "methods": (lambda v: v in ("mlmc", "clmc", "qclmc"), "must be 'mlmc', 'clmc' or 'qclmc'"),
+    # finite, too: the json module reads Infinity
+    **dict.fromkeys(("contrast", "contrasts", "component_tol", "rate"),
+                    (lambda v: 0 < v < math.inf, "must be positive and finite")),
+    **dict.fromkeys(("tolerance_indices", "seed", "seed_base", "scramble_base"), _at_least(0)),
+    **dict.fromkeys(("base_n", "uniform_levels", "m_ini_clmc", "level_cap"), _at_least(1)),
+    **dict.fromkeys(("runs", "pilot_m", "m_ini", "m_ini_mlmc"), _at_least(2)),
+    # l_max: run_mlmc always computes levels 1-3
+    **dict.fromkeys(("mlmc_levels", "clmc_refinements", "pilot_levels", "l_max"), _at_least(3)),
+}
+
+# rules that relate fields: (the fields read, predicate on the config, wording);
+# they run after the single-field rules, so each sees fields already in range
+_CROSS_RULES = (
+    (("adaptive_steps", "fit_window"), lambda c: c.adaptive_steps >= c.fit_window >= 3,
+     "need adaptive_steps >= fit_window >= 3"),
+    # the low-discrepancy stream ends before index 2^32
+    (("min_exponent", "max_exponent"), lambda c: 1 <= c.min_exponent < c.max_exponent <= 31,
+     "need 1 <= min_exponent < max_exponent <= 31"),
+    # the initial mesh has (base_n + 1)^2 vertices; a path refines only while
+    # twice its vertex count stays below the cap
+    (("dof_max", "base_n"), lambda c: c.dof_max > 2 * (c.base_n + 1) ** 2,
+     "dof_max must exceed 2 (base_n + 1)^2 so that a path refines at least once"),
+    (("reference_n", "uniform_levels", "base_n"),
+     lambda c: c.reference_n > level_resolution(c.uniform_levels, c.base_n),
+     "reference_n must exceed the resolution of the finest uniform mesh, "
+     "level_resolution(uniform_levels, base_n)"),
+)
+
+
 def _parse_config(cls, raw: dict, full_scale: bool):
-    """Build a config dataclass from a JSON dict; unknown keys and values of
-    the wrong type are errors."""
+    """Build a config dataclass from a JSON dict and check every field of it;
+    ``full_scale`` lays the paper-scale defaults under the given keys."""
     known = {f.name for f in fields(cls)} - {"full_scale"}
     unknown = set(raw) - known
     if unknown:
@@ -123,15 +170,29 @@ def _parse_config(cls, raw: dict, full_scale: bool):
             f"unknown config keys for {cls.__name__}: {sorted(unknown)}; "
             f"known keys: {sorted(known)}"
         )
-    for f in fields(cls):
-        value = raw.get(f.name)
-        if f.name not in raw or (value is None and f.type.endswith(" | None")):
-            continue  # null selects the default of an optional field
-        _check_type(f.name, value, f.type.removesuffix(" | None"))
-        for entry in value if f.type == "tuple" else ():
-            _check_type(f"each entry of {f.name}", entry, _ENTRY_TYPES[f.name])
+    if full_scale:
+        raw = {**_FULL_SCALE.get(cls, {}), **raw}
     cfg = cls(full_scale=full_scale, **raw)
-    cfg.validate()
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        _check_type(f.name, value, f.type)
+        entries = (value,)
+        if f.type == "tuple":
+            entries, annotation = value, _ENTRY_TYPES[f.name]
+            for entry in entries:
+                _check_type(f"each entry of {f.name}", entry, annotation)
+            # contrasts are told apart by their form in a case key
+            keys = [_contrast_key(e) if annotation == "float" else e for e in entries]
+            _require(len(keys) == len(set(keys)) > 0,
+                     f"{f.name} must be a nonempty list of distinct entries, got {value!r}")
+        if f.name in _RULES:
+            ok, rule = _RULES[f.name]
+            for entry in entries:
+                _require(ok(entry), f"{f.name} {rule}, got {entry!r}")
+    for names, ok, rule in _CROSS_RULES:
+        if all(hasattr(cfg, name) for name in names) and not ok(cfg):
+            got = ", ".join(f"{name}={getattr(cfg, name)!r}" for name in names)
+            raise ConfigError(f"{rule}, got {got}")
     return cfg
 
 
@@ -144,27 +205,18 @@ def _reraised(exceptions, error, context):
         raise error(f"{context}: {exc}") from exc
 
 
-def _require(condition, message):
-    if not condition:
-        raise ConfigError(message)
+def _contrast_key(contrast) -> str:
+    return f"{contrast:g}"
 
 
-# range checks shared by every config that has the field (None = default to come)
-_BOUNDS = (
-    ("theta", lambda v: 0 < v < 1, "must lie in (0,1)"),
-    ("base_n", lambda v: v >= 1, "must be >= 1"),
-    ("pilot_levels", lambda v: v >= 3, "must be >= 3"),
-    ("pilot_m", lambda v: v >= 2, "must be >= 2"),
-    ("m_ini", lambda v: v >= 2, "must be >= 2"),
-    ("m_ini_mlmc", lambda v: v >= 2, "must be >= 2"),
-    ("m_ini_clmc", lambda v: v >= 1, "must be >= 1"),
-    ("level_cap", lambda v: v >= 1, "must be >= 1"),
-)
+def _cases(config):
+    """(key, kind, contrast) of each case, kinds outermost; the key names the
+    case in rates.json, reference.json and the comparison summary."""
+    for kind, contrast in itertools.product(config.kinds, config.contrasts):
+        yield f"{kind}:{_contrast_key(contrast)}", kind, contrast
 
 
 class _ConfigBase:
-    full_scale: bool = False
-
     @classmethod
     def from_dict(cls, raw: dict, full_scale: bool = False):
         return _parse_config(cls, dict(raw), full_scale)
@@ -176,24 +228,6 @@ class _ConfigBase:
         payload = json.dumps(self.asdict(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:12]
 
-    def _common_checks(self):
-        kinds = getattr(self, "kinds", None)
-        if kinds is not None:
-            _require(len(kinds) > 0, "kinds must be nonempty")
-            _require(all(k in ("box", "cross") for k in kinds),
-                     f"kinds must be 'box'/'cross', got {kinds}")
-        for name, ok, rule in _BOUNDS:
-            value = getattr(self, name, None)
-            if value is not None:
-                _require(ok(value), f"{name} {rule}, got {value!r}")
-        dof_max = getattr(self, "dof_max", None)
-        if dof_max is not None:
-            # the initial mesh has (base_n + 1)^2 vertices; a path refines only
-            # while twice its vertex count stays below the cap
-            floor = 2 * (self.base_n + 1) ** 2
-            _require(dof_max > floor, f"dof_max must exceed 2 (base_n + 1)^2 = {floor} so that "
-                                      f"a path refines at least once, got {dof_max!r}")
-
 
 @dataclass
 class ConvergeConfig(_ConfigBase):
@@ -204,22 +238,10 @@ class ConvergeConfig(_ConfigBase):
     contrast: float = 300.0
     theta: float = 0.5
     base_n: int = 15
-    uniform_levels: int | None = None      # desk 6 / full 7
-    adaptive_steps: int | None = None      # desk 16 / full 22
-    reference_n: int | None = None         # desk 256 / full 640
+    uniform_levels: int = 6
+    adaptive_steps: int = 16
+    reference_n: int = 256
     fit_window: int = 7                    # trailing levels used for rate fits
-
-    def validate(self):
-        self._common_checks()
-        if self.uniform_levels is None:
-            self.uniform_levels = 7 if self.full_scale else 6
-        if self.adaptive_steps is None:
-            self.adaptive_steps = 22 if self.full_scale else 16
-        if self.reference_n is None:
-            self.reference_n = 640 if self.full_scale else 256
-        _require(self.contrast > 0, "contrast must be positive")
-        _require(self.adaptive_steps >= self.fit_window >= 3,
-                 "need adaptive_steps >= fit_window >= 3")
 
 
 @dataclass
@@ -233,17 +255,9 @@ class RatesConfig(_ConfigBase):
     base_n: int = 15
     mlmc_levels: int = 6
     clmc_refinements: int = 12
-    pilot_m: int | None = None             # desk 100 / full 1000
+    pilot_m: int = 100
     dof_max: int = 400_000
     seed: int = 1000
-
-    def validate(self):
-        self._common_checks()
-        if self.pilot_m is None:
-            self.pilot_m = 1000 if self.full_scale else 100
-        _require(all(p > 0 for p in self.contrasts), "contrasts must be positive")
-        _require(self.mlmc_levels >= 3, "need at least 3 levels")
-        _require(self.clmc_refinements >= 3, "need at least 3 refinements")
 
 
 @dataclass
@@ -257,14 +271,6 @@ class LdsConfig(_ConfigBase):
     max_exponent: int = 13
     seed: int = 7
 
-    def validate(self):
-        _require(self.rate > 0, "rate must be positive")
-        _require(self.runs >= 2, "need at least 2 runs")
-        # the low-discrepancy stream ends before index 2^32
-        _require(1 <= self.min_exponent < self.max_exponent <= 31,
-                 f"need 1 <= min_exponent < max_exponent <= 31, got "
-                 f"{self.min_exponent} and {self.max_exponent}")
-
 
 @dataclass
 class ReferenceConfig(_ConfigBase):
@@ -275,19 +281,12 @@ class ReferenceConfig(_ConfigBase):
     contrasts: tuple = (300.0,)
     theta: float = 0.5
     base_n: int = 15
-    component_tol: float | None = None     # desk 0.01 / full 0.0025
+    component_tol: float = 0.01
     pilot_levels: int = 4
     pilot_m: int = 25
     m_ini: int = 30
     l_max: int = 8
     seed: int = 5000
-
-    def validate(self):
-        self._common_checks()
-        if self.component_tol is None:
-            self.component_tol = 0.0025 if self.full_scale else 0.01
-        _require(self.component_tol > 0, "component_tol must be positive")
-        _require(all(p > 0 for p in self.contrasts), "contrasts must be positive")
 
 
 @dataclass
@@ -299,7 +298,7 @@ class CompareConfig(_ConfigBase):
     contrasts: tuple = (300.0,)
     methods: tuple = ("mlmc", "clmc", "qclmc")
     tolerance_indices: tuple = (0, 1, 2, 3, 4, 5, 6)
-    runs: int | None = None                # desk 20 / full 100
+    runs: int = 20
     theta: float = 0.5
     base_n: int = 15
     m_ini_mlmc: int = 20
@@ -313,15 +312,14 @@ class CompareConfig(_ConfigBase):
     reference_file: str = "reference.json"
     emit_samples: bool = False
 
-    def validate(self):
-        self._common_checks()
-        if self.runs is None:
-            self.runs = 100 if self.full_scale else 20
-        _require(self.runs >= 2, "need at least 2 runs per cell")
-        _require(all(m in ("mlmc", "clmc", "qclmc") for m in self.methods),
-                 f"unknown method in {self.methods}")
-        _require(len(self.tolerance_indices) > 0 and min(self.tolerance_indices) >= 0,
-                 "tolerance_indices must be a nonempty list of nonnegative integers")
+
+# the paper-scale values that ``full_scale`` puts in place of desk defaults
+_FULL_SCALE = {
+    ConvergeConfig: {"uniform_levels": 7, "adaptive_steps": 22, "reference_n": 640},
+    RatesConfig: {"pilot_m": 1000},
+    ReferenceConfig: {"component_tol": 0.0025},
+    CompareConfig: {"runs": 100},
+}
 
 
 # --------------------------------------------------------------------------
@@ -444,30 +442,28 @@ def cmd_rates(config: RatesConfig, out_dir) -> dict:
     out = Path(out_dir)
     chash = config.hash()
     results = {}
-    for kind in config.kinds:
-        for contrast in config.contrasts:
-            key = f"{kind}:{contrast:g}"
-            model = PdeLevelModel(kind=kind, contrast=contrast,
-                                  base_n=config.base_n, seed=config.seed)
-            sampler = AdaptivePathSampler(kind=kind, contrast=contrast,
-                                          theta=config.theta, base_n=config.base_n,
-                                          seed=config.seed + 1, dof_max=config.dof_max)
+    for key, kind, contrast in _cases(config):
+        model = PdeLevelModel(kind=kind, contrast=contrast,
+                              base_n=config.base_n, seed=config.seed)
+        sampler = AdaptivePathSampler(kind=kind, contrast=contrast,
+                                      theta=config.theta, base_n=config.base_n,
+                                      seed=config.seed + 1, dof_max=config.dof_max)
+        with _reraised(ValueError, NumericalError, f"rate fit for {key} failed"):
+            mlmc_fit = estimate_rates_mlmc(model, levels=config.mlmc_levels,
+                                           samples=config.pilot_m)
+            clmc_fit = estimate_rates_clmc(sampler, refinements=config.clmc_refinements,
+                                           samples=config.pilot_m)
+        entry = {
+            "mlmc": asdict(mlmc_fit),
+            "clmc": asdict(clmc_fit),
+            "mlmc_hypotheses_hold": mlmc_fit.hypotheses_hold(),
+            "clmc_hypotheses_hold": clmc_fit.hypotheses_hold(),
+        }
+        if clmc_fit.hypotheses_hold():
             with _reraised(ValueError, NumericalError, f"rate fit for {key} failed"):
-                mlmc_fit = estimate_rates_mlmc(model, levels=config.mlmc_levels,
-                                               samples=config.pilot_m)
-                clmc_fit = estimate_rates_clmc(sampler, refinements=config.clmc_refinements,
-                                               samples=config.pilot_m)
-            entry = {
-                "mlmc": asdict(mlmc_fit),
-                "clmc": asdict(clmc_fit),
-                "mlmc_hypotheses_hold": mlmc_fit.hypotheses_hold(),
-                "clmc_hypotheses_hold": clmc_fit.hypotheses_hold(),
-            }
-            if clmc_fit.hypotheses_hold():
-                with _reraised(ValueError, NumericalError, f"rate fit for {key} failed"):
-                    entry["r_hat"] = optimal_rate_param(clmc_fit, eps=1.0)
-                entry["feasible_interval"] = list(clmc_fit.feasible_interval())
-            results[key] = entry
+                entry["r_hat"] = optimal_rate_param(clmc_fit, eps=1.0)
+            entry["feasible_interval"] = list(clmc_fit.feasible_interval())
+        results[key] = entry
     payload = {
         "experiment": "rates", "config": config.asdict(),
         "config_hash": chash, "seed": config.seed, "fits": results,
@@ -535,46 +531,44 @@ def cmd_reference(config: ReferenceConfig, out_dir) -> dict:
     chash = config.hash()
     t = config.component_tol
     results = {}
-    for kind in config.kinds:
-        for contrast in config.contrasts:
-            key = f"{kind}:{contrast:g}"
-            model = partial(PdeLevelModel, kind=kind, contrast=contrast, base_n=config.base_n)
-            with _reraised(ValueError, NumericalError, f"rate fit for {key} failed"):
-                pilot = estimate_rates_mlmc(model(seed=config.seed, aligned=True),
-                                            levels=config.pilot_levels, samples=config.pilot_m)
-            # difference part: variance <= t^2/2, squared bias <= t^2
-            eps = math.sqrt(1.5) * t
-            b_w = 2.0 / 3.0
-            diff_run = run_mlmc(
-                MlmcConfig(eps=eps, alpha=pilot.alpha, b_w=b_w,
-                           m_ini=config.m_ini, l_max=config.l_max),
-                model(seed=config.seed + 1, aligned=True),
-            )
-            # aligned coarse level: variance <= t^2/2
-            mc0_aligned = _mc_to_variance(model(seed=config.seed + 2, aligned=True).single,
-                                          t**2 / 2.0)
-            # standard coarse level Q_0: variance <= t^2
-            mc0_std = _mc_to_variance(model(seed=config.seed + 3).single, t**2)
+    for key, kind, contrast in _cases(config):
+        model = partial(PdeLevelModel, kind=kind, contrast=contrast, base_n=config.base_n)
+        with _reraised(ValueError, NumericalError, f"rate fit for {key} failed"):
+            pilot = estimate_rates_mlmc(model(seed=config.seed, aligned=True),
+                                        levels=config.pilot_levels, samples=config.pilot_m)
+        # difference part: variance <= t^2/2, squared bias <= t^2
+        eps = math.sqrt(1.5) * t
+        b_w = 2.0 / 3.0
+        diff_run = run_mlmc(
+            MlmcConfig(eps=eps, alpha=pilot.alpha, b_w=b_w,
+                       m_ini=config.m_ini, l_max=config.l_max),
+            model(seed=config.seed + 1, aligned=True),
+        )
+        # aligned coarse level: variance <= t^2/2
+        mc0_aligned = _mc_to_variance(model(seed=config.seed + 2, aligned=True).single,
+                                      t**2 / 2.0)
+        # standard coarse level Q_0: variance <= t^2
+        mc0_std = _mc_to_variance(model(seed=config.seed + 3).single, t**2)
 
-            reference = diff_run.estimate + mc0_aligned[0] - mc0_std[0]
-            results[key] = {
-                "reference": reference,
-                "budget": 3.0 * t**2,
-                "components": {
-                    "estimator_variance": diff_run.variance_estimate + mc0_aligned[1],
-                    "bias_squared": diff_run.bias_proxy**2,
-                    "mc_variance": mc0_std[1],
-                },
-                "detail": {
-                    "aligned_difference": diff_run.estimate,
-                    "aligned_level0_mean": mc0_aligned[0],
-                    "standard_level0_mean": mc0_std[0],
-                    "aligned_level0_samples": mc0_aligned[2],
-                    "standard_level0_samples": mc0_std[2],
-                    "mlmc_flags": diff_run.flags,
-                    "pilot_alpha": pilot.alpha,
-                },
-            }
+        reference = diff_run.estimate + mc0_aligned[0] - mc0_std[0]
+        results[key] = {
+            "reference": reference,
+            "budget": 3.0 * t**2,
+            "components": {
+                "estimator_variance": diff_run.variance_estimate + mc0_aligned[1],
+                "bias_squared": diff_run.bias_proxy**2,
+                "mc_variance": mc0_std[1],
+            },
+            "detail": {
+                "aligned_difference": diff_run.estimate,
+                "aligned_level0_mean": mc0_aligned[0],
+                "standard_level0_mean": mc0_std[0],
+                "aligned_level0_samples": mc0_aligned[2],
+                "standard_level0_samples": mc0_std[2],
+                "mlmc_flags": diff_run.flags,
+                "pilot_alpha": pilot.alpha,
+            },
+        }
     payload = {
         "experiment": "reference", "config": config.asdict(),
         "config_hash": chash, "seed": config.seed,
@@ -610,8 +604,7 @@ def cmd_compare(config: CompareConfig, out_dir) -> dict:
 
     eps_sq = tolerance_ladder(config.tolerance_indices)
     inputs, b_w = {}, {}
-    for kind, contrast in itertools.product(config.kinds, config.contrasts):
-        key = f"{kind}:{contrast:g}"
+    for key, kind, contrast in _cases(config):
         if key not in fits:
             raise ConfigError(f"no rate fit for {key}; rerun `uq rates`")
         if key not in references:
@@ -637,22 +630,21 @@ def cmd_compare(config: CompareConfig, out_dir) -> dict:
         if not fit.alpha > 0:
             raise NumericalError(f"MLMC fit for {key} has alpha {fit.alpha!r} <= 0; "
                                  "the level-telescoped bias does not decay")
-        inputs[kind, contrast] = fit.alpha, entry["r_hat"], ref_value
+        inputs[key] = fit.alpha, entry["r_hat"], ref_value
         for tol_index, e2 in zip(config.tolerance_indices, eps_sq):
-            b_w[kind, contrast, tol_index] = optimal_bias_weight(fit, math.sqrt(e2),
-                                                                 config.level_cap)
+            b_w[key, tol_index] = optimal_bias_weight(fit, math.sqrt(e2), config.level_cap)
 
     records = []
-    for kind, contrast, (tol_index, e2), run_idx, method in itertools.product(
-            config.kinds, config.contrasts, zip(config.tolerance_indices, eps_sq),
+    for (key, kind, contrast), (tol_index, e2), run_idx, method in itertools.product(
+            _cases(config), zip(config.tolerance_indices, eps_sq),
             range(config.runs), config.methods):
-        alpha, r_hat, ref_value = inputs[kind, contrast]
+        alpha, r_hat, ref_value = inputs[key]
         eps = math.sqrt(e2)
         pde_seed = config.seed_base + run_idx
         t0 = time.perf_counter()
         if method == "mlmc":
             run = run_mlmc(
-                MlmcConfig(eps=eps, alpha=alpha, b_w=b_w[kind, contrast, tol_index],
+                MlmcConfig(eps=eps, alpha=alpha, b_w=b_w[key, tol_index],
                            m_ini=config.m_ini_mlmc, l_max=config.l_max),
                 PdeLevelModel(kind=kind, contrast=contrast, base_n=config.base_n, seed=pde_seed),
             )
@@ -679,8 +671,8 @@ def cmd_compare(config: CompareConfig, out_dir) -> dict:
         })
         if config.emit_samples:
             write = write_mlmc_levels_csv if method == "mlmc" else write_clmc_samples_csv
-            write(run, out / "samples" / f"{method}_{kind}_{contrast:g}_t{tol_index}_r{run_idx}.csv",
-                  chash, pde_seed)
+            name = f"{method}_{kind}_{_contrast_key(contrast)}_t{tol_index}_r{run_idx}.csv"
+            write(run, out / "samples" / name, chash, pde_seed)
 
     write_csv(out / "records.csv",
               ["method", "kind", "contrast", "tol_index", "eps_sq", "run",
@@ -717,18 +709,17 @@ def _summarize_compare(records, config: CompareConfig) -> dict:
             "mean_cost_dof": float(np.mean([r["cost_dof"] for r in recs])),
         }
 
-    cases = list(itertools.product(config.kinds, config.contrasts))
-    ladder = sorted(set(config.tolerance_indices))
+    ladder = sorted(config.tolerance_indices)
     out = {"cells": list(cells.values()), "methods": {}}
     for method in config.methods:
         per_kind = {}
-        for kind, contrast in cases:
+        for key, kind, contrast in _cases(config):
             cells_m = [cells[method, kind, contrast, t] for t in ladder]
             slope = math.nan
             if len(cells_m) >= 2:
                 slope = _loglog_slope([c["mean_seconds"] for c in cells_m],
                                       [c["mean_mse"] for c in cells_m])
-            per_kind[f"{kind}:{contrast:g}"] = {
+            per_kind[key] = {
                 "time_mse_slope": slope,
                 "mse_within_budget": all(c["mean_mse"] <= 1.5 * c["eps_sq"] for c in cells_m),
             }
@@ -736,12 +727,12 @@ def _summarize_compare(records, config: CompareConfig) -> dict:
 
     if "clmc" in config.methods and "qclmc" in config.methods:
         out["qclmc_vs_clmc"] = {
-            f"{kind}:{contrast:g}": {
+            key: {
                 "qclmc_wins": sum(cells["qclmc", kind, contrast, t]["mean_mse"]
                                   <= cells["clmc", kind, contrast, t]["mean_mse"]
                                   for t in config.tolerance_indices),
                 "cells": len(config.tolerance_indices),
             }
-            for kind, contrast in cases
+            for key, kind, contrast in _cases(config)
         }
     return out

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,11 +55,9 @@ class EstimatorRun:
     variance_estimate: float
     bias_proxy: float
     cost_dof: float
-    cost_seconds: float
     samples: int
     diagnostics: dict
     flags: list
-    config: dict
 
 
 class Welford:
@@ -321,9 +319,8 @@ class MlmcConfig:
             raise ValueError("bias weight must lie in (0, 1)")
         if self.m_ini < 2:
             raise ValueError("need at least 2 initial samples per level")
-
-    def asdict(self) -> dict:
-        return asdict(self)
+        if self.l_max < 3:
+            raise ValueError("l_max must be >= 3: the warm-up computes levels 1-3")
 
 
 class _LevelState:
@@ -396,9 +393,7 @@ def run_mlmc(config: MlmcConfig, model) -> EstimatorRun:
         variance_estimate=variance_sum,
         bias_proxy=bias_proxy,
         cost_dof=float(sum(states[l].cost_dof for l in levels)),
-        cost_seconds=float(sum(states[l].cost_seconds for l in levels)),
         samples=int(sum(states[l].stats.count for l in levels)),
         diagnostics={"per_level": per_level, "max_level": top},
         flags=flags,
-        config=config.asdict(),
     )

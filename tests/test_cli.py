@@ -12,8 +12,11 @@ from levelmc.cli import main
 from levelmc.clmc import ClmcRateFit
 from levelmc.fem import SolverError
 from levelmc.harness import (
+    _CROSS_RULES,
     _ENTRY_TYPES,
     _FIELD_TYPES,
+    _FULL_SCALE,
+    _RULES,
     CompareConfig,
     ConfigError,
     ConvergeConfig,
@@ -77,6 +80,27 @@ def run(tmp_path, experiment, config, out="out"):
     ("rates", {"dof_max": 512}),  # 2 (base_n + 1)^2: the first refinement is cut
     ("lds", {"min_exponent": 0}),
     ("lds", {"min_exponent": -2}),
+    ("compare", {"runs": None}),
+    ("converge", {"uniform_levels": None}),
+    ("compare", {"tolerance_indices": [0, 0]}),
+    ("compare", {"kinds": ["box", "box"]}),
+    ("rates", {"contrasts": [300, 300.0001]}),  # both name the case box:300
+    ("reference", {"contrasts": [300, 300.0]}),
+    ("rates", {"contrasts": []}),
+    ("compare", {"methods": []}),
+    ("lds", {"seed": -1}),
+    ("rates", {"seed": -1}),
+    ("reference", {"seed": -1}),
+    ("compare", {"seed_base": -1}),
+    ("compare", {"scramble_base": -1}),
+    ("compare", {"l_max": 1}),
+    ("reference", {"l_max": 2}),
+    ("converge", {"uniform_levels": -1}),
+    ("converge", {"uniform_levels": 0}),
+    ("converge", {"reference_n": 0}),
+    ("converge", {"reference_n": 171}),  # the finest uniform mesh at 6 levels is 171 x 171
+    ("lds", {"rate": math.inf, "runs": 2, "max_exponent": 7}),
+    ("converge", {"contrast": math.inf}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, experiment, config):
     assert run(tmp_path, experiment, config) == 2
@@ -93,6 +117,13 @@ def test_malformed_config_exits_2(tmp_path, capsys, experiment, config):
     {"methods": ["mlmc", 1]},
     {"base_n": 0},
     {"dof_max": 300},
+    {"runs": None},
+    {"tolerance_indices": [0, 0]},
+    {"kinds": ["box", "box"]},
+    {"methods": []},
+    {"seed_base": -1},
+    {"scramble_base": -1},
+    {"l_max": 1},
 ])
 def test_compare_config_types_checked_before_reading_results(config):
     # `uq compare` would also exit 2 on the missing rates file
@@ -109,8 +140,12 @@ def test_lds_stream_bound_checked_before_drawing():
 
 
 def test_integer_fields_keep_their_defaults_and_hashes():
-    # an explicit null selects the default of an optional integer field
-    assert CompareConfig.from_dict({"runs": None}).runs == 20
+    # null is a wrong type like any other; an omitted key selects the default,
+    # and a given key wins over the paper-scale default
+    with pytest.raises(ConfigError, match="runs must be an integer, got None"):
+        CompareConfig.from_dict({"runs": None})
+    assert CompareConfig.from_dict({}).runs == 20
+    assert CompareConfig.from_dict({"runs": 5}, full_scale=True).runs == 5
     # the reference config that the benchmark's E_ref cites
     assert ReferenceConfig.from_dict({"kinds": ["box"]}).hash() == "e06b4949bcbc"
 
@@ -133,8 +168,20 @@ def test_every_config_field_is_type_checked():
     assert len(configs) == 5
     for cls in configs:
         for f in fields(cls):
-            assert f.type.removesuffix(" | None") in _FIELD_TYPES, (cls.__name__, f.name)
+            assert f.type in _FIELD_TYPES, (cls.__name__, f.name)
             assert f.type != "tuple" or f.name in _ENTRY_TYPES, (cls.__name__, f.name)
+
+
+def test_every_number_field_has_a_range_and_every_table_key_a_field():
+    configs = _ConfigBase.__subclasses__()
+    crossed = {name for names, _, _ in _CROSS_RULES for name in names}
+    for cls in configs:
+        for f in fields(cls):
+            assert f.type not in ("int", "float") or f.name in set(_RULES) | crossed, \
+                (cls.__name__, f.name)
+    for cls, values in _FULL_SCALE.items():
+        assert set(values) <= {f.name for f in fields(cls)}, cls.__name__
+    assert set(_RULES) <= {f.name for cls in configs for f in fields(cls)}
 
 
 def test_mlmc_fit_round_trips_through_the_rates_file_format():

@@ -263,6 +263,11 @@ class TestRunMlmc:
                        model)
         assert "bias-unconverged" in run.flags
 
+    def test_l_max_covers_the_warm_up_levels(self):
+        with pytest.raises(ValueError, match="l_max must be >= 3"):
+            MlmcConfig(eps=0.1, alpha=1.0, b_w=0.5, l_max=2)
+        assert MlmcConfig(eps=0.1, alpha=1.0, b_w=0.5, l_max=3).l_max == 3
+
     def test_samples_never_discarded_and_cost_consistent(self):
         model = GaussianModel(seed=12)
         run = run_mlmc(MlmcConfig(eps=0.03, alpha=1.0, b_w=0.4, m_ini=10), model)
