@@ -12,12 +12,14 @@ contributes
     w_j = (exp(r min(l_j, L)) - exp(r l_{j-1})) / (r (l_j - l_{j-1})),
 
 the discretized form of weighting each level increment by the reciprocal
-survival probability of L.  A path ends at its first level l_j >= L, so
-J is its last index and only w_J is clipped.  The estimator is the plain
-average of the Y values; its variance is estimated on the fly and stops
-the sampling loop at the target tolerance.  Feeding the maximal levels
-from a scrambled low-discrepancy stream instead of a pseudo-random one
-gives the quasi variant; nothing else changes.
+survival probability of L.  A path is the ``Hierarchy`` record of
+``levelmc.indicator``, which holds per step only (e_j, Q_j, DOF) and the
+continuous levels, and ends at its first level l_j >= L, so J is its last
+index and only w_J is clipped.  The estimator is the plain average of the
+Y values; its variance is estimated on the fly and stops the sampling
+loop at the target tolerance.  Feeding the maximal levels from a
+scrambled low-discrepancy stream instead of a pseudo-random one gives the
+quasi variant; nothing else changes.
 
 Paths that would exceed the machine's DOF budget are cut; the level
 process is frozen beyond the cap (zero further increments), which biases
@@ -26,14 +28,13 @@ the estimate by at most M exp(-r L_cap).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .coefficient import draw_coefficient
-from .indicator import adaptive_hierarchy
+from .indicator import Hierarchy, adaptive_hierarchy
 from .mesh import structured_unit_square
 from .mlmc import EstimatorRun, _masked_log_fit
 from .sampling import SOURCE_KINDS, ExponentialLevelSampler, UniformSource
@@ -41,9 +42,7 @@ from .sampling import SOURCE_KINDS, ExponentialLevelSampler, UniformSource
 __all__ = [
     "ClmcRateFit",
     "ClmcConfig",
-    "SamplePath",
     "AdaptivePathSampler",
-    "continuous_levels",
     "path_contribution",
     "variance_estimate",
     "estimate_rates_clmc",
@@ -53,49 +52,8 @@ __all__ = [
     "run_clmc",
 ]
 
-log = logging.getLogger(__name__)
-
-MONOTONE_GAP = 1e-6  # enforced minimal level increment for non-decaying estimators
 RATE_GRID_POINTS = 50  # level grid of the continuous-level rate calibration
 RATE_SEARCH_POINTS = 1000  # midpoint grid of the cost-optimal rate search
-
-
-def continuous_levels(estimators) -> tuple[np.ndarray, int]:
-    """Continuous levels -log(e_j / e_0) of an estimator sequence, forced
-    strictly increasing.
-
-    A non-decaying estimator (e_j >= e_{j-1}) would break the weight
-    formula; such levels are nudged to the previous level plus a tiny gap.
-    Returns (levels, number of nudged entries).
-    """
-    e = np.asarray(estimators, dtype=np.float64)
-    if np.any(e <= 0):
-        raise ValueError("estimator values must be positive")
-    levels = -np.log(e / e[0])
-    fixes = 0
-    for j in range(1, len(levels)):
-        floor = levels[j - 1] + MONOTONE_GAP
-        if levels[j] < floor:
-            levels[j] = floor
-            fixes += 1
-    if fixes:
-        log.debug("nudged %d non-monotone level(s)", fixes)
-    return levels, fixes
-
-
-@dataclass
-class SamplePath:
-    """One sample's adaptive hierarchy summary for the level-continuous estimator."""
-
-    levels: np.ndarray       # l_0 = 0 < l_1 < ... < l_J
-    qois: np.ndarray         # Q_0 .. Q_J
-    truncated: bool          # cut by the DOF cap before its level reached L
-    dofs: np.ndarray
-    level_fixes: int = 0
-
-    @property
-    def cost_dof(self) -> int:
-        return int(self.dofs.sum())
 
 
 def path_contribution(levels, qois, rate: float, max_levels) -> np.ndarray:
@@ -156,36 +114,17 @@ class AdaptivePathSampler:
         return self._mesh0
 
     def path(self, k: int, max_level: float = math.inf,
-             max_refinements: int | None = None) -> SamplePath:
+             max_refinements: int | None = None) -> Hierarchy:
         """Refine sample k until its continuous level reaches max_level
         (or for a fixed number of refinements), bounded by the DOF cap.
 
-        The stop test sees the same prefix that :func:`continuous_levels`
-        later turns into the path's levels, so a path that reached
-        max_level ends at its first level >= max_level.  Any other path
-        stopped at max_refinements or was cut by the cap (``truncated``).
+        A path that reached max_level ends at its first level >= max_level.
+        Any other path stopped at max_refinements or was cut by the cap
+        (``truncated``).
         """
         coeff = draw_coefficient(self.kind, self.contrast, self.seed, k)
-
-        def stop_when(steps):
-            if len(steps) < 2:
-                return False
-            return continuous_levels([s.estimator for s in steps])[0][-1] >= max_level
-
-        hierarchy = adaptive_hierarchy(
-            coeff, self.theta, self.initial_mesh(),
-            max_refinements=max_refinements, max_dof=self.dof_max,
-            stop_when=stop_when,
-        )
-
-        levels, fixes = continuous_levels(hierarchy.estimators)
-        return SamplePath(
-            levels=levels,
-            qois=hierarchy.qois,
-            truncated=hierarchy.truncated,
-            dofs=hierarchy.dofs,
-            level_fixes=fixes,
-        )
+        return adaptive_hierarchy(coeff, self.theta, self.initial_mesh(), max_level=max_level,
+                                  max_refinements=max_refinements, max_dof=self.dof_max)
 
 
 @dataclass

@@ -24,7 +24,6 @@ from .mesh import TriMesh
 __all__ = [
     "AssemblyError",
     "SolverError",
-    "SparseSystem",
     "FESolution",
     "assemble",
     "solve",
@@ -119,13 +118,17 @@ def _load_vector(mesh: TriMesh, f) -> np.ndarray:
 class _MeshAssembler:
     """Per-mesh assembly cache: the sparsity pattern and the geometric part of
     the element matrices are fixed, only the elementwise coefficient varies
-    between samples."""
+    between samples.
+
+    The cache lives on its mesh and holds no reference back to it: the pair
+    would form a cycle, which only the cyclic garbage collector frees, and
+    every mesh of an adaptive path would outlive the path.
+    """
 
     def __init__(self, mesh: TriMesh):
         areas = mesh.areas
         if np.any(areas <= DEGENERATE_AREA):
             raise AssemblyError("degenerate triangle encountered during assembly")
-        self.mesh = mesh
         self.free = np.flatnonzero(~mesh.boundary_vertex)
         n = len(self.free)
         dof_of = np.full(mesh.num_vertices, -1, dtype=np.int64)
@@ -173,9 +176,9 @@ class _MeshAssembler:
         n = len(self.free)
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
-    def load(self, f) -> np.ndarray:
+    def load(self, mesh: TriMesh, f) -> np.ndarray:
         if callable(f):
-            return _load_vector(self.mesh, f)[self.free]
+            return _load_vector(mesh, f)[self.free]
         return float(f) * self._unit_load
 
 
@@ -191,7 +194,8 @@ def assemble(mesh: TriMesh, coeff=None, f=1.0) -> SparseSystem:
     """Assemble the stiffness system for -div(a grad u) = f, u = 0 on the boundary."""
     asm = _assembler(mesh)
     a_k = element_coefficients(mesh, coeff)
-    return SparseSystem(matrix=asm.stiffness(a_k), rhs=asm.load(f), free=asm.free, mesh=mesh)
+    return SparseSystem(matrix=asm.stiffness(a_k), rhs=asm.load(mesh, f), free=asm.free,
+                        mesh=mesh)
 
 
 def _norm(v) -> float:

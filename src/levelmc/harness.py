@@ -42,7 +42,6 @@ from .fem import assemble, h1_norm, solve
 from .indicator import adaptive_hierarchy
 from .mesh import aligned_structured_mesh, level_resolution, structured_unit_square, uniform_family
 from .mlmc import (
-    EstimatorRun,
     MlmcConfig,
     MlmcRateFit,
     PdeLevelModel,
@@ -67,8 +66,6 @@ __all__ = [
     "cmd_lds",
     "cmd_reference",
     "cmd_compare",
-    "write_mlmc_levels_csv",
-    "write_clmc_samples_csv",
 ]
 
 # fixed single-sample parameters of the convergence study, by kind
@@ -115,6 +112,14 @@ def _check_type(name, value, annotation):
     types, what = _FIELD_TYPES[annotation]
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         raise ConfigError(f"{name} must be {what}, got {value!r}")
+    if annotation == "float":
+        # the json module reads Infinity, NaN and integers too large for a float
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 def _require(condition, message):
@@ -131,9 +136,8 @@ _RULES = {
     "theta": (lambda v: 0 < v < 1, "must lie in (0,1)"),
     "kinds": (lambda v: v in ("box", "cross"), "must be 'box' or 'cross'"),
     "methods": (lambda v: v in ("mlmc", "clmc", "qclmc"), "must be 'mlmc', 'clmc' or 'qclmc'"),
-    # finite, too: the json module reads Infinity
     **dict.fromkeys(("contrast", "contrasts", "component_tol", "rate"),
-                    (lambda v: 0 < v < math.inf, "must be positive and finite")),
+                    (lambda v: v > 0, "must be positive")),
     **dict.fromkeys(("tolerance_indices", "seed", "seed_base", "scramble_base"), _at_least(0)),
     **dict.fromkeys(("base_n", "uniform_levels", "m_ini_clmc", "level_cap"), _at_least(1)),
     **dict.fromkeys(("runs", "pilot_m", "m_ini", "m_ini_mlmc"), _at_least(2)),
@@ -344,24 +348,18 @@ def write_csv(path, columns, rows, config_hash: str, seed) -> None:
 def write_json(path, payload: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # strict JSON, without NaN or Infinity: an undefined value is written as null
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def write_mlmc_levels_csv(run: EstimatorRun, path, config_hash="-", seed="-") -> None:
-    """Per-level ledger of a level-telescoped run.
-
-    cost_seconds is wall-clock and not reproducible across reruns; all other
-    columns are deterministic for fixed config and seeds.
-    """
-    columns = ["level", "samples", "mean", "variance", "cost_dof", "cost_seconds"]
-    write_csv(path, columns, run.diagnostics["per_level"], config_hash, seed)
-
-
-def write_clmc_samples_csv(run: EstimatorRun, path, config_hash="-", seed="-") -> None:
-    """Per-sample ledger of a level-continuous run (deterministic columns only)."""
-    columns = ["k", "max_level", "index", "max_dof", "y",
-               "cum_estimate", "cum_variance", "truncated"]
-    write_csv(path, columns, run.diagnostics["per_sample"], config_hash, seed)
+# the ledger of each estimator run that compare emits, as (diagnostics key,
+# columns): per level for MLMC, whose cost_seconds is wall-clock and so not
+# reproducible, and per sample (deterministic columns only) for (Q)CLMC
+_LEDGERS = {
+    "mlmc": ("per_level", ["level", "samples", "mean", "variance", "cost_dof", "cost_seconds"]),
+    "clmc": ("per_sample", ["k", "max_level", "index", "max_dof", "y",
+                            "cum_estimate", "cum_variance", "truncated"]),
+}
 
 
 def _loglog_slope(x, y) -> float:
@@ -420,7 +418,7 @@ def cmd_converge(config: ConvergeConfig, out_dir) -> dict:
             "estimator_rate": est_rate,
             "adaptive_weak_rate": ada_rate,
             "uniform_weak_rate": uni_rate,
-            "rate_gain": ada_rate / uni_rate if uni_rate != 0 else math.inf,
+            "rate_gain": ada_rate / uni_rate if uni_rate != 0 else None,
         }
 
     write_csv(out / "converge.csv",
@@ -624,7 +622,7 @@ def cmd_compare(config: CompareConfig, out_dir) -> dict:
             _check_type(f"{f.name} of the MLMC fit {rates_at}", getattr(fit, f.name), f.type)
         _check_type(f"r_hat of {rates_at}", entry["r_hat"], "float")
         _check_type(f"reference of {ref_at}", ref_value, "float")
-        if not (math.isfinite(entry["r_hat"]) and entry["r_hat"] > 0):
+        if not entry["r_hat"] > 0:
             raise ConfigError(f"r_hat of {rates_at} must be finite and positive, "
                               f"got {entry['r_hat']!r}")
         if not fit.alpha > 0:
@@ -670,9 +668,9 @@ def cmd_compare(config: CompareConfig, out_dir) -> dict:
             "flags": ";".join(run.flags),
         })
         if config.emit_samples:
-            write = write_mlmc_levels_csv if method == "mlmc" else write_clmc_samples_csv
+            ledger, columns = _LEDGERS["mlmc" if method == "mlmc" else "clmc"]
             name = f"{method}_{kind}_{_contrast_key(contrast)}_t{tol_index}_r{run_idx}.csv"
-            write(run, out / "samples" / name, chash, pde_seed)
+            write_csv(out / "samples" / name, columns, run.diagnostics[ledger], chash, pde_seed)
 
     write_csv(out / "records.csv",
               ["method", "kind", "contrast", "tol_index", "eps_sq", "run",
@@ -715,7 +713,7 @@ def _summarize_compare(records, config: CompareConfig) -> dict:
         per_kind = {}
         for key, kind, contrast in _cases(config):
             cells_m = [cells[method, kind, contrast, t] for t in ladder]
-            slope = math.nan
+            slope = None
             if len(cells_m) >= 2:
                 slope = _loglog_slope([c["mean_seconds"] for c in cells_m],
                                       [c["mean_mse"] for c in cells_m])

@@ -13,12 +13,18 @@ squared jump times the edge length; the source is used exactly (constant
 case) or through the degree-2 edge-midpoint rule, so no separate data
 oscillation terms arise.
 
-The total estimator drives both the marking loop and the samplewise
-continuous levels of the level-continuous estimators.
+The total estimator e_j drives the marking loop and gives the samplewise
+continuous level l_j = -log(e_j / e_0) of the level-continuous estimators.
+``adaptive_hierarchy`` returns one record per sample path: per solve only
+(e_j, Q_j, DOF), plus the continuous levels.  It keeps no mesh, solution
+or indicator array of a finished step, so only the current mesh is alive
+while the path refines.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,10 +45,15 @@ __all__ = [
     "ErrorIndicators",
     "residual_indicators",
     "doerfler_mark",
+    "continuous_levels",
     "HierarchyStep",
     "Hierarchy",
     "adaptive_hierarchy",
 ]
+
+log = logging.getLogger(__name__)
+
+MONOTONE_GAP = 1e-6  # enforced minimal level increment for non-decaying estimators
 
 
 @dataclass
@@ -115,13 +126,33 @@ def doerfler_mark(indicators: ErrorIndicators, theta: float) -> np.ndarray:
     return np.sort(order[:k])
 
 
+def continuous_levels(estimators) -> tuple[np.ndarray, int]:
+    """Continuous levels -log(e_j / e_0) of an estimator sequence, forced
+    strictly increasing.
+
+    A non-decaying estimator (e_j >= e_{j-1}) would break the weight
+    formula; such levels are nudged to the previous level plus a tiny gap.
+    Returns (levels, number of nudged entries).
+    """
+    e = np.asarray(estimators, dtype=np.float64)
+    if np.any(e <= 0):
+        raise ValueError("estimator values must be positive")
+    levels = -np.log(e / e[0])
+    fixes = 0
+    for j in range(1, len(levels)):
+        floor = levels[j - 1] + MONOTONE_GAP
+        if levels[j] < floor:
+            levels[j] = floor
+            fixes += 1
+    if fixes:
+        log.debug("nudged %d non-monotone level(s)", fixes)
+    return levels, fixes
+
+
 @dataclass
 class HierarchyStep:
-    """One solve of an adaptive hierarchy."""
+    """What the estimators read of one solve of an adaptive hierarchy."""
 
-    mesh: TriMesh
-    solution: FESolution
-    indicators: ErrorIndicators
     estimator: float   # total indicator e_j
     qoi: float         # H1 norm of the discrete solution
     dof: int
@@ -129,10 +160,13 @@ class HierarchyStep:
 
 @dataclass
 class Hierarchy:
-    """An adaptive sample path: solves j = 0, 1, ... with their estimators."""
+    """An adaptive sample path: solves j = 0, 1, ... with their estimators
+    and the continuous levels l_0 = 0 < l_1 < ... < l_J of the estimators."""
 
     steps: list[HierarchyStep] = field(default_factory=list)
-    truncated: bool = False
+    levels: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    level_fixes: int = 0     # levels nudged by continuous_levels
+    truncated: bool = False  # cut by the DOF cap before a level or step target
 
     @property
     def estimators(self) -> np.ndarray:
@@ -146,18 +180,23 @@ class Hierarchy:
     def dofs(self) -> np.ndarray:
         return np.array([s.dof for s in self.steps])
 
+    @property
+    def cost_dof(self) -> int:
+        return int(self.dofs.sum())
+
 
 def adaptive_hierarchy(coeff, theta: float, initial_mesh: TriMesh, *,
-                       max_refinements: int | None = None, max_dof: int | None = None,
-                       stop_when=None) -> Hierarchy:
+                       max_level: float = math.inf, max_refinements: int | None = None,
+                       max_dof: int | None = None) -> Hierarchy:
     """Solve/estimate/mark/refine, for the source f = 1, until a stopping rule fires.
 
     Stopping rules (combined; whichever fires first):
+      * ``max_level`` -- stop at the first refined step whose continuous
+        level reaches it; the levels of a prefix do not depend on the steps
+        after it, so the path's final levels agree with this test,
       * ``max_refinements`` -- stop after this many refinements,
       * ``max_dof`` -- stop, flagged truncated, when the next refinement is
-        predicted (current vertex count x 2) to exceed the cap,
-      * ``stop_when(steps)`` -- arbitrary predicate on the recorded steps,
-        e.g. a target continuous level.
+        predicted (current vertex count x 2) to exceed the cap.
     """
     hierarchy = Hierarchy()
     mesh = initial_mesh
@@ -165,22 +204,18 @@ def adaptive_hierarchy(coeff, theta: float, initial_mesh: TriMesh, *,
         sol = solve(assemble(mesh, coeff))
         ind = residual_indicators(sol, coeff)
         hierarchy.steps.append(
-            HierarchyStep(
-                mesh=mesh, solution=sol, indicators=ind,
-                estimator=ind.total, qoi=h1_norm(sol), dof=mesh.num_vertices,
-            )
-        )
+            HierarchyStep(estimator=ind.total, qoi=h1_norm(sol), dof=mesh.num_vertices))
+        hierarchy.levels, hierarchy.level_fixes = continuous_levels(hierarchy.estimators)
         refinements_done = len(hierarchy.steps) - 1
-        if stop_when is not None and stop_when(hierarchy.steps):
+        if refinements_done >= 1 and hierarchy.levels[-1] >= max_level:
             break
         if max_refinements is not None and refinements_done >= max_refinements:
             break
         if max_dof is not None and 2 * mesh.num_vertices >= max_dof:
             hierarchy.truncated = True
             break
+        # f = 1 keeps every estimator positive, so marking marks an element
         marked = doerfler_mark(ind, theta)
-        if marked.size == 0:  # estimator identically zero; nothing to refine
-            hierarchy.truncated = True
-            break
+        del sol, ind  # the solution refers to the mesh, which dies once refined
         mesh = bisect_refine(mesh, marked)
     return hierarchy

@@ -101,6 +101,12 @@ def run(tmp_path, experiment, config, out="out"):
     ("converge", {"reference_n": 171}),  # the finest uniform mesh at 6 levels is 171 x 171
     ("lds", {"rate": math.inf, "runs": 2, "max_exponent": 7}),
     ("converge", {"contrast": math.inf}),
+    # integers too large for a float
+    ("rates", {"contrasts": [10**400]}),
+    ("converge", {"contrast": 10**400}),
+    ("reference", {"component_tol": 10**400}),
+    ("lds", {"rate": 10**400, "runs": 2, "max_exponent": 7}),
+    ("converge", {"contrast": math.nan}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, experiment, config):
     assert run(tmp_path, experiment, config) == 2
@@ -241,8 +247,15 @@ def with_mlmc_fit(r_hat=1.9, **changes):
      ["malformed entry box:300", "'reference'"]),
     ("rates.json", with_mlmc_fit(r_hat=-1.0), ["r_hat of box:300", "finite and positive"]),
     ("rates.json", with_mlmc_fit(r_hat=math.inf), ["r_hat of box:300", "got inf"]),
+    ("rates.json", with_mlmc_fit(r_hat=10**400), ["r_hat of box:300", "a finite number"]),
+    ("rates.json", with_mlmc_fit(alpha=10**400),
+     ["alpha of the MLMC fit box:300", "a finite number"]),
+    ("rates.json", with_mlmc_fit(c3=math.nan), ["c3 of the MLMC fit box:300", "got nan"]),
+    ("reference.json", json.dumps({"values": {"box:300": {"reference": 10**400}}}),
+     ["reference of box:300", "a finite number"]),
 ], ids=["empty", "not-json", "fit-without-beta", "string-alpha", "no-reference-value",
-        "negative-r_hat", "infinite-r_hat"])
+        "negative-r_hat", "infinite-r_hat", "huge-r_hat", "huge-alpha", "nan-c3",
+        "huge-reference"])
 def test_malformed_results_file_exits_2(tmp_path, capsys, name, text, messages):
     files = {"rates.json": json.dumps(RATES), "reference.json": json.dumps(REFERENCE), name: text}
     for file_name, content in files.items():
@@ -271,6 +284,11 @@ def test_unusable_rate_fit_exits_3(tmp_path, capsys, rates, message):
     err = capsys.readouterr().err
     assert err.startswith(f"numerical failure: {message}") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_results_files_are_strict_json(tmp_path):
+    with pytest.raises(ValueError, match="JSON compliant"):
+        levelmc.harness.write_json(tmp_path / "summary.json", {"slope": math.nan})
 
 
 def test_lds_is_byte_identical_across_runs(tmp_path):
@@ -330,6 +348,14 @@ def test_compare_emits_reproducible_samples(tmp_path, monkeypatch):
         header = lines[1].split(",")
         seconds = header.index("seconds")
         return [[v for i, v in enumerate(line.split(",")) if i != seconds] for line in lines[1:]]
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    # one tolerance index gives no time-MSE slope: null, not NaN
+    summary = json.loads((tmp_path / "a" / "compare_summary.json").read_text(),
+                         parse_constant=reject)["summary"]
+    assert {s["box:300"]["time_mse_slope"] for s in summary["methods"].values()} == {None}
 
     rows = records("a")
     assert rows == records("b")

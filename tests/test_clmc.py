@@ -7,9 +7,7 @@ from levelmc.clmc import (
     AdaptivePathSampler,
     ClmcConfig,
     ClmcRateFit,
-    SamplePath,
     clmc_cost,
-    continuous_levels,
     estimate_rates_clmc,
     optimal_rate_param,
     path_contribution,
@@ -17,6 +15,7 @@ from levelmc.clmc import (
     truncation_bias_bound,
     variance_estimate,
 )
+from levelmc.indicator import Hierarchy, HierarchyStep, continuous_levels
 from levelmc.sampling import UniformSource
 
 
@@ -221,7 +220,9 @@ class FakeSampler:
         dq = (deriv + sign * delta) * np.diff(levels)
         qois = np.concatenate([[0.0], np.cumsum(dq)])
         dofs = np.diff(np.exp(self.gamma * levels), prepend=0.0)
-        return SamplePath(levels=levels, qois=qois, truncated=False, dofs=dofs)
+        steps = [HierarchyStep(estimator=math.exp(-level), qoi=q, dof=d)
+                 for level, q, d in zip(levels, qois, dofs)]
+        return Hierarchy(steps=steps, levels=levels)
 
 
 class TestEstimateRatesClmc:

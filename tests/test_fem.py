@@ -1,8 +1,13 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
+from adaptive_replay import REPLAYED, replay_hierarchy
 
+import levelmc.indicator
+import levelmc.mlmc
 from levelmc.coefficient import CoefficientSample
 from levelmc.fem import (
     AssemblyError,
@@ -15,8 +20,9 @@ from levelmc.fem import (
     pcg,
     solve,
 )
-from levelmc.mesh import TriMesh, aligned_structured_mesh, structured_unit_square
 from levelmc.indicator import adaptive_hierarchy
+from levelmc.mesh import TriMesh, structured_unit_square
+from levelmc.mlmc import PdeLevelModel
 
 
 def hand_assembled_two_triangle_stiffness():
@@ -160,11 +166,8 @@ class TestNorms:
     def test_energy_norm_nondecreasing_on_nested_refinement(self):
         # aligned meshes keep the elementwise coefficient exact under
         # refinement, so Galerkin energy maximization applies verbatim
-        coeff = CoefficientSample("box", 0.4, 0.6, 300.0, length=0.3)
-        bx, by = coeff.break_lines()
-        mesh = aligned_structured_mesh(bx, by, 6)
-        hierarchy = adaptive_hierarchy(coeff, 0.5, mesh, max_refinements=4)
-        energies = [energy_norm(s.solution, coeff) for s in hierarchy.steps]
+        coeff = REPLAYED["aligned"][0]
+        energies = [energy_norm(sol, coeff) for _, sol, _ in replay_hierarchy(*REPLAYED["aligned"])]
         assert all(b >= a - 1e-12 for a, b in zip(energies, energies[1:]))
 
     def test_weak_error_decreases_with_adaptivity(self):
@@ -218,10 +221,8 @@ class TestManufacturedSolution:
 
 def contrast_300_meshes():
     """A box coefficient at contrast 300 and meshes refined towards its jumps."""
-    coeff = CoefficientSample("box", 0.47, 0.53, 300.0, length=0.26)
-    hierarchy = adaptive_hierarchy(coeff, 0.5, structured_unit_square(7),
-                                   max_refinements=6)
-    return coeff, [step.mesh for step in hierarchy.steps]
+    coeff = REPLAYED["contrast-300"][0]
+    return coeff, [mesh for mesh, _, _ in replay_hierarchy(*REPLAYED["contrast-300"])]
 
 
 def gathered_gradient_factors(mesh):
@@ -327,3 +328,47 @@ class TestColumnKernelsBitIdentical:
                 / (4.0 * mesh.areas)
             mass = (mesh.areas / 12.0) * (ue.sum(axis=1) ** 2 + (ue**2).sum(axis=1))
             assert h1_norm(sol) == float(np.sqrt(mass.sum() + grad_sq.sum()))
+
+
+# -- a mesh dies with the step that built it ---------------------------------
+
+
+@pytest.fixture
+def gc_disabled():
+    """Reference counting alone frees objects, so a reference cycle keeps them alive."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def record_meshes(monkeypatch, module, name):
+    """Make module.name, a mesh builder, keep a weak reference to each mesh it builds."""
+    built = []
+    build = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        mesh = build(*args, **kwargs)
+        built.append(weakref.ref(mesh))
+        return mesh
+
+    monkeypatch.setattr(module, name, recording)
+    return built
+
+
+class TestMeshLifetime:
+    def test_adaptive_hierarchy_keeps_no_mesh(self, monkeypatch, gc_disabled):
+        built = record_meshes(monkeypatch, levelmc.indicator, "bisect_refine")
+        coeff, mesh, refinements = REPLAYED["contrast-300"]
+        hierarchy = adaptive_hierarchy(coeff, 0.5, mesh, max_refinements=refinements)
+        assert len(built) == len(hierarchy.steps) - 1 == refinements
+        assert [ref() for ref in built] == [None] * refinements
+
+    def test_aligned_pair_keeps_no_mesh(self, monkeypatch, gc_disabled):
+        built = record_meshes(monkeypatch, levelmc.mlmc, "aligned_structured_mesh")
+        PdeLevelModel("box", 300.0, base_n=4, seed=1, aligned=True).pair(2, 0)
+        assert len(built) == 2
+        assert [ref() for ref in built] == [None, None]

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from adaptive_replay import REPLAYED, replay_hierarchy
 
 from levelmc.coefficient import CoefficientSample
-from levelmc.fem import FESolution, assemble, energy_norm, solve
+from levelmc.fem import FESolution, assemble, energy_norm, h1_norm, solve
 from levelmc.indicator import (
     ErrorIndicators,
     adaptive_hierarchy,
@@ -128,19 +129,28 @@ class TestDoerflerMark:
 
 
 class TestAdaptiveHierarchy:
+    @pytest.mark.parametrize("case", REPLAYED)
+    def test_replay_gives_the_hierarchy_bit_for_bit(self, case):
+        coeff, mesh, refinements = REPLAYED[case]
+        h = adaptive_hierarchy(coeff, 0.5, mesh, max_refinements=refinements)
+        replayed = replay_hierarchy(coeff, mesh, refinements)
+        assert [(s.estimator, s.qoi, s.dof) for s in h.steps] == \
+            [(ind.total, h1_norm(sol), m.num_vertices) for m, sol, ind in replayed]
+
     def test_zero_refinements_single_step(self):
         coeff = CoefficientSample("box", 0.5, 0.5, 300.0, length=0.25)
         mesh = structured_unit_square(8)
         h = adaptive_hierarchy(coeff, 0.5, mesh, max_refinements=0)
         assert len(h.steps) == 1
-        assert h.steps[0].mesh is mesh
+        [(_, sol, ind)] = replay_hierarchy(coeff, mesh, 0)
+        assert h.steps[0].dof == mesh.num_vertices
+        assert (h.steps[0].estimator, h.steps[0].qoi) == (ind.total, h1_norm(sol))
         assert h.steps[0].qoi > 0 and h.steps[0].estimator > 0
 
     def test_refinement_concentrates_at_discontinuity(self):
-        coeff = CoefficientSample("box", 0.4, 0.6, 300.0, length=0.3)
-        mesh0 = structured_unit_square(15)
-        h = adaptive_hierarchy(coeff, 0.5, mesh0, max_refinements=5)
-        new_vertices = h.steps[-1].mesh.vertices[mesh0.num_vertices:]
+        coeff, mesh0, refinements = REPLAYED["concentration"]
+        final_mesh = replay_hierarchy(coeff, mesh0, refinements)[-1][0]
+        new_vertices = final_mesh.vertices[mesh0.num_vertices:]
         # distance to the boundary of the box [0.25,0.55]x[0.45,0.75]
         dx = np.maximum.reduce([0.25 - new_vertices[:, 0], new_vertices[:, 0] - 0.55,
                                 np.zeros(len(new_vertices))])
@@ -209,13 +219,11 @@ def row_reduction_indicators(sol, coeff, f=1.0):
 class TestColumnKernelsBitIdentical:
     def test_indicators_match_row_reductions(self):
         # equal bits, not closeness: a marking decision can flip on one ulp
-        coeff = CoefficientSample("box", 0.47, 0.53, 300.0, length=0.26)
-        hierarchy = adaptive_hierarchy(coeff, 0.5, structured_unit_square(7),
-                                       max_refinements=6)
-        for step in hierarchy.steps:
-            want = row_reduction_indicators(step.solution, coeff)
-            assert np.array_equal(step.indicators.eta, want)
-            assert np.array_equal(residual_indicators(step.solution, coeff).eta, want)
+        coeff = REPLAYED["contrast-300"][0]
+        for _, sol, ind in replay_hierarchy(*REPLAYED["contrast-300"]):
+            want = row_reduction_indicators(sol, coeff)
+            assert np.array_equal(ind.eta, want)
+            assert np.array_equal(residual_indicators(sol, coeff).eta, want)
 
     def test_marking_matches_lexsort_order(self):
         rng = np.random.default_rng(5)

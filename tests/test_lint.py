@@ -1,18 +1,22 @@
 """Dead-code checks on src/levelmc with the standard library's ast module.
 
-The project depends on no linter, so the three checks a linter would make
-on dead code are spelled out here: every module-level import is used,
-every function parameter is read, and every ``__all__`` entry names a
-module-level definition.
+The project depends on no linter, so the checks a linter would make on
+dead code are spelled out here: every module-level import is used, every
+function parameter is read, and every ``__all__`` entry names a
+module-level definition that is used outside its module.
 """
 
 import ast
+from functools import cache
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "levelmc"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "levelmc"
 MODULES = sorted(SRC.glob("*.py"))
+# every file that may use an export: the package, its tests and the benchmark
+USERS = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
 
 def parse(path):
@@ -53,6 +57,22 @@ def defined(tree):
     return out
 
 
+@cache
+def referenced(path):
+    """Names a file reads, imports, reaches as an attribute or spells as a
+    string (the benchmark's tracer names the functions it wraps)."""
+    tree = parse(path)
+    out = names_in([tree])
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
 def unused_parameters(tree):
     """(function, parameter) pairs whose parameter the body never reads."""
     for func in ast.walk(tree):
@@ -83,3 +103,9 @@ def test_no_unused_parameters(path):
 def test_all_entries_resolve(path):
     tree = parse(path)
     assert [name for name in exported(tree) if name not in defined(tree)] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_entries_used_outside_their_module(path):
+    used = set().union(*(referenced(user) for user in USERS if user != path))
+    assert [name for name in exported(parse(path)) if name not in used] == []
