@@ -5,9 +5,23 @@ a_K, which is exact on meshes aligned with the discontinuities.  Stiffness
 integrals are exact for P1; loads are exact for constant sources and use
 the three-point edge-midpoint rule (degree 2) otherwise.
 
-Linear systems are solved with diagonally preconditioned conjugate
-gradients to a relative residual of 1e-10 (far below every statistical
-error in the estimators) with an iteration cap of 20 * sqrt(DOF).
+Linear systems are solved with preconditioned conjugate gradients to a
+true relative residual of 1e-10 (far below every statistical error in the
+estimators) with an iteration cap of 20 * sqrt(DOF).  The preconditioner
+depends on the mesh:
+
+* Tensor meshes of [0,1]^2 with more than MULTIGRID_CELLS cells a side
+  (the uniform family and the aligned meshes from level 2 on) get a
+  symmetric V-cycle on auxiliary uniform grids (Xu, Computing 1996).  Its
+  transfers interpolate the coarse grids' hat functions at the fine free
+  vertices, which need not be coarse-grid nodes; they depend on geometry
+  alone and are cached with the mesh's assembly data, while the Galerkin
+  operators P^T A P are built per solve.  CG then takes 10-40 iterations
+  where Jacobi takes hundreds.
+* Every other mesh gets Jacobi.  Bisected meshes are graded towards the
+  coefficient's jumps, which uniform auxiliary grids do not resolve, and
+  each is solved only once, so its transfers would not pay for themselves;
+  on smaller meshes the V-cycle's set-up costs as much as it saves.
 """
 
 from __future__ import annotations
@@ -35,6 +49,12 @@ __all__ = [
 
 CG_RTOL = 1e-10
 DEGENERATE_AREA = 1e-14
+COARSEST_CELLS = 16       # the V-cycle's coarsest grid has at most this many cells a side
+# Tensor meshes with more cells a side than this get the V-cycle.  On a mesh
+# that is solved once, Jacobi-PCG costs no more than the V-cycle's set-up up
+# to about 40 cells a side (box coefficient, contrast 300).
+MULTIGRID_CELLS = 32
+SMOOTHING_WEIGHT = 0.7    # of the V-cycle's damped Jacobi sweeps
 
 
 class AssemblyError(RuntimeError):
@@ -80,6 +100,7 @@ class SparseSystem:
     rhs: np.ndarray
     free: np.ndarray          # interior vertex ids in DOF order
     mesh: TriMesh
+    transfers: tuple          # the mesh's multigrid transfers (P, P^T), if any
 
     @property
     def num_dof(self) -> int:
@@ -168,6 +189,7 @@ class _MeshAssembler:
         del geo
         self._entry_elem = (np.flatnonzero(keep) // 9).astype(np.int32)
         self._unit_load = _load_vector(mesh, 1.0)[self.free]
+        self.transfers = _grid_transfers(mesh, self.free)
 
     def stiffness(self, a_k: np.ndarray) -> sp.csr_matrix:
         data = np.bincount(
@@ -195,7 +217,7 @@ def assemble(mesh: TriMesh, coeff=None, f=1.0) -> SparseSystem:
     asm = _assembler(mesh)
     a_k = element_coefficients(mesh, coeff)
     return SparseSystem(matrix=asm.stiffness(a_k), rhs=asm.load(mesh, f), free=asm.free,
-                        mesh=mesh)
+                        mesh=mesh, transfers=asm.transfers)
 
 
 def _norm(v) -> float:
@@ -203,23 +225,111 @@ def _norm(v) -> float:
     return math.sqrt(v @ v)
 
 
-def pcg(matrix, rhs, rtol=CG_RTOL):
-    """Jacobi-preconditioned conjugate gradients, capped at 20 sqrt(n) iterations.
+def _grid_transfer(points, cells: int) -> sp.csr_matrix:
+    """P1 interpolation at ``points`` in [0,1]^2 of the interior hat functions
+    of the uniform ``cells`` x ``cells`` grid split as ``_tensor_triangulation``
+    splits it; columns follow the grid's interior vertices, x fastest."""
+    scaled = points * cells
+    cell = np.minimum(scaled.astype(np.int64), cells - 1)   # floor: points are >= 0
+    xi, eta = (scaled - cell).T
+    i, j = cell.T
+    v00 = j * (cells + 1) + i
+    # the (i, j) -> (i+1, j+1) diagonal splits the cell; the third corner is
+    # (i+1, j) below it and (i, j+1) above it
+    third = np.where(xi >= eta, v00 + 1, v00 + cells + 1)
+    corners = np.column_stack([v00, third, v00 + cells + 2])
+    weights = np.column_stack([1.0 - np.maximum(xi, eta), np.abs(xi - eta),
+                               np.minimum(xi, eta)])
+    gi, gj = corners % (cells + 1), corners // (cells + 1)
+    keep = (gi > 0) & (gi < cells) & (gj > 0) & (gj < cells) & (weights != 0.0)
+    rows = np.repeat(np.arange(len(points)), 3).reshape(-1, 3)
+    return sp.csr_matrix(
+        (weights[keep], (rows[keep], (gj[keep] - 1) * (cells - 1) + gi[keep] - 1)),
+        shape=(len(points), (cells - 1) ** 2))
 
-    Returns (solution, iterations, relative residual).  The reduction order
-    is fixed, so results are bit-reproducible for identical inputs.
+
+def _grid_transfers(mesh: TriMesh, free) -> tuple:
+    """Transfers (P, P^T) from the free vertices of a tensor mesh down a chain
+    of uniform grids, halving the cells per side until at most COARSEST_CELLS;
+    empty for any other mesh and for tensor meshes of at most MULTIGRID_CELLS."""
+    cells = mesh.tensor_cells
+    if cells is None or cells <= MULTIGRID_CELLS:
+        return ()
+    points = mesh.vertices[free]
+    transfers = []
+    while cells > COARSEST_CELLS:
+        cells //= 2
+        transfer = _grid_transfer(points, cells)
+        transfers.append((transfer, transfer.T.tocsr()))
+        axis = np.arange(1, cells) / cells
+        points = np.column_stack([np.tile(axis, cells - 1), np.repeat(axis, cells - 1)])
+    return tuple(transfers)
+
+
+def _vcycle(matrix, transfers):
+    """Symmetric V-cycle preconditioner ``apply(r, z)``, z = B r.
+
+    The Galerkin operators P^T A P of this matrix are built per call.  Each
+    level makes one damped Jacobi sweep before and one after its coarse
+    correction, which makes B symmetric; the coarsest level is solved with
+    a dense inverse.
+    """
+    operators = [matrix]
+    for transfer, restrict in transfers:
+        operators.append(restrict @ (operators[-1] @ transfer))
+    coarsest = np.linalg.inv(operators.pop().toarray())
+    coarsest = 0.5 * (coarsest + coarsest.T)
+    weights = [SMOOTHING_WEIGHT / op.diagonal() for op in operators]
+
+    def apply(r, z):
+        # down the levels: smooth from zero, restrict the residual
+        smoothed = []
+        for op, weight, (_, restrict) in zip(operators, weights, transfers):
+            x = weight * r
+            smoothed.append((r, x))
+            r = restrict @ (r - op @ x)
+        x = coarsest @ r
+        # and up: prolong the correction, smooth again
+        for op, weight, (transfer, _), (r, fine) in zip(
+                reversed(operators), reversed(weights), reversed(transfers), reversed(smoothed)):
+            fine += transfer @ x
+            fine += weight * (r - op @ fine)
+            x = fine
+        z[:] = x
+
+    return apply
+
+
+def pcg(matrix, rhs, rtol=CG_RTOL, precondition=None):
+    """Preconditioned conjugate gradients, capped at 20 sqrt(n) iterations.
+
+    ``precondition(r, z)`` writes the preconditioned residual into z; it
+    must be symmetric positive definite.  The default is Jacobi,
+    z = r / diag(A), which allocates nothing per iteration.  ``solve``
+    passes the V-cycle for tensor meshes finer than MULTIGRID_CELLS and
+    keeps Jacobi for bisected meshes, whose graded refinement the uniform
+    auxiliary grids do not see.
+
+    Returns (solution, iterations, relative residual); convergence is
+    certified on the true residual rhs - A x.  The reduction order is
+    fixed, so results are bit-reproducible for identical inputs.
     """
     n = len(rhs)
     rhs_norm = _norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros(n), 0, 0.0
     maxiter = int(np.ceil(20.0 * np.sqrt(n)))
-    inv_diag = 1.0 / matrix.diagonal()
+    if precondition is None:
+        inv_diag = 1.0 / matrix.diagonal()
+
+        def precondition(r, z):
+            np.multiply(inv_diag, r, out=z)
     tol = rtol * rhs_norm
 
     x = np.zeros(n)
     r = rhs.copy()
-    z = inv_diag * r
+    z = np.empty(n)
+    precondition(r, z)
     p = z.copy()
     step = np.empty(n)
     rz = r @ z
@@ -235,7 +345,7 @@ def pcg(matrix, rhs, rtol=CG_RTOL):
             true_res = _norm(r)
             if true_res <= tol:
                 return x, it, true_res / rhs_norm
-        np.multiply(inv_diag, r, out=z)
+        precondition(r, z)
         rz_new = r @ z
         p *= rz_new / rz
         p += z
@@ -244,8 +354,13 @@ def pcg(matrix, rhs, rtol=CG_RTOL):
 
 
 def solve(system: SparseSystem, rtol=CG_RTOL) -> FESolution:
-    """Solve the reduced system; raises SolverError if CG does not converge."""
-    x, iterations, relres = pcg(system.matrix, system.rhs, rtol=rtol)
+    """Solve the reduced system; raises SolverError if CG does not converge.
+
+    Systems on fine tensor meshes are preconditioned with the V-cycle on
+    their mesh's grid transfers, all others with Jacobi.
+    """
+    precondition = _vcycle(system.matrix, system.transfers) if system.transfers else None
+    x, iterations, relres = pcg(system.matrix, system.rhs, rtol=rtol, precondition=precondition)
     if relres > rtol:
         raise SolverError(
             f"CG did not reach rtol={rtol:g} within {iterations} iterations "

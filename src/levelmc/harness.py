@@ -356,7 +356,8 @@ def write_json(path, payload: dict) -> None:
 # columns): per level for MLMC, whose cost_seconds is wall-clock and so not
 # reproducible, and per sample (deterministic columns only) for (Q)CLMC
 _LEDGERS = {
-    "mlmc": ("per_level", ["level", "samples", "mean", "variance", "cost_dof", "cost_seconds"]),
+    "mlmc": ("per_level", ["level", "samples", "mean", "variance", "cost_dof",
+                           "cg_iterations", "cost_seconds"]),
     "clmc": ("per_sample", ["k", "max_level", "index", "max_dof", "y",
                             "cum_estimate", "cum_variance", "truncated"]),
 }

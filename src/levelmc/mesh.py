@@ -40,9 +40,11 @@ class TriMesh:
     boundary_edge, boundary_vertex : boolean masks
     parent_ids : (M,) triangle ids in the coarser mesh this was refined
         from, or None for a root mesh
+    tensor_cells : cells per side of the tensor grid of [0,1]^2 this mesh
+        triangulates (the larger side count), or None for any other mesh
     """
 
-    def __init__(self, vertices, triangles, parent_ids=None):
+    def __init__(self, vertices, triangles, parent_ids=None, tensor_cells=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -50,6 +52,7 @@ class TriMesh:
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3 or not len(self.triangles):
             raise ValueError("triangles must be a nonempty (M, 3) array")
         self.parent_ids = None if parent_ids is None else np.asarray(parent_ids, np.int64)
+        self.tensor_cells = tensor_cells
 
         self._signed_areas = _signed_areas(*self.corner_coordinates())
         if np.any(self._signed_areas <= 0):
@@ -164,7 +167,7 @@ def _signed_areas(xs, ys) -> np.ndarray:
 
 
 def _tensor_triangulation(xs, ys) -> TriMesh:
-    """Triangulate the tensor grid xs x ys, two triangles per cell.
+    """Triangulate the tensor grid xs x ys of [0,1]^2, two triangles per cell.
 
     Each cell is split along the (i, j) -> (i+1, j+1) diagonal; the diagonal
     is the longest edge of both triangles and becomes their refinement edge.
@@ -182,7 +185,7 @@ def _tensor_triangulation(xs, ys) -> TriMesh:
     v11 = v01 + 1
     lower = np.column_stack([v11, v00, v10])  # refinement edge = diagonal
     upper = np.column_stack([v00, v11, v01])
-    return TriMesh(vertices, np.concatenate([lower, upper]))
+    return TriMesh(vertices, np.concatenate([lower, upper]), tensor_cells=max(nx, ny))
 
 
 def structured_unit_square(n: int) -> TriMesh:

@@ -88,6 +88,7 @@ class PairSample:
     coarse: float
     cost_dof: int
     seconds: float
+    cg_iterations: int = 0     # of the fine and the coarse solve together
 
     @property
     def difference(self) -> float:
@@ -129,8 +130,10 @@ class PdeLevelModel:
         return draw_coefficient(self.kind, self.contrast, self.seed, (level, k))
 
     @staticmethod
-    def _qoi(mesh, coeff) -> float:
-        return h1_norm(solve(assemble(mesh, coeff)))
+    def _qoi(mesh, coeff):
+        """The QoI of a solve and its CG iteration count."""
+        solution = solve(assemble(mesh, coeff))
+        return h1_norm(solution), solution.iterations
 
     def pair(self, level: int, k: int) -> PairSample:
         """Solve one coefficient draw on levels (level, level-1)."""
@@ -139,16 +142,17 @@ class PdeLevelModel:
         coeff = self._draw_coefficient(level, k)
         fine_mesh, coarse_mesh = self.mesh(level, coeff), self.mesh(level - 1, coeff)
         t0 = time.perf_counter()
-        fine = self._qoi(fine_mesh, coeff)
-        coarse = self._qoi(coarse_mesh, coeff)
+        fine, fine_iterations = self._qoi(fine_mesh, coeff)
+        coarse, coarse_iterations = self._qoi(coarse_mesh, coeff)
         seconds = time.perf_counter() - t0
         return PairSample(fine, coarse,
-                          fine_mesh.num_vertices + coarse_mesh.num_vertices, seconds)
+                          fine_mesh.num_vertices + coarse_mesh.num_vertices, seconds,
+                          fine_iterations + coarse_iterations)
 
     def single(self, level: int, k: int) -> float:
         """One plain QoI sample at a level."""
         coeff = self._draw_coefficient(level, k)
-        return self._qoi(self.mesh(level, coeff), coeff)
+        return self._qoi(self.mesh(level, coeff), coeff)[0]
 
 
 @dataclass
@@ -328,6 +332,7 @@ class _LevelState:
         self.stats = Welford()
         self.cost_dof = 0
         self.cost_seconds = 0.0
+        self.cg_iterations = 0
 
     def extend(self, model, level, target):
         while self.stats.count < target:
@@ -335,6 +340,7 @@ class _LevelState:
             self.stats.push(pair.difference)
             self.cost_dof += pair.cost_dof
             self.cost_seconds += pair.seconds
+            self.cg_iterations += pair.cg_iterations
 
 
 def run_mlmc(config: MlmcConfig, model) -> EstimatorRun:
@@ -383,6 +389,7 @@ def run_mlmc(config: MlmcConfig, model) -> EstimatorRun:
             "mean": states[l].stats.mean,
             "variance": states[l].stats.variance,
             "cost_dof": states[l].cost_dof,
+            "cg_iterations": states[l].cg_iterations,
             "cost_seconds": states[l].cost_seconds,
         }
         for l in levels

@@ -39,11 +39,13 @@ def test_every_traced_method_is_defined_on_its_class(tracer):
         assert callable(vars(cls)[method])
 
 
-def test_traced_qclmc_call_fires_every_expected_span(tracer, workloads):
-    workload = workloads["WORKLOADS"]["qclmc-box"]
+def traced_smoke_call(tracer, workload):
+    """A smoke call untraced and the same call traced, each with inputs of its
+    own, as a worker builds them; returns (plain, traced, fired span names)."""
     _, call, outcome = workload.prepare(0, 0, True)
     plain = outcome(call())
 
+    _, call, outcome = workload.prepare(0, 0, True)
     spans = tracer["Tracer"]()
     spans.install()
     try:
@@ -51,9 +53,20 @@ def test_traced_qclmc_call_fires_every_expected_span(tracer, workloads):
             traced = outcome(call())
     finally:
         spans.uninstall()
+    return plain, traced, {span[0] for span in spans.spans}
 
-    fired = {span[0] for span in spans.spans}
+
+def check_traced_call(tracer, workload):
+    plain, traced, fired = traced_smoke_call(tracer, workload)
     assert set(workload.expected_spans) <= fired
     assert (traced.fingerprint, traced.estimate, traced.cost_dof) == \
         (plain.fingerprint, plain.estimate, plain.cost_dof)
     assert traced.problems == []
+
+
+def test_traced_qclmc_call_fires_every_expected_span(tracer, workloads):
+    check_traced_call(tracer, workloads["WORKLOADS"]["qclmc-box"])
+
+
+def test_traced_mlmc_call_fires_every_expected_span(tracer, workloads):
+    check_traced_call(tracer, workloads["WORKLOADS"]["mlmc-box"])

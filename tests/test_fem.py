@@ -10,9 +10,12 @@ import levelmc.indicator
 import levelmc.mlmc
 from levelmc.coefficient import CoefficientSample
 from levelmc.fem import (
+    MULTIGRID_CELLS,
     AssemblyError,
     FESolution,
     SolverError,
+    _grid_transfer,
+    _vcycle,
     assemble,
     energy_norm,
     error_norms,
@@ -21,7 +24,13 @@ from levelmc.fem import (
     solve,
 )
 from levelmc.indicator import adaptive_hierarchy
-from levelmc.mesh import TriMesh, structured_unit_square
+from levelmc.mesh import (
+    TriMesh,
+    aligned_structured_mesh,
+    level_resolution,
+    structured_unit_square,
+    uniform_family,
+)
 from levelmc.mlmc import PdeLevelModel
 
 
@@ -328,6 +337,96 @@ class TestColumnKernelsBitIdentical:
                 / (4.0 * mesh.areas)
             mass = (mesh.areas / 12.0) * (ue.sum(axis=1) ** 2 + (ue**2).sum(axis=1))
             assert h1_norm(sol) == float(np.sqrt(mass.sum() + grad_sq.sum()))
+
+
+# -- the V-cycle preconditioner on tensor meshes ------------------------------
+
+CONTRAST_300 = {
+    "box": CoefficientSample("box", 0.47, 0.53, 300.0, length=0.26),
+    "cross": CoefficientSample("cross", 0.45, 0.55, 300.0),
+}
+
+
+def level_mesh(kind, level, aligned):
+    """A uniform-family mesh, or the aligned tensor mesh of the same resolution."""
+    if aligned:
+        return aligned_structured_mesh(*CONTRAST_300[kind].break_lines(),
+                                       level_resolution(level))
+    return uniform_family(level)
+
+
+def preconditioner_matrix(system):
+    """The V-cycle of a system as a dense matrix, one column per unit vector."""
+    apply = _vcycle(system.matrix, system.transfers)
+    n = system.num_dof
+    columns = np.empty((n, n))
+    for i, unit in enumerate(np.eye(n)):
+        apply(unit, columns[i])
+    return columns.T
+
+
+class TestMultigrid:
+    def test_transfer_reproduces_linear_functions_inside_the_coarse_grid(self):
+        cells = 9
+        # gridlines at the box's breaks: most fine vertices are not coarse ones
+        points = level_mesh("box", 2, aligned=True).vertices
+        axis = np.arange(1, cells) / cells
+        coarse_x, coarse_y = np.tile(axis, cells - 1), np.repeat(axis, cells - 1)
+
+        def linear(x, y):
+            return 0.3 + 1.7 * x - 2.9 * y
+
+        # cells whose corners are all interior grid vertices
+        inside = np.all((points >= 1.0 / cells) & (points <= 1.0 - 1.0 / cells), axis=1)
+        interpolated = _grid_transfer(points, cells) @ linear(coarse_x, coarse_y)
+        assert inside.sum() > 100
+        assert np.allclose(interpolated[inside], linear(*points[inside].T), rtol=0, atol=1e-12)
+
+    def test_transfers_halve_the_cells_down_to_the_coarsest_grid(self):
+        system = assemble(uniform_family(6))        # 171 cells a side
+        assert [p.shape for p, _ in system.transfers] == \
+            [(170**2, 84**2), (84**2, 41**2), (41**2, 20**2), (20**2, 9**2)]
+        assert all((r != p.T).nnz == 0 for p, r in system.transfers)
+        # bisected meshes and small tensor meshes
+        _, meshes = contrast_300_meshes()
+        for mesh in meshes + [structured_unit_square(MULTIGRID_CELLS), uniform_family(1)]:
+            assert assemble(mesh).transfers == ()
+        assert assemble(structured_unit_square(MULTIGRID_CELLS + 1)).transfers
+
+    @pytest.mark.parametrize("kind", ["box", "cross"])
+    def test_vcycle_is_symmetric_and_positive_definite(self, kind):
+        system = assemble(uniform_family(2), CONTRAST_300[kind])   # 34 -> 17 -> 8 cells
+        assert len(system.transfers) == 2
+        m = preconditioner_matrix(system)
+        assert np.abs(m - m.T).max() <= 1e-12 * np.abs(m).max()
+        assert np.linalg.eigvalsh(0.5 * (m + m.T)).min() > 0.0
+        rng = np.random.default_rng(3)
+        u, v = rng.standard_normal((2, system.num_dof))
+        assert u @ m @ v == pytest.approx(v @ m @ u, rel=1e-12)
+        assert u @ m @ u > 0.0
+
+    @pytest.mark.parametrize("kind, aligned", itertools.product(["box", "cross"], [False, True]))
+    def test_multigrid_solve_matches_jacobi_pcg(self, kind, aligned):
+        system = assemble(level_mesh(kind, 3, aligned), CONTRAST_300[kind])
+        sol = solve(system)
+        x, jacobi_iterations, _ = pcg(system.matrix, system.rhs)
+        assert system.transfers
+        assert sol.iterations < jacobi_iterations / 5
+        assert np.abs(sol.values[system.free] - x).max() <= 1e-9 * np.abs(x).max()
+
+    def test_iterations_stay_bounded_at_uniform_level_5(self):
+        # Jacobi-PCG needs 394 iterations here, the V-cycle 26
+        sol = solve(assemble(uniform_family(5), CONTRAST_300["box"]))
+        assert sol.iterations <= 40
+
+    def test_bisected_and_coarse_meshes_keep_the_jacobi_bits(self):
+        coeff, meshes = contrast_300_meshes()
+        for mesh in meshes + [uniform_family(0), uniform_family(1)]:
+            system = assemble(mesh, coeff)
+            sol = solve(system)
+            x, iterations, relres = pcg(system.matrix, system.rhs)
+            assert (sol.iterations, sol.residual) == (iterations, relres)
+            assert np.array_equal(sol.values[system.free], x)
 
 
 # -- a mesh dies with the step that built it ---------------------------------

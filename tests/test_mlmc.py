@@ -104,6 +104,19 @@ class TestCoupledPairs:
         expected = model.mesh(2).num_vertices + model.mesh(1).num_vertices
         assert pair.cost_dof == expected
 
+    def test_pair_counts_the_cg_iterations_of_both_solves(self):
+        model = PdeLevelModel(kind="cross", contrast=300.0, seed=2)
+        coeff = model._draw_coefficient(2, 0)
+        expected = sum(solve(assemble(model.mesh(l), coeff)).iterations for l in (2, 1))
+        assert model.pair(2, 0).cg_iterations == expected > 0
+
+    def test_per_level_ledger_sums_the_pair_iterations(self):
+        model = PdeLevelModel(kind="box", contrast=300.0, seed=4)
+        run = run_mlmc(MlmcConfig(eps=10.0, alpha=1.0, b_w=0.5, m_ini=2), model)
+        for entry in run.diagnostics["per_level"]:
+            pairs = [model.pair(entry["level"], k) for k in range(entry["samples"])]
+            assert entry["cg_iterations"] == sum(p.cg_iterations for p in pairs)
+
     def test_coupling_reduces_variance(self):
         model = PdeLevelModel(kind="box", contrast=300.0, seed=31)
         fines, diffs = [], []
