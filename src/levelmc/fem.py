@@ -5,23 +5,36 @@ a_K, which is exact on meshes aligned with the discontinuities.  Stiffness
 integrals are exact for P1; loads are exact for constant sources and use
 the three-point edge-midpoint rule (degree 2) otherwise.
 
-Linear systems are solved with preconditioned conjugate gradients to a
-true relative residual of 1e-10 (far below every statistical error in the
-estimators) with an iteration cap of 20 * sqrt(DOF).  The preconditioner
-depends on the mesh:
+One rule picks the solver of a mesh, from its geometry alone, when the mesh
+is first assembled: the band of its stiffness pattern under a reverse
+Cuthill-McKee ordering (Cuthill & McKee 1969; George & Liu 1981).
 
-* Tensor meshes of [0,1]^2 with more than MULTIGRID_CELLS cells a side
-  (the uniform family and the aligned meshes from level 2 on) get a
+* A band of at most BAND_MAX is factored with LAPACK's banded Cholesky.
+  On a tensor mesh of c cells a side RCM gives the optimal band c - 1, so
+  these are the tensor meshes of at most BAND_MAX + 1 cells a side (the
+  uniform and aligned levels 0-4) and the bisected meshes of adaptive paths
+  up to about 800 DOF, whose graded bands are 1-4 times the square root of
+  their size.  A factorisation costs about c^4 and holds c^3 doubles; CG
+  with the V-cycle costs about c^2 times its 20-30 iterations.  So the
+  factorisation wins on small meshes by far (7.8 against 16.8 ms at 76
+  cells, 18.6 against 34 ms at 101) and the two meet at about 130 cells
+  (box coefficient, contrast 300, one BLAS thread).  BAND_MAX = 100 stops
+  short of that crossover: the uniform level 5 (114 cells) keeps the
+  V-cycle, and a factor, which lives for one solve, holds at most
+  (BAND_MAX + 1) BAND_MAX^2 doubles, about 8 MB.
+* Wider tensor meshes get preconditioned conjugate gradients with a
   symmetric V-cycle on auxiliary uniform grids (Xu, Computing 1996).  Its
   transfers interpolate the coarse grids' hat functions at the fine free
   vertices, which need not be coarse-grid nodes; they depend on geometry
   alone and are cached with the mesh's assembly data, while the Galerkin
-  operators P^T A P are built per solve.  CG then takes 10-40 iterations
-  where Jacobi takes hundreds.
-* Every other mesh gets Jacobi.  Bisected meshes are graded towards the
-  coefficient's jumps, which uniform auxiliary grids do not resolve, and
-  each is solved only once, so its transfers would not pay for themselves;
-  on smaller meshes the V-cycle's set-up costs as much as it saves.
+  operators P^T A P are built per solve.  CG then takes 10-40 iterations.
+* Wider bisected meshes get Jacobi-preconditioned CG.  They are graded
+  towards the coefficient's jumps, which uniform auxiliary grids do not
+  resolve, and each is solved only once.
+
+CG stops at a true relative residual of 1e-10 (far below every statistical
+error in the estimators) or at 20 * sqrt(DOF) iterations; a factored
+solution is held to the same residual.
 """
 
 from __future__ import annotations
@@ -50,10 +63,9 @@ __all__ = [
 CG_RTOL = 1e-10
 DEGENERATE_AREA = 1e-14
 COARSEST_CELLS = 16       # the V-cycle's coarsest grid has at most this many cells a side
-# Tensor meshes with more cells a side than this get the V-cycle.  On a mesh
-# that is solved once, Jacobi-PCG costs no more than the V-cycle's set-up up
-# to about 40 cells a side (box coefficient, contrast 300).
-MULTIGRID_CELLS = 32
+# Systems whose band is at most this wide are factored: a factor then holds at
+# most 8 MB, and the factorisation beats the V-cycle (see the module docstring)
+BAND_MAX = 100
 SMOOTHING_WEIGHT = 0.7    # of the V-cycle's damped Jacobi sweeps
 
 
@@ -101,6 +113,7 @@ class SparseSystem:
     free: np.ndarray          # interior vertex ids in DOF order
     mesh: TriMesh
     transfers: tuple          # the mesh's multigrid transfers (P, P^T), if any
+    band: _BandLayout | None  # the mesh's band layout, if it is factored
 
     @property
     def num_dof(self) -> int:
@@ -136,10 +149,48 @@ def _load_vector(mesh: TriMesh, f) -> np.ndarray:
                        minlength=mesh.num_vertices)
 
 
+@dataclass(frozen=True)
+class _BandLayout:
+    """Where a pattern's entries on and below the diagonal go in LAPACK's
+    lower band storage under a reverse Cuthill-McKee ordering: new index i
+    is old index perm[i], and the band buffer is (n, width + 1) in C order,
+    whose transpose is LAPACK's (width + 1, n) array in Fortran order."""
+
+    perm: np.ndarray
+    width: int
+    entries: np.ndarray       # positions in the CSR data
+    slots: np.ndarray         # their flat positions in the band buffer
+
+
+def _band_layout(indptr, indices) -> _BandLayout | None:
+    """The band layout of a symmetric CSR pattern, or None if its band under
+    RCM is wider than BAND_MAX.  Patterns of more than BAND_MAX^2 rows are
+    not ordered: the free vertices of a tensor mesh of c cells a side number
+    (c - 1)^2 and its band is c - 1, and graded meshes have wider bands than
+    tensor meshes of the same size."""
+    n = len(indptr) - 1
+    if not 0 < n <= BAND_MAX**2:
+        return None
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    pattern = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+    new = np.empty(n, dtype=np.int64)
+    new[perm] = np.arange(n)
+    rows = np.repeat(new, np.diff(indptr))
+    cols = new[indices]
+    below = rows - cols
+    width = int(below.max())
+    if width > BAND_MAX:
+        return None
+    entries = np.flatnonzero(below >= 0)
+    return _BandLayout(perm, width, entries, cols[entries] * (width + 1) + below[entries])
+
+
 class _MeshAssembler:
-    """Per-mesh assembly cache: the sparsity pattern and the geometric part of
-    the element matrices are fixed, only the elementwise coefficient varies
-    between samples.
+    """Per-mesh assembly cache: the sparsity pattern, the geometric part of
+    the element matrices and the solver's layout are fixed, only the
+    elementwise coefficient varies between samples.
 
     The cache lives on its mesh and holds no reference back to it: the pair
     would form a cycle, which only the cyclic garbage collector frees, and
@@ -155,22 +206,32 @@ class _MeshAssembler:
         dof_of = np.full(mesh.num_vertices, -1, dtype=np.int64)
         dof_of[self.free] = np.arange(n)
 
-        # entry (K, i, j) couples the corners t_i, t_j of element K; entries
-        # stay in this element-major order, which fixes the order in which
-        # stiffness() adds them up
+        # entry (K, i, j) couples the corners t_i, t_j of element K; sorting
+        # by (slot, position) keeps each slot's entries in this element-major
+        # order, which fixes the order in which stiffness() adds them up
         dofs = dof_of[mesh.triangles]
         rows = np.repeat(dofs, 3, axis=1).ravel()
         cols = np.tile(dofs, (1, 3)).ravel()
-        keep = (rows >= 0) & (cols >= 0)
-        keys = rows[keep]
+        kept = np.flatnonzero((rows >= 0) & (cols >= 0))
+        count = len(kept)
+        keys = rows[kept]
         keys *= n
-        keys += cols[keep]
+        keys += cols[kept]
         del dofs, rows, cols
-        pattern, slots = np.unique(keys, return_inverse=True)
+        # one int64 per entry, slot key * count + position; a plain sort of
+        # distinct values is several times faster than a stable argsort.
+        # keys < n^2 and count is about 18 n: this holds to n of about 700k
+        if n * n * count >= 2**63:
+            raise AssemblyError(f"{n} DOF overflow the int64 entry keys")
+        keys *= count
+        keys += np.arange(count)
+        keys.sort()
+        keys, order = np.divmod(keys, count)
+        kept = kept[order]
+        del order
+        first = np.flatnonzero(np.diff(keys, prepend=-1))      # each slot's first entry
+        pattern = keys[first]
         del keys
-        self._slots = slots.astype(np.int32)
-        del slots
-        self.nnz = len(pattern)
         # int32 indices, which scipy would otherwise make for every matrix
         self.indptr = np.searchsorted(pattern, np.arange(n + 1) * n).astype(np.int32)
         pattern %= n
@@ -185,18 +246,20 @@ class _MeshAssembler:
             for j in range(i, 3):
                 geo[:, i, j] = (b[i] * b[j] + c[i] * c[j]) / scale
                 geo[:, j, i] = geo[:, i, j]
-        self._geo_entries = geo.ravel()[keep]
-        del geo
-        self._entry_elem = (np.flatnonzero(keep) // 9).astype(np.int32)
+        # one row per slot, one column per element: stiffness data = S a_K
+        self._scatter = sp.csr_matrix(
+            (geo.ravel()[kept], (kept // 9).astype(np.int32),
+             np.append(first, len(kept)).astype(np.int32)),
+            shape=(len(pattern), mesh.num_triangles))
+        del geo, kept
         self._unit_load = _load_vector(mesh, 1.0)[self.free]
-        self.transfers = _grid_transfers(mesh, self.free)
+        self.band = _band_layout(self.indptr, self.indices)
+        self.transfers = () if self.band else _grid_transfers(mesh, self.free)
 
     def stiffness(self, a_k: np.ndarray) -> sp.csr_matrix:
-        data = np.bincount(
-            self._slots, weights=a_k[self._entry_elem] * self._geo_entries, minlength=self.nnz
-        )
+        # a CSR product adds each row from zero in entry order, as bincount would
         n = len(self.free)
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+        return sp.csr_matrix((self._scatter @ a_k, self.indices, self.indptr), shape=(n, n))
 
     def load(self, mesh: TriMesh, f) -> np.ndarray:
         if callable(f):
@@ -217,7 +280,7 @@ def assemble(mesh: TriMesh, coeff=None, f=1.0) -> SparseSystem:
     asm = _assembler(mesh)
     a_k = element_coefficients(mesh, coeff)
     return SparseSystem(matrix=asm.stiffness(a_k), rhs=asm.load(mesh, f), free=asm.free,
-                        mesh=mesh, transfers=asm.transfers)
+                        mesh=mesh, transfers=asm.transfers, band=asm.band)
 
 
 def _norm(v) -> float:
@@ -251,9 +314,9 @@ def _grid_transfer(points, cells: int) -> sp.csr_matrix:
 def _grid_transfers(mesh: TriMesh, free) -> tuple:
     """Transfers (P, P^T) from the free vertices of a tensor mesh down a chain
     of uniform grids, halving the cells per side until at most COARSEST_CELLS;
-    empty for any other mesh and for tensor meshes of at most MULTIGRID_CELLS."""
+    empty for any other mesh."""
     cells = mesh.tensor_cells
-    if cells is None or cells <= MULTIGRID_CELLS:
+    if cells is None:
         return ()
     points = mesh.vertices[free]
     transfers = []
@@ -306,9 +369,9 @@ def pcg(matrix, rhs, rtol=CG_RTOL, precondition=None):
     ``precondition(r, z)`` writes the preconditioned residual into z; it
     must be symmetric positive definite.  The default is Jacobi,
     z = r / diag(A), which allocates nothing per iteration.  ``solve``
-    passes the V-cycle for tensor meshes finer than MULTIGRID_CELLS and
-    keeps Jacobi for bisected meshes, whose graded refinement the uniform
-    auxiliary grids do not see.
+    passes the V-cycle for tensor meshes whose band is wider than BAND_MAX
+    and keeps Jacobi for bisected meshes, whose graded refinement the
+    uniform auxiliary grids do not see.
 
     Returns (solution, iterations, relative residual); convergence is
     certified on the true residual rhs - A x.  The reduction order is
@@ -353,18 +416,50 @@ def pcg(matrix, rhs, rtol=CG_RTOL, precondition=None):
     return x, maxiter, _norm(rhs - matrix @ x) / rhs_norm
 
 
-def solve(system: SparseSystem, rtol=CG_RTOL) -> FESolution:
-    """Solve the reduced system; raises SolverError if CG does not converge.
+def _band_cholesky(matrix, rhs, band: _BandLayout):
+    """Solve with LAPACK's banded Cholesky (dpbsv) in the band's ordering.
 
-    Systems on fine tensor meshes are preconditioned with the V-cycle on
-    their mesh's grid transfers, all others with Jacobi.
+    Returns (solution, relative residual); the residual is the true one,
+    rhs - A x.  Raises SolverError if the matrix is not positive definite.
     """
-    precondition = _vcycle(system.matrix, system.transfers) if system.transfers else None
-    x, iterations, relres = pcg(system.matrix, system.rhs, rtol=rtol, precondition=precondition)
-    if relres > rtol:
+    from scipy.linalg.lapack import dpbsv
+
+    n = len(rhs)
+    rhs_norm = _norm(rhs)
+    if rhs_norm == 0.0:
+        return np.zeros(n), 0.0
+    buffer = np.zeros(n * (band.width + 1))
+    buffer[band.slots] = matrix.data[band.entries]
+    # the transpose is Fortran-ordered, so LAPACK factors it in place
+    _, y, info = dpbsv(buffer.reshape(n, band.width + 1).T, rhs[band.perm, None],
+                       lower=1, overwrite_ab=1, overwrite_b=1)
+    if info != 0:
+        raise SolverError(f"banded Cholesky failed (LAPACK dpbsv info {info}): "
+                          "the matrix is not positive definite", iterations=0)
+    x = np.empty(n)
+    x[band.perm] = y[:, 0]
+    return x, _norm(rhs - matrix @ x) / rhs_norm
+
+
+def solve(system: SparseSystem, rtol=CG_RTOL) -> FESolution:
+    """Solve the reduced system to a true relative residual of ``rtol``;
+    raises SolverError if the solver does not reach it.
+
+    A system whose band is at most BAND_MAX is factored (``iterations`` is
+    0), a wider one on a tensor mesh takes CG with the V-cycle on its
+    mesh's grid transfers, and any other takes Jacobi-PCG.
+    """
+    if system.band is not None:
+        x, relres = _band_cholesky(system.matrix, system.rhs, system.band)
+        iterations, method = 0, "banded Cholesky"
+    else:
+        precondition = _vcycle(system.matrix, system.transfers) if system.transfers else None
+        x, iterations, relres = pcg(system.matrix, system.rhs, rtol=rtol,
+                                    precondition=precondition)
+        method = f"CG within {iterations} iterations"
+    if not relres <= rtol:
         raise SolverError(
-            f"CG did not reach rtol={rtol:g} within {iterations} iterations "
-            f"(relative residual {relres:.3e})",
+            f"{method} did not reach rtol={rtol:g} (relative residual {relres:.3e})",
             residual=relres,
             iterations=iterations,
         )

@@ -136,12 +136,13 @@ class PdeLevelModel:
         return h1_norm(solution), solution.iterations
 
     def pair(self, level: int, k: int) -> PairSample:
-        """Solve one coefficient draw on levels (level, level-1)."""
+        """Solve one coefficient draw on levels (level, level-1); the pair's
+        seconds include building the two meshes."""
         if level < 1:
             raise ValueError("coupled pairs need level >= 1")
         coeff = self._draw_coefficient(level, k)
-        fine_mesh, coarse_mesh = self.mesh(level, coeff), self.mesh(level - 1, coeff)
         t0 = time.perf_counter()
+        fine_mesh, coarse_mesh = self.mesh(level, coeff), self.mesh(level - 1, coeff)
         fine, fine_iterations = self._qoi(fine_mesh, coeff)
         coarse, coarse_iterations = self._qoi(coarse_mesh, coeff)
         seconds = time.perf_counter() - t0

@@ -1,6 +1,8 @@
+import dataclasses
 import gc
 import itertools
 import weakref
+from functools import cache
 
 import numpy as np
 import pytest
@@ -10,11 +12,12 @@ import levelmc.indicator
 import levelmc.mlmc
 from levelmc.coefficient import CoefficientSample
 from levelmc.fem import (
-    MULTIGRID_CELLS,
+    BAND_MAX,
     AssemblyError,
     FESolution,
     SolverError,
     _grid_transfer,
+    _grid_transfers,
     _vcycle,
     assemble,
     energy_norm,
@@ -140,12 +143,18 @@ class TestSolve:
         assert sol.values.min() >= -1e-14
 
     def test_nonconvergence_raises_with_residual(self):
-        mesh = structured_unit_square(12)
-        system = assemble(mesh, None, 1.0)
+        # an rtol below machine precision: neither CG nor a factorisation reaches it
+        cg_system = wide_bisected_system()
         with pytest.raises(SolverError) as err:
-            solve(system, rtol=1e-30)  # below machine precision: cannot converge
+            solve(cg_system, rtol=1e-30)
         assert err.value.residual > 0
         assert err.value.iterations > 0
+        banded_system = assemble(structured_unit_square(12), None, 1.0)
+        assert banded_system.band is not None
+        with pytest.raises(SolverError) as err:
+            solve(banded_system, rtol=1e-30)
+        assert err.value.residual > 0
+        assert err.value.iterations == 0
 
     def test_boundary_values_exactly_zero(self):
         mesh = structured_unit_square(6)
@@ -355,9 +364,9 @@ def level_mesh(kind, level, aligned):
     return uniform_family(level)
 
 
-def preconditioner_matrix(system):
+def preconditioner_matrix(system, transfers):
     """The V-cycle of a system as a dense matrix, one column per unit vector."""
-    apply = _vcycle(system.matrix, system.transfers)
+    apply = _vcycle(system.matrix, transfers)
     n = system.num_dof
     columns = np.empty((n, n))
     for i, unit in enumerate(np.eye(n)):
@@ -365,7 +374,30 @@ def preconditioner_matrix(system):
     return columns.T
 
 
+@cache
+def wide_bisected_mesh():
+    """A bisected mesh whose band is wider than BAND_MAX (839 DOF, band 112)."""
+    coeff, mesh, _ = REPLAYED["contrast-300"]
+    return replay_hierarchy(coeff, mesh, 16)[-1][0]
+
+
+def wide_bisected_system():
+    return assemble(wide_bisected_mesh(), REPLAYED["contrast-300"][0])
+
+
+def rcm_band(matrix):
+    """The band of a symmetric sparse matrix under reverse Cuthill-McKee."""
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    perm = reverse_cuthill_mckee(matrix.tocsr(), symmetric_mode=True)
+    position = np.argsort(perm)
+    coo = matrix.tocoo()
+    return int(np.abs(position[coo.row] - position[coo.col]).max())
+
+
 class TestMultigrid:
+    # tensor meshes of at most BAND_MAX + 1 cells a side are factored, so the
+    # V-cycle's own properties are checked with explicitly built transfers
     def test_transfer_reproduces_linear_functions_inside_the_coarse_grid(self):
         cells = 9
         # gridlines at the box's breaks: most fine vertices are not coarse ones
@@ -387,17 +419,19 @@ class TestMultigrid:
         assert [p.shape for p, _ in system.transfers] == \
             [(170**2, 84**2), (84**2, 41**2), (41**2, 20**2), (20**2, 9**2)]
         assert all((r != p.T).nnz == 0 for p, r in system.transfers)
-        # bisected meshes and small tensor meshes
+        # bisected meshes and tensor meshes narrow enough to be factored
         _, meshes = contrast_300_meshes()
-        for mesh in meshes + [structured_unit_square(MULTIGRID_CELLS), uniform_family(1)]:
+        for mesh in meshes + [wide_bisected_mesh(), structured_unit_square(BAND_MAX + 1),
+                              uniform_family(1)]:
             assert assemble(mesh).transfers == ()
-        assert assemble(structured_unit_square(MULTIGRID_CELLS + 1)).transfers
+        assert assemble(structured_unit_square(BAND_MAX + 2)).transfers
 
     @pytest.mark.parametrize("kind", ["box", "cross"])
     def test_vcycle_is_symmetric_and_positive_definite(self, kind):
-        system = assemble(uniform_family(2), CONTRAST_300[kind])   # 34 -> 17 -> 8 cells
-        assert len(system.transfers) == 2
-        m = preconditioner_matrix(system)
+        system = assemble(uniform_family(2), CONTRAST_300[kind])
+        transfers = _grid_transfers(system.mesh, system.free)    # 34 -> 17 -> 8 cells
+        assert len(transfers) == 2
+        m = preconditioner_matrix(system, transfers)
         assert np.abs(m - m.T).max() <= 1e-12 * np.abs(m).max()
         assert np.linalg.eigvalsh(0.5 * (m + m.T)).min() > 0.0
         rng = np.random.default_rng(3)
@@ -408,25 +442,85 @@ class TestMultigrid:
     @pytest.mark.parametrize("kind, aligned", itertools.product(["box", "cross"], [False, True]))
     def test_multigrid_solve_matches_jacobi_pcg(self, kind, aligned):
         system = assemble(level_mesh(kind, 3, aligned), CONTRAST_300[kind])
-        sol = solve(system)
+        transfers = _grid_transfers(system.mesh, system.free)
+        assert transfers
+        x_mg, iterations, relres = pcg(system.matrix, system.rhs,
+                                       precondition=_vcycle(system.matrix, transfers))
         x, jacobi_iterations, _ = pcg(system.matrix, system.rhs)
-        assert system.transfers
-        assert sol.iterations < jacobi_iterations / 5
-        assert np.abs(sol.values[system.free] - x).max() <= 1e-9 * np.abs(x).max()
+        assert relres <= 1e-10
+        assert iterations < jacobi_iterations / 5
+        assert np.abs(x_mg - x).max() <= 1e-9 * np.abs(x).max()
 
     def test_iterations_stay_bounded_at_uniform_level_5(self):
         # Jacobi-PCG needs 394 iterations here, the V-cycle 26
-        sol = solve(assemble(uniform_family(5), CONTRAST_300["box"]))
-        assert sol.iterations <= 40
+        system = assemble(uniform_family(5), CONTRAST_300["box"])
+        assert system.band is None and system.transfers
+        assert solve(system).iterations <= 40
 
     def test_bisected_and_coarse_meshes_keep_the_jacobi_bits(self):
-        coeff, meshes = contrast_300_meshes()
-        for mesh in meshes + [uniform_family(0), uniform_family(1)]:
-            system = assemble(mesh, coeff)
-            sol = solve(system)
-            x, iterations, relres = pcg(system.matrix, system.rhs)
-            assert (sol.iterations, sol.residual) == (iterations, relres)
-            assert np.array_equal(sol.values[system.free], x)
+        # the bisected meshes that are not factored: bands wider than BAND_MAX
+        system = wide_bisected_system()
+        assert system.band is None and system.transfers == ()
+        sol = solve(system)
+        x, iterations, relres = pcg(system.matrix, system.rhs)
+        assert (sol.iterations, sol.residual) == (iterations, relres)
+        assert np.array_equal(sol.values[system.free], x)
+
+
+# -- banded Cholesky on narrow-band systems ----------------------------------
+
+
+def narrow_band_mesh(kind, mesh_kind):
+    """A uniform, aligned or bisected mesh whose band is at most BAND_MAX."""
+    if mesh_kind == "bisected":
+        return replay_hierarchy(CONTRAST_300[kind], structured_unit_square(7), 8)[-1][0]
+    return level_mesh(kind, 3, mesh_kind == "aligned")
+
+
+class TestBandedCholesky:
+    @pytest.mark.parametrize("kind, mesh_kind",
+                             itertools.product(["box", "cross"], ["uniform", "aligned", "bisected"]))
+    def test_banded_solve_matches_jacobi_pcg(self, kind, mesh_kind):
+        system = assemble(narrow_band_mesh(kind, mesh_kind), CONTRAST_300[kind])
+        assert system.band is not None and system.transfers == ()
+        sol = solve(system)
+        x, _, _ = pcg(system.matrix, system.rhs)
+        assert sol.iterations == 0
+        u = sol.values[system.free]
+        assert np.abs(u - x).max() <= 1e-9 * np.abs(x).max()
+        residual = np.linalg.norm(system.rhs - system.matrix @ u) / np.linalg.norm(system.rhs)
+        assert sol.residual == pytest.approx(residual, rel=1e-12)
+        assert sol.residual <= 1e-12
+        assert np.all(sol.values[system.mesh.boundary_vertex] == 0.0)
+
+    @pytest.mark.parametrize("cells", [3, 7, 15, 34, BAND_MAX + 1])
+    def test_band_of_a_tensor_mesh_is_cells_minus_one(self, cells):
+        assert assemble(structured_unit_square(cells)).band.width == cells - 1
+
+    def test_layout_exists_exactly_when_the_band_is_narrow(self):
+        _, meshes = contrast_300_meshes()
+        meshes += [wide_bisected_mesh(), uniform_family(0), uniform_family(4),
+                   level_mesh("cross", 2, aligned=True), structured_unit_square(BAND_MAX + 1),
+                   structured_unit_square(BAND_MAX + 2)]
+        narrow = []
+        for mesh in meshes:
+            system = assemble(mesh, CONTRAST_300["box"])
+            band = rcm_band(system.matrix)
+            narrow.append(band <= BAND_MAX)
+            assert (system.band is not None) == (band <= BAND_MAX)
+            if system.band is not None:
+                assert system.band.width == band
+        assert sum(narrow) == len(narrow) - 2
+
+    def test_indefinite_matrix_raises_and_zero_rhs_gives_zero(self):
+        system = assemble(uniform_family(0), CONTRAST_300["box"])
+        assert system.band is not None
+        with pytest.raises(SolverError) as err:
+            solve(dataclasses.replace(system, matrix=-system.matrix))
+        assert err.value.iterations == 0
+        sol = solve(dataclasses.replace(system, rhs=np.zeros(system.num_dof)))
+        assert (sol.iterations, sol.residual) == (0, 0.0)
+        assert np.all(sol.values == 0.0)
 
 
 # -- a mesh dies with the step that built it ---------------------------------

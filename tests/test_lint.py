@@ -3,10 +3,14 @@
 The project depends on no linter, so the checks a linter would make on
 dead code are spelled out here: every module-level import is used, every
 function parameter is read, and every ``__all__`` entry names a
-module-level definition that is used outside its module.
+module-level definition that is used outside its module.  A last check
+keeps the package's start-up free of the libraries only a solve needs.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from functools import cache
 from pathlib import Path
 
@@ -109,3 +113,17 @@ def test_all_entries_resolve(path):
 def test_all_entries_used_outside_their_module(path):
     used = set().union(*(referenced(user) for user in USERS if user != path))
     assert [name for name in exported(parse(path)) if name not in used] == []
+
+
+def test_import_loads_no_solver_library():
+    # scipy.linalg and scipy.sparse.csgraph are imported where a mesh is
+    # first factored; loaded at import they add to every start-up
+    code = ("import sys, levelmc, levelmc.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('scipy.linalg', 'scipy.sparse.csgraph'))))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

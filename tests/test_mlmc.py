@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from levelmc.fem import assemble, h1_norm, solve
+import levelmc.mlmc
+from levelmc.fem import BAND_MAX, assemble, h1_norm, solve
 from levelmc.mesh import uniform_family
 from levelmc.mlmc import (
     MlmcConfig,
@@ -105,10 +107,24 @@ class TestCoupledPairs:
         assert pair.cost_dof == expected
 
     def test_pair_counts_the_cg_iterations_of_both_solves(self):
-        model = PdeLevelModel(kind="cross", contrast=300.0, seed=2)
-        coeff = model._draw_coefficient(2, 0)
-        expected = sum(solve(assemble(model.mesh(l), coeff)).iterations for l in (2, 1))
-        assert model.pair(2, 0).cg_iterations == expected > 0
+        # levels of 102 and 153 cells a side: too wide to factor, both take CG
+        model = PdeLevelModel(kind="cross", contrast=300.0, base_n=BAND_MAX + 2, seed=2)
+        coeff = model._draw_coefficient(1, 0)
+        expected = sum(solve(assemble(model.mesh(l), coeff)).iterations for l in (1, 0))
+        assert model.pair(1, 0).cg_iterations == expected > 0
+        # the default levels 2 and 1 are factored
+        assert PdeLevelModel(kind="cross", contrast=300.0, seed=2).pair(2, 0).cg_iterations == 0
+
+    def test_pair_seconds_include_building_the_meshes(self, monkeypatch):
+        build = levelmc.mlmc.aligned_structured_mesh
+
+        def slow_build(*args):
+            time.sleep(0.05)
+            return build(*args)
+
+        monkeypatch.setattr(levelmc.mlmc, "aligned_structured_mesh", slow_build)
+        model = PdeLevelModel(kind="box", contrast=300.0, base_n=4, seed=1, aligned=True)
+        assert model.pair(1, 0).seconds >= 0.1
 
     def test_per_level_ledger_sums_the_pair_iterations(self):
         model = PdeLevelModel(kind="box", contrast=300.0, seed=4)
