@@ -12,16 +12,17 @@ Cuthill-McKee ordering (Cuthill & McKee 1969; George & Liu 1981).
 * A band of at most BAND_MAX is factored with LAPACK's banded Cholesky.
   On a tensor mesh of c cells a side RCM gives the optimal band c - 1, so
   these are the tensor meshes of at most BAND_MAX + 1 cells a side (the
-  uniform and aligned levels 0-4) and the bisected meshes of adaptive paths
-  up to about 800 DOF, whose graded bands are 1-4 times the square root of
-  their size.  A factorisation costs about c^4 and holds c^3 doubles; CG
+  uniform and aligned levels 0-5) and the bisected meshes of adaptive paths
+  up to about 1,000 DOF, whose graded bands are 1-4 times the square root
+  of their size.  A factorisation costs about c^4 and holds c^3 doubles; CG
   with the V-cycle costs about c^2 times its 20-30 iterations.  So the
   factorisation wins on small meshes by far (7.8 against 16.8 ms at 76
-  cells, 18.6 against 34 ms at 101) and the two meet at about 130 cells
-  (box coefficient, contrast 300, one BLAS thread).  BAND_MAX = 100 stops
-  short of that crossover: the uniform level 5 (114 cells) keeps the
-  V-cycle, and a factor, which lives for one solve, holds at most
-  (BAND_MAX + 1) BAND_MAX^2 doubles, about 8 MB.
+  cells, 25.7 against 36.5 ms at 114) and the two meet at about 130 cells
+  (box coefficient, contrast 300, one BLAS thread).  BAND_MAX = 120 is the
+  smallest round value above every level-5 band, uniform (113) or aligned
+  with a box or cross coefficient (at most 115), and stays below that
+  crossover; a factor, which lives for one solve, holds at most
+  (BAND_MAX + 1) BAND_MAX^2 doubles, about 14 MB.
 * Wider tensor meshes get preconditioned conjugate gradients with a
   symmetric V-cycle on auxiliary uniform grids (Xu, Computing 1996).  Its
   transfers interpolate the coarse grids' hat functions at the fine free
@@ -64,8 +65,8 @@ CG_RTOL = 1e-10
 DEGENERATE_AREA = 1e-14
 COARSEST_CELLS = 16       # the V-cycle's coarsest grid has at most this many cells a side
 # Systems whose band is at most this wide are factored: a factor then holds at
-# most 8 MB, and the factorisation beats the V-cycle (see the module docstring)
-BAND_MAX = 100
+# most 14 MB, and the factorisation beats the V-cycle (see the module docstring)
+BAND_MAX = 120
 SMOOTHING_WEIGHT = 0.7    # of the V-cycle's damped Jacobi sweeps
 
 
@@ -87,13 +88,6 @@ def element_coefficients(mesh: TriMesh, coeff) -> np.ndarray:
     if isinstance(coeff, CoefficientSample):
         return coeff.element_values(mesh)
     return np.full(mesh.num_triangles, float(coeff))
-
-
-def _gradient_factors(mesh: TriMesh):
-    """Barycentric gradient coefficients grad phi_i = (b_i, c_i) / (2 area),
-    as the column triples (b_0, b_1, b_2), (c_0, c_1, c_2)."""
-    (x0, x1, x2), (y0, y1, y2) = mesh.corner_coordinates()
-    return (y1 - y2, y2 - y0, y0 - y1), (x2 - x1, x0 - x2, x1 - x0)
 
 
 def _corner_sum(values, b):
@@ -126,8 +120,9 @@ class FESolution:
 
     mesh: TriMesh
     values: np.ndarray
-    iterations: int = 0
+    iterations: int = 0       # of CG; 0 for a factored solve
     residual: float = 0.0
+    factored: bool = False    # solved by the banded Cholesky
 
 
 def _edge_midpoints(mesh: TriMesh) -> np.ndarray:
@@ -239,7 +234,7 @@ class _MeshAssembler:
         for arr in (self.indices, self.indptr):
             arr.setflags(write=False)
 
-        b, c = _gradient_factors(mesh)
+        b, c = mesh.gradient_factors
         scale = 4.0 * areas
         geo = np.empty((mesh.num_triangles, 3, 3))
         for i in range(3):
@@ -465,12 +460,13 @@ def solve(system: SparseSystem, rtol=CG_RTOL) -> FESolution:
         )
     values = np.zeros(system.mesh.num_vertices)
     values[system.free] = x
-    return FESolution(mesh=system.mesh, values=values, iterations=iterations, residual=relres)
+    return FESolution(mesh=system.mesh, values=values, iterations=iterations, residual=relres,
+                      factored=system.band is not None)
 
 
 def _element_grad_sq(mesh: TriMesh, values) -> np.ndarray:
     """Per-element |grad v|^2 * area for a nodal field v."""
-    b, c = _gradient_factors(mesh)
+    b, c = mesh.gradient_factors
     ue = mesh.corner_values(values)
     gx = _corner_sum(ue, b)
     gy = _corner_sum(ue, c)
@@ -516,7 +512,7 @@ def error_norms(sol: FESolution, exact, exact_grad):
     flat = pts.reshape(-1, 2)
     ue = u[mesh.triangles]
     uh = np.einsum("qi,mi->mq", _QP, ue)
-    b, c = _gradient_factors(mesh)
+    b, c = mesh.gradient_factors
     gxh = _corner_sum(ue.T, b) / (2.0 * mesh.areas)
     gyh = _corner_sum(ue.T, c) / (2.0 * mesh.areas)
 

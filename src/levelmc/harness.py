@@ -357,7 +357,7 @@ def write_json(path, payload: dict) -> None:
 # reproducible, and per sample (deterministic columns only) for (Q)CLMC
 _LEDGERS = {
     "mlmc": ("per_level", ["level", "samples", "mean", "variance", "cost_dof",
-                           "cg_iterations", "cost_seconds"]),
+                           "cg_iterations", "factored_solves", "cost_seconds"]),
     "clmc": ("per_sample", ["k", "max_level", "index", "max_dof", "y",
                             "cum_estimate", "cum_variance", "truncated"]),
 }

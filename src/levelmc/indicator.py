@@ -33,7 +33,6 @@ from .fem import (
     FESolution,
     _corner_sum,
     _edge_midpoints,
-    _gradient_factors,
     assemble,
     element_coefficients,
     h1_norm,
@@ -83,7 +82,7 @@ def residual_indicators(sol: FESolution, coeff, f=1.0) -> ErrorIndicators:
     eta_sq = mesh.diameters**2 / a_k * fsq
 
     # flux jumps: constant per edge for P1
-    b, c = _gradient_factors(mesh)
+    b, c = mesh.gradient_factors
     ue = mesh.corner_values(sol.values)
     scale = a_k / (2.0 * areas)
     flux_x = _corner_sum(ue, b) * scale

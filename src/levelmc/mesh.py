@@ -9,11 +9,16 @@ restored by marked-edge closure before splitting, which bisects a triangle
 at most twice per refinement call.
 
 Meshes are immutable; refinement returns a new mesh carrying a
-parent-triangle map for nested-space checks.  Vertex count doubles as the
-degree-of-freedom unit in all cost accounting.
+parent-triangle map for nested-space checks.  A mesh's derived element
+geometry (areas, barycenters, barycentric gradient factors, edge lengths)
+is computed once, on first use, and kept on the mesh as read-only arrays,
+so a mesh that is solved on many coefficient samples builds it once.
+Vertex count doubles as the degree-of-freedom unit in all cost accounting.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +47,9 @@ class TriMesh:
         from, or None for a root mesh
     tensor_cells : cells per side of the tensor grid of [0,1]^2 this mesh
         triangulates (the larger side count), or None for any other mesh
+    areas, barycenters, gradient_factors, edge_lengths : derived geometry,
+        read-only, each computed once; it refers to no other object, so a
+        mesh is freed as soon as its last reference goes
     """
 
     def __init__(self, vertices, triangles, parent_ids=None, tensor_cells=None):
@@ -58,7 +66,8 @@ class TriMesh:
         if np.any(self._signed_areas <= 0):
             raise ValueError("all triangles must be positively oriented with area > 0")
         self._build_edges()
-        for arr in (self.vertices, self.triangles, self.edges, self.tri_edges, self.edge_tris):
+        for arr in (self.vertices, self.triangles, self.edges, self.tri_edges, self.edge_tris,
+                    self._signed_areas):
             arr.setflags(write=False)
 
     def _build_edges(self):
@@ -130,16 +139,23 @@ class TriMesh:
     def areas(self) -> np.ndarray:
         return self._signed_areas
 
-    @property
+    @cached_property
     def barycenters(self) -> np.ndarray:
         (x0, x1, x2), (y0, y1, y2) = self.corner_coordinates()
-        return np.column_stack([(x0 + x1 + x2) / 3.0, (y0 + y1 + y2) / 3.0])
+        return _read_only(np.column_stack([(x0 + x1 + x2) / 3.0, (y0 + y1 + y2) / 3.0]))
 
-    @property
+    @cached_property
+    def gradient_factors(self) -> np.ndarray:
+        """(2, 3, M) barycentric gradient coefficients b, c of every triangle:
+        grad phi_i = (b[i], c[i]) / (2 area)."""
+        (x0, x1, x2), (y0, y1, y2) = self.corner_coordinates()
+        return _read_only(np.array([(y1 - y2, y2 - y0, y0 - y1), (x2 - x1, x0 - x2, x1 - x0)]))
+
+    @cached_property
     def edge_lengths(self) -> np.ndarray:
         a, b = self.edges.T
         x, y = self.vertices.T
-        return np.hypot(x[a] - x[b], y[a] - y[b])
+        return _read_only(np.hypot(x[a] - x[b], y[a] - y[b]))
 
     @property
     def diameters(self) -> np.ndarray:
@@ -158,6 +174,11 @@ class TriMesh:
             cosang = (a * b).sum(axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
             angles.append(np.arccos(np.clip(cosang, -1.0, 1.0)))
         return float(np.min(angles))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _signed_areas(xs, ys) -> np.ndarray:

@@ -89,6 +89,7 @@ class PairSample:
     cost_dof: int
     seconds: float
     cg_iterations: int = 0     # of the fine and the coarse solve together
+    factored_solves: int = 0   # of the two, those solved by the banded Cholesky
 
     @property
     def difference(self) -> float:
@@ -131,9 +132,9 @@ class PdeLevelModel:
 
     @staticmethod
     def _qoi(mesh, coeff):
-        """The QoI of a solve and its CG iteration count."""
+        """The QoI of a solve, its CG iteration count and whether it was factored."""
         solution = solve(assemble(mesh, coeff))
-        return h1_norm(solution), solution.iterations
+        return h1_norm(solution), solution.iterations, solution.factored
 
     def pair(self, level: int, k: int) -> PairSample:
         """Solve one coefficient draw on levels (level, level-1); the pair's
@@ -143,12 +144,12 @@ class PdeLevelModel:
         coeff = self._draw_coefficient(level, k)
         t0 = time.perf_counter()
         fine_mesh, coarse_mesh = self.mesh(level, coeff), self.mesh(level - 1, coeff)
-        fine, fine_iterations = self._qoi(fine_mesh, coeff)
-        coarse, coarse_iterations = self._qoi(coarse_mesh, coeff)
+        fine, fine_iterations, fine_factored = self._qoi(fine_mesh, coeff)
+        coarse, coarse_iterations, coarse_factored = self._qoi(coarse_mesh, coeff)
         seconds = time.perf_counter() - t0
         return PairSample(fine, coarse,
                           fine_mesh.num_vertices + coarse_mesh.num_vertices, seconds,
-                          fine_iterations + coarse_iterations)
+                          fine_iterations + coarse_iterations, fine_factored + coarse_factored)
 
     def single(self, level: int, k: int) -> float:
         """One plain QoI sample at a level."""
@@ -334,6 +335,7 @@ class _LevelState:
         self.cost_dof = 0
         self.cost_seconds = 0.0
         self.cg_iterations = 0
+        self.factored_solves = 0
 
     def extend(self, model, level, target):
         while self.stats.count < target:
@@ -342,6 +344,7 @@ class _LevelState:
             self.cost_dof += pair.cost_dof
             self.cost_seconds += pair.seconds
             self.cg_iterations += pair.cg_iterations
+            self.factored_solves += pair.factored_solves
 
 
 def run_mlmc(config: MlmcConfig, model) -> EstimatorRun:
@@ -391,6 +394,7 @@ def run_mlmc(config: MlmcConfig, model) -> EstimatorRun:
             "variance": states[l].stats.variance,
             "cost_dof": states[l].cost_dof,
             "cg_iterations": states[l].cg_iterations,
+            "factored_solves": states[l].factored_solves,
             "cost_seconds": states[l].cost_seconds,
         }
         for l in levels

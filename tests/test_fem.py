@@ -60,9 +60,9 @@ class TestAssemble:
         mesh = structured_unit_square(1)
         # keep all vertices: compare the full matrix via a mesh with no
         # boundary elimination by assembling elementwise ourselves
-        from levelmc.fem import _gradient_factors, element_coefficients
+        from levelmc.fem import element_coefficients
 
-        b, c = (np.column_stack(columns) for columns in _gradient_factors(mesh))
+        b, c = (columns.T for columns in mesh.gradient_factors)
         a_k = element_coefficients(mesh, None)
         full = np.zeros((4, 4))
         for m, tri in enumerate(mesh.triangles):
@@ -376,9 +376,9 @@ def preconditioner_matrix(system, transfers):
 
 @cache
 def wide_bisected_mesh():
-    """A bisected mesh whose band is wider than BAND_MAX (839 DOF, band 112)."""
+    """A bisected mesh whose band is wider than BAND_MAX (1,375 DOF, band 133)."""
     coeff, mesh, _ = REPLAYED["contrast-300"]
-    return replay_hierarchy(coeff, mesh, 16)[-1][0]
+    return replay_hierarchy(coeff, mesh, 18)[-1][0]
 
 
 def wide_bisected_system():
@@ -451,11 +451,13 @@ class TestMultigrid:
         assert iterations < jacobi_iterations / 5
         assert np.abs(x_mg - x).max() <= 1e-9 * np.abs(x).max()
 
-    def test_iterations_stay_bounded_at_uniform_level_5(self):
-        # Jacobi-PCG needs 394 iterations here, the V-cycle 26
-        system = assemble(uniform_family(5), CONTRAST_300["box"])
+    def test_iterations_stay_bounded_at_uniform_level_6(self):
+        # uniform level 5 is factored; on level 6 the V-cycle takes 31 iterations
+        system = assemble(uniform_family(6), CONTRAST_300["box"])
         assert system.band is None and system.transfers
-        assert solve(system).iterations <= 40
+        sol = solve(system)
+        assert 0 < sol.iterations <= 40
+        assert not sol.factored
 
     def test_bisected_and_coarse_meshes_keep_the_jacobi_bits(self):
         # the bisected meshes that are not factored: bands wider than BAND_MAX
@@ -471,21 +473,24 @@ class TestMultigrid:
 
 
 def narrow_band_mesh(kind, mesh_kind):
-    """A uniform, aligned or bisected mesh whose band is at most BAND_MAX."""
+    """A uniform, aligned or bisected mesh whose band is at most BAND_MAX; a
+    uniform or aligned mesh is of level 3, or of level 5 with the suffix -5,
+    the widest factored level (114 cells a side, aligned up to 116)."""
     if mesh_kind == "bisected":
         return replay_hierarchy(CONTRAST_300[kind], structured_unit_square(7), 8)[-1][0]
-    return level_mesh(kind, 3, mesh_kind == "aligned")
+    tensor, _, level = mesh_kind.partition("-")
+    return level_mesh(kind, int(level or 3), tensor == "aligned")
 
 
 class TestBandedCholesky:
-    @pytest.mark.parametrize("kind, mesh_kind",
-                             itertools.product(["box", "cross"], ["uniform", "aligned", "bisected"]))
+    @pytest.mark.parametrize("kind, mesh_kind", itertools.product(
+        ["box", "cross"], ["uniform", "aligned", "bisected", "uniform-5", "aligned-5"]))
     def test_banded_solve_matches_jacobi_pcg(self, kind, mesh_kind):
         system = assemble(narrow_band_mesh(kind, mesh_kind), CONTRAST_300[kind])
         assert system.band is not None and system.transfers == ()
         sol = solve(system)
         x, _, _ = pcg(system.matrix, system.rhs)
-        assert sol.iterations == 0
+        assert sol.iterations == 0 and sol.factored
         u = sol.values[system.free]
         assert np.abs(u - x).max() <= 1e-9 * np.abs(x).max()
         residual = np.linalg.norm(system.rhs - system.matrix @ u) / np.linalg.norm(system.rhs)
@@ -493,7 +498,7 @@ class TestBandedCholesky:
         assert sol.residual <= 1e-12
         assert np.all(sol.values[system.mesh.boundary_vertex] == 0.0)
 
-    @pytest.mark.parametrize("cells", [3, 7, 15, 34, BAND_MAX + 1])
+    @pytest.mark.parametrize("cells", [3, 7, 15, 34, 101, BAND_MAX + 1])
     def test_band_of_a_tensor_mesh_is_cells_minus_one(self, cells):
         assert assemble(structured_unit_square(cells)).band.width == cells - 1
 

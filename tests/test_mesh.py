@@ -207,14 +207,18 @@ def unique_edge_build(mesh):
 
 
 def gathered_geometry(mesh):
-    """Areas, barycenters, edge lengths and diameters from 3-D row gathers."""
+    """Areas, barycenters, gradient factors, edge lengths and diameters from
+    3-D row gathers."""
     p = mesh.vertices[mesh.triangles]
+    x, y = p[:, :, 0], p[:, :, 1]
     d = mesh.vertices[mesh.edges[:, 0]] - mesh.vertices[mesh.edges[:, 1]]
     lengths = np.hypot(d[:, 0], d[:, 1])
     return {
         "areas": 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
                         - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])),
         "barycenters": p.mean(axis=1),
+        "gradient_factors": np.array([[y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]],
+                                      [x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]]]),
         "edge_lengths": lengths,
         "diameters": lengths[mesh.tri_edges].max(axis=1),
     }
@@ -276,6 +280,17 @@ class TestColumnKernelsBitIdentical:
         for mesh in refined_meshes():
             for name, want in gathered_geometry(mesh).items():
                 assert_same_bits(getattr(mesh, name), want)
+
+    def test_derived_geometry_is_computed_once_and_read_only(self):
+        for mesh in refined_meshes(steps=3) + [uniform_family(2)]:
+            fresh = gathered_geometry(mesh)
+            for name in ("areas", "barycenters", "gradient_factors", "edge_lengths"):
+                kept = getattr(mesh, name)
+                assert getattr(mesh, name) is kept
+                assert not kept.flags.writeable
+                with pytest.raises(ValueError):
+                    kept[0] = 0.0
+                assert_same_bits(kept, fresh[name])
 
     def test_bisect_refine_matches_reduction_formulas(self):
         rng = np.random.default_rng(11)

@@ -107,13 +107,25 @@ class TestCoupledPairs:
         assert pair.cost_dof == expected
 
     def test_pair_counts_the_cg_iterations_of_both_solves(self):
-        # levels of 102 and 153 cells a side: too wide to factor, both take CG
+        # levels of 122 and 183 cells a side: too wide to factor, both take CG
         model = PdeLevelModel(kind="cross", contrast=300.0, base_n=BAND_MAX + 2, seed=2)
         coeff = model._draw_coefficient(1, 0)
         expected = sum(solve(assemble(model.mesh(l), coeff)).iterations for l in (1, 0))
-        assert model.pair(1, 0).cg_iterations == expected > 0
+        pair = model.pair(1, 0)
+        assert pair.cg_iterations == expected > 0
+        assert pair.factored_solves == 0
         # the default levels 2 and 1 are factored
-        assert PdeLevelModel(kind="cross", contrast=300.0, seed=2).pair(2, 0).cg_iterations == 0
+        pair = PdeLevelModel(kind="cross", contrast=300.0, seed=2).pair(2, 0)
+        assert (pair.cg_iterations, pair.factored_solves) == (0, 2)
+
+    @pytest.mark.parametrize("aligned", [False, True])
+    def test_levels_up_to_5_are_factored_and_level_6_takes_cg(self, aligned):
+        model = PdeLevelModel(kind="box", contrast=300.0, seed=6, aligned=aligned)
+        pair = model.pair(5, 0)
+        assert (pair.cg_iterations, pair.factored_solves) == (0, 2)
+        pair = model.pair(6, 0)
+        assert pair.cg_iterations > 0
+        assert pair.factored_solves == 1
 
     def test_pair_seconds_include_building_the_meshes(self, monkeypatch):
         build = levelmc.mlmc.aligned_structured_mesh
@@ -132,6 +144,8 @@ class TestCoupledPairs:
         for entry in run.diagnostics["per_level"]:
             pairs = [model.pair(entry["level"], k) for k in range(entry["samples"])]
             assert entry["cg_iterations"] == sum(p.cg_iterations for p in pairs)
+            assert entry["factored_solves"] == sum(p.factored_solves for p in pairs)
+            assert entry["factored_solves"] == 2 * entry["samples"]
 
     def test_coupling_reduces_variance(self):
         model = PdeLevelModel(kind="box", contrast=300.0, seed=31)
