@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -75,13 +76,23 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cls, command = _COMMANDS[args.experiment]
     out_dir = Path(args.out) if args.out else Path("uq-out") / args.experiment
+    # the output directory is made before the run, so that a path that cannot
+    # be one fails at once; a failed run removes what it made while empty
+    created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
     try:
         config = cls.from_dict(_load_config(args.config), full_scale=args.full_scale)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
         command(config, out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (NumericalError, SolverError, AssemblyError) as exc:
+    except (ConfigError, NumericalError, SolverError, AssemblyError) as exc:
+        with contextlib.suppress(OSError):      # stops at a directory that is not empty
+            for path in created:
+                path.rmdir()
+        if isinstance(exc, ConfigError):
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     print(f"{args.experiment}: results written to {out_dir}")

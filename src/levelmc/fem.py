@@ -5,6 +5,14 @@ a_K, which is exact on meshes aligned with the discontinuities.  Stiffness
 integrals are exact for P1; loads are exact for constant sources and use
 the three-point edge-midpoint rule (degree 2) otherwise.
 
+The stiffness pattern and values come from the mesh's edge table.  All but
+a_K is set up on first assembly and kept with the mesh: the free vertices,
+the int32 CSR indices and row pointers, where each entry takes its value,
+the triangles and terms g of the two sides of each edge joining free
+vertices (an off-diagonal entry is their two-term sum: the same bits in
+either order), each element's diagonal terms g_ii (a bincount adds them in
+element-major order), the unit load, and the band layout or the transfers.
+
 One rule picks the solver of a mesh, from its geometry alone, when the mesh
 is first assembled: the band of its stiffness pattern under a reverse
 Cuthill-McKee ordering (Cuthill & McKee 1969; George & Liu 1981).
@@ -42,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -90,14 +99,6 @@ def element_coefficients(mesh: TriMesh, coeff) -> np.ndarray:
     return np.full(mesh.num_triangles, float(coeff))
 
 
-def _corner_sum(values, b):
-    """v_0 b_0 + v_1 b_1 + v_2 b_2 of per-corner columns, added left to right
-    (the order of a row sum over an (M, 3) array)."""
-    v0, v1, v2 = values
-    b0, b1, b2 = b
-    return v0 * b0 + v1 * b1 + v2 * b2
-
-
 @dataclass
 class SparseSystem:
     """Dirichlet-eliminated SPD stiffness system on the interior vertices."""
@@ -123,6 +124,20 @@ class FESolution:
     iterations: int = 0       # of CG; 0 for a factored solve
     residual: float = 0.0
     factored: bool = False    # solved by the banded Cholesky
+
+    @cached_property
+    def corner_values(self):
+        """(u0, u1, u2) at the corners of every triangle, kept for the norms
+        and the error indicators."""
+        return self.mesh.corner_values(self.values)
+
+    @cached_property
+    def gradient_sums(self):
+        """(gx, gy) = sum_i u_i (b_i, c_i) per element, added left to right:
+        the gradient on element K is (gx, gy) / (2 area_K)."""
+        u0, u1, u2 = self.corner_values
+        (b0, b1, b2), (c0, c1, c2) = self.mesh.gradient_factors
+        return u0 * b0 + u1 * b1 + u2 * b2, u0 * c0 + u1 * c1 + u2 * c2
 
 
 def _edge_midpoints(mesh: TriMesh) -> np.ndarray:
@@ -197,64 +212,54 @@ class _MeshAssembler:
         if np.any(areas <= DEGENERATE_AREA):
             raise AssemblyError("degenerate triangle encountered during assembly")
         self.free = np.flatnonzero(~mesh.boundary_vertex)
-        n = len(self.free)
+        n, m = len(self.free), mesh.num_triangles
         dof_of = np.full(mesh.num_vertices, -1, dtype=np.int64)
         dof_of[self.free] = np.arange(n)
 
-        # entry (K, i, j) couples the corners t_i, t_j of element K; sorting
-        # by (slot, position) keeps each slot's entries in this element-major
-        # order, which fixes the order in which stiffness() adds them up
-        dofs = dof_of[mesh.triangles]
-        rows = np.repeat(dofs, 3, axis=1).ravel()
-        cols = np.tile(dofs, (1, 3)).ravel()
-        kept = np.flatnonzero((rows >= 0) & (cols >= 0))
-        count = len(kept)
-        keys = rows[kept]
-        keys *= n
-        keys += cols[kept]
-        del dofs, rows, cols
-        # one int64 per entry, slot key * count + position; a plain sort of
-        # distinct values is several times faster than a stable argsort.
-        # keys < n^2 and count is about 18 n: this holds to n of about 700k
-        if n * n * count >= 2**63:
-            raise AssemblyError(f"{n} DOF overflow the int64 entry keys")
-        keys *= count
-        keys += np.arange(count)
-        keys.sort()
-        keys, order = np.divmod(keys, count)
-        kept = kept[order]
-        del order
-        first = np.flatnonzero(np.diff(keys, prepend=-1))      # each slot's first entry
-        pattern = keys[first]
-        del keys
-        # int32 indices, which scipy would otherwise make for every matrix
-        self.indptr = np.searchsorted(pattern, np.arange(n + 1) * n).astype(np.int32)
-        pattern %= n
-        self.indices = pattern.astype(np.int32)
+        # one sort of the diagonal's keys and those of both entries of each
+        # edge gives the CSR order; _source maps it to (diagonal, edges)
+        rows, cols = dof_of[mesh.edges].T
+        inner = np.flatnonzero((rows >= 0) & (cols >= 0))
+        rows, cols = rows[inner], cols[inner]
+        keys = np.concatenate([np.arange(n) * (n + 1), rows * n + cols, cols * n + rows])
+        order = np.argsort(keys)
+        keys = keys[order]
+        order[order >= n + len(inner)] -= len(inner)
+        self._source = order.astype(np.int32)
+        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+        keys %= n
+        self.indices = keys.astype(np.int32)
+        del keys, order, rows, cols
         for arr in (self.indices, self.indptr):
             arr.setflags(write=False)
 
+        # local edge k of an element joins its corners k + 1 and k + 2
         b, c = mesh.gradient_factors
         scale = 4.0 * areas
-        geo = np.empty((mesh.num_triangles, 3, 3))
-        for i in range(3):
-            for j in range(i, 3):
-                geo[:, i, j] = (b[i] * b[j] + c[i] * c[j]) / scale
-                geo[:, j, i] = geo[:, i, j]
-        # one row per slot, one column per element: stiffness data = S a_K
-        self._scatter = sp.csr_matrix(
-            (geo.ravel()[kept], (kept // 9).astype(np.int32),
-             np.append(first, len(kept)).astype(np.int32)),
-            shape=(len(pattern), mesh.num_triangles))
-        del geo, kept
+        side_terms = np.empty((3, m))
+        self._diagonal = np.empty((m, 3))
+        for k in range(3):
+            i, j = (k + 1) % 3, (k + 2) % 3
+            side_terms[k] = (b[i] * b[j] + c[i] * c[j]) / scale
+            self._diagonal[:, k] = (b[k] * b[k] + c[k] * c[k]) / scale
+        sides = mesh.edge_sides[inner].T.copy()
+        self._side_terms = side_terms.ravel()[sides]
+        sides %= m
+        self._side_tris = sides.astype(np.int32)
+        del side_terms, sides
+        self._corners = mesh.triangles.ravel()
         self._unit_load = _load_vector(mesh, 1.0)[self.free]
         self.band = _band_layout(self.indptr, self.indices)
         self.transfers = () if self.band else _grid_transfers(mesh, self.free)
 
     def stiffness(self, a_k: np.ndarray) -> sp.csr_matrix:
-        # a CSR product adds each row from zero in entry order, as bincount would
         n = len(self.free)
-        return sp.csr_matrix((self._scatter @ a_k, self.indices, self.indptr), shape=(n, n))
+        # bincount adds in input order from zero, element-major
+        diagonal = np.bincount(self._corners, weights=(a_k[:, None] * self._diagonal).ravel())
+        (t0, t1), (g0, g1) = self._side_tris, self._side_terms
+        edges = a_k.take(t0) * g0 + a_k.take(t1) * g1
+        data = np.concatenate([diagonal[self.free], edges]).take(self._source)
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
     def load(self, mesh: TriMesh, f) -> np.ndarray:
         if callable(f):
@@ -464,27 +469,20 @@ def solve(system: SparseSystem, rtol=CG_RTOL) -> FESolution:
                       factored=system.band is not None)
 
 
-def _element_grad_sq(mesh: TriMesh, values) -> np.ndarray:
-    """Per-element |grad v|^2 * area for a nodal field v."""
-    b, c = mesh.gradient_factors
-    ue = mesh.corner_values(values)
-    gx = _corner_sum(ue, b)
-    gy = _corner_sum(ue, c)
-    return (gx**2 + gy**2) / (4.0 * mesh.areas)
-
-
 def h1_norm(sol: FESolution) -> float:
     """Full H1 norm of the P1 field, integrated exactly elementwise."""
-    mesh, u = sol.mesh, sol.values
-    u0, u1, u2 = mesh.corner_values(u)
-    mass = (mesh.areas / 12.0) * ((u0 + u1 + u2) ** 2 + (u0 * u0 + u1 * u1 + u2 * u2))
-    return float(np.sqrt(mass.sum() + _element_grad_sq(mesh, u).sum()))
+    areas = sol.mesh.areas
+    u0, u1, u2 = sol.corner_values
+    gx, gy = sol.gradient_sums
+    mass = (areas / 12.0) * ((u0 + u1 + u2) ** 2 + (u0 * u0 + u1 * u1 + u2 * u2))
+    return float(np.sqrt(mass.sum() + ((gx**2 + gy**2) / (4.0 * areas)).sum()))
 
 
 def energy_norm(sol: FESolution, coeff) -> float:
     """Energy norm sqrt(sum_K a_K int_K |grad v|^2) of a solution or difference."""
     a_k = element_coefficients(sol.mesh, coeff)
-    return float(np.sqrt((a_k * _element_grad_sq(sol.mesh, sol.values)).sum()))
+    gx, gy = sol.gradient_sums
+    return float(np.sqrt((a_k * ((gx**2 + gy**2) / (4.0 * sol.mesh.areas))).sum()))
 
 
 # degree-5 quadrature on the reference triangle (barycentric points, weights sum to 1)
@@ -506,15 +504,14 @@ _QP = np.array(
 
 def error_norms(sol: FESolution, exact, exact_grad):
     """(L2, H1) errors against a smooth exact solution via degree-5 quadrature."""
-    mesh, u = sol.mesh, sol.values
+    mesh = sol.mesh
     p = mesh.vertices[mesh.triangles]          # (M, 3, 2)
     pts = np.einsum("qi,mid->mqd", _QP, p)     # (M, Q, 2)
     flat = pts.reshape(-1, 2)
-    ue = u[mesh.triangles]
-    uh = np.einsum("qi,mi->mq", _QP, ue)
-    b, c = mesh.gradient_factors
-    gxh = _corner_sum(ue.T, b) / (2.0 * mesh.areas)
-    gyh = _corner_sum(ue.T, c) / (2.0 * mesh.areas)
+    uh = np.einsum("qi,mi->mq", _QP, np.column_stack(sol.corner_values))
+    gx, gy = sol.gradient_sums
+    gxh = gx / (2.0 * mesh.areas)
+    gyh = gy / (2.0 * mesh.areas)
 
     du = (np.asarray(exact(flat)).reshape(uh.shape) - uh) ** 2
     g = np.asarray(exact_grad(flat)).reshape(pts.shape[0], pts.shape[1], 2)

@@ -31,7 +31,6 @@ import numpy as np
 
 from .fem import (
     FESolution,
-    _corner_sum,
     _edge_midpoints,
     assemble,
     element_coefficients,
@@ -82,11 +81,10 @@ def residual_indicators(sol: FESolution, coeff, f=1.0) -> ErrorIndicators:
     eta_sq = mesh.diameters**2 / a_k * fsq
 
     # flux jumps: constant per edge for P1
-    b, c = mesh.gradient_factors
-    ue = mesh.corner_values(sol.values)
+    gx, gy = sol.gradient_sums
     scale = a_k / (2.0 * areas)
-    flux_x = _corner_sum(ue, b) * scale
-    flux_y = _corner_sum(ue, c) * scale
+    flux_x = gx * scale
+    flux_y = gy * scale
 
     interior = np.flatnonzero(~mesh.boundary_edge)
     left, right = mesh.edge_tris[interior].T

@@ -9,11 +9,16 @@ restored by marked-edge closure before splitting, which bisects a triangle
 at most twice per refinement call.
 
 Meshes are immutable; refinement returns a new mesh carrying a
-parent-triangle map for nested-space checks.  A mesh's derived element
-geometry (areas, barycenters, barycentric gradient factors, edge lengths)
-is computed once, on first use, and kept on the mesh as read-only arrays,
-so a mesh that is solved on many coefficient samples builds it once.
-Vertex count doubles as the degree-of-freedom unit in all cost accounting.
+parent-triangle map for nested-space checks.  This module is the one place
+that derives connectivity: one sort of the 3M half-edges numbers the edges
+and keeps, per edge, the ids of its two sides (half-edge k M + i is local
+edge k of triangle i, opposite its vertex k), from which the assembler
+takes its sparsity pattern and entry order.  The element geometry (areas,
+barycenters, barycentric gradient factors) is computed at construction from
+one gather of the corner coordinates, and the edge lengths on first use;
+all are kept as read-only arrays, so a mesh that is solved on many
+coefficient samples builds them once.  Vertex count doubles as the
+degree-of-freedom unit in all cost accounting.
 """
 
 from __future__ import annotations
@@ -41,15 +46,18 @@ class TriMesh:
     triangles : (M, 3) int array, CCW, refinement edge = first two vertices
     edges : (E, 2) int array of sorted vertex pairs
     tri_edges : (M, 3) edge ids; local edge k is opposite local vertex k
+    edge_sides : (E, 2) half-edge ids k M + i of the edge's sides, in
+        increasing order; -1 marks the boundary side
     edge_tris : (E, 2) adjacent triangle ids, -1 marks the boundary side
     boundary_edge, boundary_vertex : boolean masks
     parent_ids : (M,) triangle ids in the coarser mesh this was refined
         from, or None for a root mesh
     tensor_cells : cells per side of the tensor grid of [0,1]^2 this mesh
         triangulates (the larger side count), or None for any other mesh
-    areas, barycenters, gradient_factors, edge_lengths : derived geometry,
-        read-only, each computed once; it refers to no other object, so a
-        mesh is freed as soon as its last reference goes
+    areas, barycenters, gradient_factors : element geometry, computed at
+        construction; edge_lengths : computed on first use.  All read-only;
+        they refer to no other object, so a mesh is freed as soon as its
+        last reference goes
     """
 
     def __init__(self, vertices, triangles, parent_ids=None, tensor_cells=None):
@@ -62,12 +70,19 @@ class TriMesh:
         self.parent_ids = None if parent_ids is None else np.asarray(parent_ids, np.int64)
         self.tensor_cells = tensor_cells
 
-        self._signed_areas = _signed_areas(*self.corner_coordinates())
-        if np.any(self._signed_areas <= 0):
+        x, y = self.vertices.T
+        (x0, x1, x2), (y0, y1, y2) = self.corner_values(x), self.corner_values(y)
+        self.areas = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+        if np.any(self.areas <= 0):
             raise ValueError("all triangles must be positively oriented with area > 0")
         self._build_edges()
-        for arr in (self.vertices, self.triangles, self.edges, self.tri_edges, self.edge_tris,
-                    self._signed_areas):
+        self.barycenters = np.column_stack([(x0 + x1 + x2) / 3.0, (y0 + y1 + y2) / 3.0])
+        # (2, 3, M) barycentric gradient coefficients b, c of every triangle:
+        # grad phi_i = (b[i], c[i]) / (2 area)
+        self.gradient_factors = np.array([(y1 - y2, y2 - y0, y0 - y1),
+                                          (x2 - x1, x0 - x2, x1 - x0)])
+        for arr in (self.vertices, self.triangles, self.edges, self.tri_edges, self.edge_sides,
+                    self.areas, self.barycenters, self.gradient_factors):
             arr.setflags(write=False)
 
     def _build_edges(self):
@@ -109,9 +124,9 @@ class TriMesh:
         h0[interior] = np.minimum(pair_first, h1)
         h1 = np.maximum(pair_first, h1)
         self.edges = np.column_stack([lo[h0], hi[h0]])
-        self.edge_tris = np.full((len(first), 2), -1, dtype=np.int64)
-        self.edge_tris[:, 0] = h0 % m
-        self.edge_tris[interior, 1] = h1 % m
+        self.edge_sides = np.full((len(first), 2), -1, dtype=np.int64)
+        self.edge_sides[:, 0] = h0
+        self.edge_sides[interior, 1] = h1
         self.boundary_vertex = np.zeros(n, dtype=bool)
         self.boundary_vertex[self.edges[self.boundary_edge].ravel()] = True
 
@@ -120,10 +135,9 @@ class TriMesh:
         t0, t1, t2 = self.triangles.T
         return values[t0], values[t1], values[t2]
 
-    def corner_coordinates(self):
-        """Corner coordinates of every triangle as ((x0, x1, x2), (y0, y1, y2))."""
-        x, y = self.vertices.T
-        return self.corner_values(x), self.corner_values(y)
+    @property
+    def edge_tris(self) -> np.ndarray:
+        return np.where(self.edge_sides >= 0, self.edge_sides % self.num_triangles, -1)
 
     # -- geometry ----------------------------------------------------------
 
@@ -135,27 +149,13 @@ class TriMesh:
     def num_triangles(self) -> int:
         return len(self.triangles)
 
-    @property
-    def areas(self) -> np.ndarray:
-        return self._signed_areas
-
-    @cached_property
-    def barycenters(self) -> np.ndarray:
-        (x0, x1, x2), (y0, y1, y2) = self.corner_coordinates()
-        return _read_only(np.column_stack([(x0 + x1 + x2) / 3.0, (y0 + y1 + y2) / 3.0]))
-
-    @cached_property
-    def gradient_factors(self) -> np.ndarray:
-        """(2, 3, M) barycentric gradient coefficients b, c of every triangle:
-        grad phi_i = (b[i], c[i]) / (2 area)."""
-        (x0, x1, x2), (y0, y1, y2) = self.corner_coordinates()
-        return _read_only(np.array([(y1 - y2, y2 - y0, y0 - y1), (x2 - x1, x0 - x2, x1 - x0)]))
-
     @cached_property
     def edge_lengths(self) -> np.ndarray:
         a, b = self.edges.T
         x, y = self.vertices.T
-        return _read_only(np.hypot(x[a] - x[b], y[a] - y[b]))
+        lengths = np.hypot(x[a] - x[b], y[a] - y[b])
+        lengths.setflags(write=False)
+        return lengths
 
     @property
     def diameters(self) -> np.ndarray:
@@ -174,17 +174,6 @@ class TriMesh:
             cosang = (a * b).sum(axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
             angles.append(np.arccos(np.clip(cosang, -1.0, 1.0)))
         return float(np.min(angles))
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-def _signed_areas(xs, ys) -> np.ndarray:
-    """Signed triangle areas from corner coordinate columns."""
-    (x0, x1, x2), (y0, y1, y2) = xs, ys
-    return 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
 
 
 def _tensor_triangulation(xs, ys) -> TriMesh:

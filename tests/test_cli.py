@@ -7,6 +7,7 @@ from dataclasses import asdict, fields
 
 import pytest
 
+import levelmc.cli
 import levelmc.harness
 from levelmc.cli import main
 from levelmc.clmc import ClmcRateFit
@@ -284,6 +285,33 @@ def test_unusable_rate_fit_exits_3(tmp_path, capsys, rates, message):
     err = capsys.readouterr().err
     assert err.startswith(f"numerical failure: {message}") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", ["file", "file/out"], ids=["a-file", "under-a-file"])
+def test_output_directory_that_cannot_be_made_exits_2_before_the_run(
+        tmp_path, capsys, monkeypatch, out):
+    (tmp_path / "file").write_text("")
+    runs = []
+    monkeypatch.setitem(levelmc.cli._COMMANDS, "lds",
+                        (LdsConfig, lambda config, out_dir: runs.append(out_dir)))
+    assert main(["lds", "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create output directory {tmp_path / out}")
+    assert "Traceback" not in err
+    assert not runs
+
+
+def test_failed_run_removes_the_output_directories_it_made(tmp_path, capsys, monkeypatch):
+    (tmp_path / "kept").mkdir()
+
+    def failing_run(config, out_dir):
+        assert out_dir.is_dir()
+        raise ConfigError("no rate fit")
+
+    monkeypatch.setitem(levelmc.cli._COMMANDS, "lds", (LdsConfig, failing_run))
+    assert main(["lds", "--out", str(tmp_path / "kept" / "a" / "b")]) == 2
+    assert list(tmp_path.iterdir()) == [tmp_path / "kept"]
+    assert not any((tmp_path / "kept").iterdir())
 
 
 def test_results_files_are_strict_json(tmp_path):

@@ -6,6 +6,7 @@ from functools import cache
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from adaptive_replay import REPLAYED, replay_hierarchy
 
 import levelmc.indicator
@@ -304,15 +305,41 @@ def allocating_pcg(matrix, rhs, rtol=1e-10):
     return x, maxiter, np.linalg.norm(rhs - matrix @ x) / rhs_norm
 
 
+# bytes of the (slot x element) scatter matrix that held the level-6 stiffness
+# terms before the assembler read the edge table (6.69 MiB)
+LEVEL_6_SCATTER_BYTES = 7_013_580
+
+
 class TestColumnKernelsBitIdentical:
     def test_assembler_pattern_and_data_match_lexsort_build(self):
+        # every family the one assembler serves: bisected meshes of an adaptive
+        # path, one wider than BAND_MAX, uniform levels and aligned meshes
         coeff, meshes = contrast_300_meshes()
-        for mesh in meshes:
+        cases = [(coeff, mesh) for mesh in meshes + [wide_bisected_mesh()]]
+        cases += [(CONTRAST_300["box"], uniform_family(level)) for level in range(7)]
+        cases += [(CONTRAST_300[kind], level_mesh(kind, level, aligned=True))
+                  for kind in ("box", "cross") for level in (0, 3, 5)]
+        for coeff, mesh in cases:
             matrix = assemble(mesh, coeff, 1.0).matrix
             indices, indptr, data = lexsort_stiffness(mesh, coeff.element_values(mesh))
             assert np.array_equal(matrix.indices, indices)
             assert np.array_equal(matrix.indptr, indptr)
             assert np.array_equal(matrix.data, data)
+
+    def test_level_6_assembler_holds_less_than_the_scatter_matrix(self):
+        mesh = uniform_family(6)
+        assemble(mesh)
+        held = vars(mesh._fem_assembler).copy()
+        # the corner list is the mesh's own triangles, not a copy
+        corners = held.pop("_corners")
+        assert np.shares_memory(corners, mesh.triangles) and corners.base is not None
+        assert {held[name].dtype for name in ("indices", "indptr", "_source", "_side_tris")} \
+            == {np.dtype(np.int32)}
+        held.pop("transfers")     # the V-cycle's, as before
+        arrays = [value for value in held.values() if isinstance(value, np.ndarray)]
+        arrays += [part for value in held.values() if sp.issparse(value)
+                   for part in (value.data, value.indices, value.indptr)]
+        assert sum(a.nbytes for a in arrays) <= LEVEL_6_SCATTER_BYTES
 
     def test_unit_load_matches_add_at(self):
         _, meshes = contrast_300_meshes()

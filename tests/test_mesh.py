@@ -185,25 +185,29 @@ class TestGeometryQueries:
 
 
 def unique_edge_build(mesh):
-    """Edges, tri_edges, edge_tris and boundary flags by np.unique, a stable
-    argsort and searchsorted; the stable sort lists the two triangles of an
-    edge in half-edge order (local edge, then triangle id)."""
+    """Edges, tri_edges, edge_sides, edge_tris and boundary flags by np.unique,
+    a stable argsort and searchsorted; the stable sort lists the two sides of
+    an edge in half-edge order (local edge, then triangle id)."""
     t, n = mesh.triangles, mesh.num_vertices
     pairs = np.sort(np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]]), axis=1)
     unique_keys, inverse = np.unique(pairs[:, 0] * np.int64(n) + pairs[:, 1],
                                      return_inverse=True)
     edges = np.column_stack([unique_keys // n, unique_keys % n])
     counts = np.bincount(inverse, minlength=len(unique_keys))
-    order = np.argsort(inverse, kind="stable")
+    order = np.argsort(inverse, kind="stable")     # half-edge ids k M + i, by edge
     tri_ids = np.tile(np.arange(len(t), dtype=np.int64), 3)[order]
     first = np.searchsorted(inverse[order], np.arange(len(unique_keys)))
+    edge_sides = np.full((len(unique_keys), 2), -1, dtype=np.int64)
+    edge_sides[:, 0] = order[first]
+    edge_sides[counts == 2, 1] = order[first[counts == 2] + 1]
     edge_tris = np.full((len(unique_keys), 2), -1, dtype=np.int64)
     edge_tris[:, 0] = tri_ids[first]
     edge_tris[counts == 2, 1] = tri_ids[first[counts == 2] + 1]
     boundary_vertex = np.zeros(n, dtype=bool)
     boundary_vertex[edges[counts == 1].ravel()] = True
-    return {"edges": edges, "tri_edges": inverse.reshape(3, -1).T, "edge_tris": edge_tris,
-            "boundary_edge": counts == 1, "boundary_vertex": boundary_vertex}
+    return {"edges": edges, "tri_edges": inverse.reshape(3, -1).T, "edge_sides": edge_sides,
+            "edge_tris": edge_tris, "boundary_edge": counts == 1,
+            "boundary_vertex": boundary_vertex}
 
 
 def gathered_geometry(mesh):
