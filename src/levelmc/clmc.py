@@ -54,6 +54,7 @@ __all__ = [
 
 RATE_GRID_POINTS = 50  # level grid of the continuous-level rate calibration
 RATE_SEARCH_POINTS = 1000  # midpoint grid of the cost-optimal rate search
+M_MAX = 2_000_000  # samples after which a run stops, flagged variance-unconverged
 
 
 def path_contribution(levels, qois, rate: float, max_levels) -> np.ndarray:
@@ -141,11 +142,6 @@ class ClmcRateFit:
     level_domain: tuple
     samples: int
     r_squared: dict
-
-    def __post_init__(self):
-        lo, hi = self.level_domain
-        if not lo < hi:
-            raise ValueError("level domain must be nondegenerate")
 
     def hypotheses_hold(self) -> bool:
         return min(self.beta, 2.0 * self.alpha) > self.gamma
@@ -240,8 +236,7 @@ class ClmcConfig:
     sampler_kind: str = "pseudo"   # "pseudo" -> CLMC, "low-discrepancy" -> quasi variant
     theta: float = 0.5
     seed: int = 0
-    level_seed: int | None = None  # defaults to an independent stream off `seed`
-    m_max: int = 2_000_000
+    level_seed: int = field(kw_only=True)  # seed of the maximal-level stream
 
     def __post_init__(self):
         if self.eps <= 0 or self.rate <= 0:
@@ -250,8 +245,6 @@ class ClmcConfig:
             raise ValueError("m_ini must be >= 1")
         if self.sampler_kind not in SOURCE_KINDS:
             raise ValueError(f"unknown sampler kind {self.sampler_kind!r}")
-        if self.level_seed is None:
-            self.level_seed = self.seed + 1_000_003
 
     def asdict(self) -> dict:
         return asdict(self)
@@ -307,7 +300,7 @@ def run_clmc(config: ClmcConfig, kind: str = "box", contrast: float = 300.0,
         )
         if count > config.m_ini and variance <= config.eps**2:
             break
-        if count >= config.m_max:
+        if count >= M_MAX:
             flags.append("variance-unconverged")
             break
 

@@ -150,9 +150,10 @@ _RULES = {
 _CROSS_RULES = (
     (("adaptive_steps", "fit_window"), lambda c: c.adaptive_steps >= c.fit_window >= 3,
      "need adaptive_steps >= fit_window >= 3"),
-    # the low-discrepancy stream ends before index 2^32
-    (("min_exponent", "max_exponent"), lambda c: 1 <= c.min_exponent < c.max_exponent <= 31,
-     "need 1 <= min_exponent < max_exponent <= 31"),
+    # a run holds all 2^max_exponent draws at once, and scrambling them peaks
+    # near 64 B a draw: 2^24 draws take about 1 GiB
+    (("min_exponent", "max_exponent"), lambda c: 1 <= c.min_exponent < c.max_exponent <= 24,
+     "need 1 <= min_exponent < max_exponent <= 24"),
     # the initial mesh has (base_n + 1)^2 vertices; a path refines only while
     # twice its vertex count stays below the cap
     (("dof_max", "base_n"), lambda c: c.dof_max > 2 * (c.base_n + 1) ** 2,

@@ -141,8 +141,6 @@ def continuous_levels(estimators) -> tuple[np.ndarray, int]:
         if levels[j] < floor:
             levels[j] = floor
             fixes += 1
-    if fixes:
-        log.debug("nudged %d non-monotone level(s)", fixes)
     return levels, fixes
 
 
@@ -215,4 +213,6 @@ def adaptive_hierarchy(coeff, theta: float, initial_mesh: TriMesh, *,
         marked = doerfler_mark(ind, theta)
         del sol, ind  # the solution refers to the mesh, which dies once refined
         mesh = bisect_refine(mesh, marked)
+    if hierarchy.level_fixes:
+        log.debug("level_fixes=%d: nudged non-monotone levels", hierarchy.level_fixes)
     return hierarchy

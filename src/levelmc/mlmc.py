@@ -1,9 +1,10 @@
 """Multilevel Monte Carlo: calibration, cost optimization and the driver loop.
 
-Levels live on the uniform mesh family whose vertex count grows by the
-factor s ~ 2.25 per level.  Each level-l sample couples the fine and
-coarse solve through a common coefficient draw; the estimator telescopes
-the per-level difference means,
+A level model supplies coupled samples ``pair(level, k)`` and the factor
+``s`` by which its DOF grow per level (2.25 on the uniform mesh family);
+the drivers read s from the model.  Each level-l sample couples the fine
+and coarse solve through a common coefficient draw; the estimator
+telescopes the per-level difference means,
 
     estimate = sum_l mean(Q_l - Q_{l-1}),    l = 1..L,
 
@@ -19,6 +20,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,7 +44,6 @@ __all__ = [
     "run_mlmc",
 ]
 
-DEFAULT_S = 1.5**2  # DOF growth factor of the uniform family
 BIAS_WEIGHT_POINTS = 10_000  # midpoint grid of the cost-optimal MSE weight search
 
 
@@ -108,9 +109,11 @@ class PdeLevelModel:
 
     Each (level, k) pair owns an independent substream of the coefficient
     seed, so extending sample counts never re-draws earlier samples and
-    results do not depend on evaluation order.
+    results do not depend on evaluation order.  Like any level model, it
+    supplies ``pair(level, k)`` and the growth factor ``s`` the drivers read.
     """
 
+    s: ClassVar[float] = 1.5**2  # DOF growth factor of the uniform family
     kind: str                  # "box" | "cross"
     contrast: float
     base_n: int = 15
@@ -205,13 +208,13 @@ def _masked_log_fit(x, values, name: str, base: float = math.e):
     return _log_fit(np.asarray(x, float)[usable], np.log(values[usable]) / math.log(base))
 
 
-def estimate_rates_mlmc(model, levels: int = 6, samples: int = 100, s: float = DEFAULT_S) -> MlmcRateFit:
+def estimate_rates_mlmc(model, levels: int = 6, samples: int = 100) -> MlmcRateFit:
     """Calibrate (alpha, beta, gamma) and constants from per-level pilot runs.
 
-    Fits straight lines to the base-s logarithms of |difference mean|,
-    difference variance and pair cost over levels 1..levels.  Levels with
-    a nonpositive mean or variance estimate are excluded from the affected
-    fit with a warning; fewer than 3 usable levels is an error.
+    Fits straight lines to the base-``model.s`` logarithms of |difference
+    mean|, difference variance and pair cost over levels 1..levels.  Levels
+    with a nonpositive mean or variance estimate are excluded from the
+    affected fit with a warning; fewer than 3 usable levels is an error.
     """
     if levels < 3:
         raise ValueError("need at least 3 levels for a rate fit")
@@ -225,6 +228,7 @@ def estimate_rates_mlmc(model, levels: int = 6, samples: int = 100, s: float = D
         variances.append(diffs.var(ddof=1))
         costs.append(np.mean([p.cost_dof for p in pairs]))
 
+    s = model.s
     lvl = np.arange(1, levels + 1, dtype=float)
     mean_slope, log_c1, r2_mean = _masked_log_fit(lvl, np.abs(means), "mean", s)
     var_slope, log_c2, r2_var = _masked_log_fit(lvl, variances, "variance", s)
@@ -314,13 +318,12 @@ class MlmcConfig:
     eps: float
     alpha: float
     b_w: float
-    s: float = DEFAULT_S
     m_ini: int = 50
     l_max: int = 10
 
     def __post_init__(self):
-        if self.eps <= 0 or self.alpha <= 0 or self.s <= 1:
-            raise ValueError("eps and alpha must be positive and s > 1")
+        if self.eps <= 0 or self.alpha <= 0:
+            raise ValueError("eps and alpha must be positive")
         if not 0.0 < self.b_w < 1.0:
             raise ValueError("bias weight must lie in (0, 1)")
         if self.m_ini < 2:
@@ -363,7 +366,7 @@ def run_mlmc(config: MlmcConfig, model) -> EstimatorRun:
 
     def stop() -> bool:
         means = [states[l].stats.mean for l in range(1, top + 1)]
-        return bias_stop(means, config.s, config.alpha, config.b_w, config.eps)
+        return bias_stop(means, model.s, config.alpha, config.b_w, config.eps)
 
     while not stop():
         if top >= config.l_max:
@@ -385,7 +388,7 @@ def run_mlmc(config: MlmcConfig, model) -> EstimatorRun:
     variance_sum = float(
         sum(states[l].stats.variance / states[l].stats.count for l in levels)
     )
-    bias_proxy = abs(states[top].stats.mean) / abs(1.0 - config.s**config.alpha)
+    bias_proxy = abs(states[top].stats.mean) / abs(1.0 - model.s**config.alpha)
     per_level = [
         {
             "level": l,

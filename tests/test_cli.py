@@ -108,6 +108,7 @@ def run(tmp_path, experiment, config, out="out"):
     ("reference", {"component_tol": 10**400}),
     ("lds", {"rate": 10**400, "runs": 2, "max_exponent": 7}),
     ("converge", {"contrast": math.nan}),
+    ("lds", {"max_exponent": 25}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, experiment, config):
     assert run(tmp_path, experiment, config) == 2
@@ -139,11 +140,11 @@ def test_compare_config_types_checked_before_reading_results(config):
 
 
 def test_lds_stream_bound_checked_before_drawing():
-    # not run through `uq lds`: past the check, 2^32 draws a run would exhaust memory
-    # before the low-discrepancy stream ran out at index 2^32
-    with pytest.raises(ConfigError, match="max_exponent <= 31"):
-        LdsConfig.from_dict({"max_exponent": 32})
-    assert LdsConfig.from_dict({"max_exponent": 31}).max_exponent == 31
+    # checked on the config only: a run holds all 2^max_exponent draws at once,
+    # about 1 GiB at the bound
+    with pytest.raises(ConfigError, match="max_exponent <= 24"):
+        LdsConfig.from_dict({"max_exponent": 25})
+    assert LdsConfig.from_dict({"max_exponent": 24}).max_exponent == 24
 
 
 def test_integer_fields_keep_their_defaults_and_hashes():
@@ -326,6 +327,19 @@ def test_lds_is_byte_identical_across_runs(tmp_path):
     first = (tmp_path / "a" / "lds.csv").read_bytes()
     assert first == (tmp_path / "b" / "lds.csv").read_bytes()
     assert first.startswith(b"# config_hash=")
+
+
+def test_rates_is_byte_identical_and_keeps_its_format(tmp_path):
+    config = {"kinds": ["box"], "base_n": 8, "mlmc_levels": 4, "clmc_refinements": 6,
+              "pilot_m": 8, "dof_max": 20000}
+    assert run(tmp_path, "rates", config, out="a") == 0
+    assert run(tmp_path, "rates", config, out="b") == 0
+    first = (tmp_path / "a" / "rates.json").read_bytes()
+    assert first == (tmp_path / "b" / "rates.json").read_bytes()
+    entry = json.loads(first)["fits"]["box:300"]
+    assert sorted(entry["mlmc"]) == sorted(f.name for f in fields(MlmcRateFit))
+    assert sorted(entry["clmc"]) == sorted(f.name for f in fields(ClmcRateFit))
+    assert entry["mlmc"]["s"] == 2.25
 
 
 def test_lds_csv_cells_are_numbers(tmp_path):

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -294,10 +295,20 @@ class TestAdaptivePath:
         path = sampler.path(1, max_level=5.0)
         assert path.truncated and len(path.levels) >= 2 and path.levels[-1] < 5.0
 
+    def test_level_nudges_logged_once_per_path(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="levelmc.indicator")
+        sampler = AdaptivePathSampler("box", 300.0, base_n=4, seed=3, dof_max=1000)
+        path = sampler.path(3, max_level=4.0)
+        assert path.level_fixes >= 2
+        records = [r for r in caplog.records if r.name == "levelmc.indicator"]
+        assert len(records) == 1
+        assert f"level_fixes={path.level_fixes}" in records[0].getMessage()
+
 
 class TestRunClmc:
     def test_stops_right_after_warmup_for_loose_tolerance(self):
-        cfg = ClmcConfig(eps=100.0, rate=2.0, m_ini=20, dof_max=50_000, seed=3)
+        cfg = ClmcConfig(eps=100.0, rate=2.0, m_ini=20, dof_max=50_000, seed=3,
+                         level_seed=1_000_006)
         run = run_clmc(cfg, kind="box", contrast=300.0)
         assert run.samples == 21
 

@@ -61,6 +61,8 @@ class GaussianModel:
 
 
 class ConstantModel:
+    s = 2.25
+
     def pair(self, level, k):
         return PairSample(fine=3.25, coarse=3.25, cost_dof=10, seconds=0.0)
 
@@ -168,7 +170,7 @@ class TestCoupledPairs:
 class TestEstimateRates:
     def test_exact_log_linear_data(self):
         model = ExactRateModel(alpha=1.0, beta=2.0, s=2.0)
-        fit = estimate_rates_mlmc(model, levels=5, samples=10, s=2.0)
+        fit = estimate_rates_mlmc(model, levels=5, samples=10)
         assert fit.alpha == pytest.approx(1.0, abs=1e-8)
         assert fit.beta == pytest.approx(2.0, abs=1e-8)
         assert fit.gamma == pytest.approx(1.0, abs=1e-8)
@@ -283,7 +285,7 @@ class TestRunMlmc:
         assert run.samples == 15
 
     def test_reproducibility(self):
-        cfg = MlmcConfig(eps=0.08, alpha=1.0, b_w=0.5, m_ini=10, s=2.25)
+        cfg = MlmcConfig(eps=0.08, alpha=1.0, b_w=0.5, m_ini=10)
         a = run_mlmc(cfg, GaussianModel(seed=3))
         b = run_mlmc(cfg, GaussianModel(seed=3))
         assert a.estimate == b.estimate
@@ -295,10 +297,16 @@ class TestRunMlmc:
         errors = []
         for seed in range(20):
             model = GaussianModel(seed=seed)
-            run = run_mlmc(MlmcConfig(eps=eps, alpha=model.alpha, b_w=0.5,
-                                      m_ini=20, s=model.s), model)
+            run = run_mlmc(MlmcConfig(eps=eps, alpha=model.alpha, b_w=0.5, m_ini=20),
+                           model)
             errors.append((run.estimate - model.truth()) ** 2)
         assert np.mean(errors) <= 1.5 * eps**2
+
+    def test_bias_proxy_uses_the_model_growth_factor(self):
+        model = GaussianModel(seed=2, s=3.0)
+        run = run_mlmc(MlmcConfig(eps=0.08, alpha=1.0, b_w=0.5, m_ini=10), model)
+        top = run.diagnostics["per_level"][-1]
+        assert run.bias_proxy == abs(top["mean"]) / abs(1.0 - 3.0**1.0)
 
     def test_bias_unconverged_flag(self):
         model = GaussianModel(seed=1, alpha=0.05, c1=5.0)  # near-flat bias decay
