@@ -107,7 +107,7 @@ class AdaptivePathSampler:
     base_n: int = 15
     seed: int = 0
     dof_max: int = 200_000
-    _mesh0: object = field(default=None, repr=False)
+    _mesh0: object = field(default=None, init=False, repr=False)
 
     def initial_mesh(self):
         if self._mesh0 is None:
@@ -269,7 +269,6 @@ def run_clmc(config: ClmcConfig, kind: str = "box", contrast: float = 300.0,
     rows = []
     sum_y = sum_y2 = 0.0
     cost_dof = 0
-    truncated_paths = 0
     level_fixes = 0
     truncation_levels = []
     count = 0
@@ -283,7 +282,6 @@ def run_clmc(config: ClmcConfig, kind: str = "box", contrast: float = 300.0,
         cost_dof += path.cost_dof
         level_fixes += path.level_fixes
         if path.truncated:
-            truncated_paths += 1
             truncation_levels.append(path.levels[-1])
         variance = 1.0 if count <= config.m_ini else variance_estimate(count, sum_y, sum_y2)
         rows.append(
@@ -304,18 +302,18 @@ def run_clmc(config: ClmcConfig, kind: str = "box", contrast: float = 300.0,
             flags.append("variance-unconverged")
             break
 
-    level_cap = min(truncation_levels) if truncation_levels else math.inf
-    bias_bound = truncation_bias_bound(count, config.rate, level_cap) if truncated_paths else 0.0
+    # without a truncated path the cap is infinite and the bound exactly 0.0
+    level_cap = min(truncation_levels, default=math.inf)
     return EstimatorRun(
         method="qclmc" if config.sampler_kind == "low-discrepancy" else "clmc",
         estimate=sum_y / count,
         variance_estimate=variance_estimate(count, sum_y, sum_y2),
-        bias_proxy=bias_bound,
+        bias_proxy=truncation_bias_bound(count, config.rate, level_cap),
         cost_dof=float(cost_dof),
         samples=count,
         diagnostics={
             "per_sample": rows,
-            "truncated_paths": truncated_paths,
+            "truncated_paths": len(truncation_levels),
             "level_fixes": level_fixes,
         },
         flags=flags,

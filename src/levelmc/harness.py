@@ -11,9 +11,11 @@ summary into an output directory.  Each emitted file carries the hash of
 the resolved config and the seed, so results are traceable to their exact
 settings.
 
-Per-sample and per-level CSVs contain only deterministic columns; rerunning
-an experiment with identical config and seeds reproduces them byte for
-byte.  Wall-clock timings live in run records and summaries only.
+Per-sample and per-level CSVs contain only deterministic columns, except
+the wall-clock ``cost_seconds`` that ends MLMC's per-level CSV; rerunning an
+experiment with identical config and seeds reproduces every other column
+byte for byte.  Other wall-clock timings live in run records and summaries
+only.
 """
 
 from __future__ import annotations
@@ -337,10 +339,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, columns, rows, config_hash: str, seed) -> None:
+def write_csv(path, rows, config, seed) -> None:
+    """Write dict rows under a line with the config's hash and the seed; the
+    columns are the keys of the first row, in order."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# config_hash={config_hash} seed={seed}", ",".join(columns)]
+    columns = list(rows[0])
+    lines = [f"# config_hash={config.hash()} seed={seed}", ",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(row[c]) for c in columns))
     path.write_text("\n".join(lines) + "\n")
@@ -353,15 +358,13 @@ def write_json(path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-# the ledger of each estimator run that compare emits, as (diagnostics key,
-# columns): per level for MLMC, whose cost_seconds is wall-clock and so not
-# reproducible, and per sample (deterministic columns only) for (Q)CLMC
-_LEDGERS = {
-    "mlmc": ("per_level", ["level", "samples", "mean", "variance", "cost_dof",
-                           "cg_iterations", "factored_solves", "cost_seconds"]),
-    "clmc": ("per_sample", ["k", "max_level", "index", "max_dof", "y",
-                            "cum_estimate", "cum_variance", "truncated"]),
-}
+def _write_summary(path, experiment, config, **results) -> dict:
+    """Write and return an experiment's JSON summary: its results beside its
+    name, its config and the config's hash."""
+    payload = {"experiment": experiment, "config": config.asdict(),
+               "config_hash": config.hash(), **results}
+    write_json(path, payload)
+    return payload
 
 
 def _loglog_slope(x, y) -> float:
@@ -382,7 +385,6 @@ def aligned_reference_qoi(sample: CoefficientSample, resolution: int) -> float:
 def cmd_converge(config: ConvergeConfig, out_dir) -> dict:
     """Uniform vs adaptive single-sample convergence (CSV) with fitted rates."""
     out = Path(out_dir)
-    chash = config.hash()
     rows, summary = [], {}
     for kind in config.kinds:
         sample = CoefficientSample(kind=kind, contrast=config.contrast, **CONVERGE_SAMPLES[kind])
@@ -423,14 +425,8 @@ def cmd_converge(config: ConvergeConfig, out_dir) -> dict:
             "rate_gain": ada_rate / uni_rate if uni_rate != 0 else None,
         }
 
-    write_csv(out / "converge.csv",
-              ["kind", "series", "level", "dof", "weak_h1_error", "estimator", "qoi"],
-              rows, chash, "-")
-    write_json(out / "converge_summary.json", {
-        "experiment": "converge", "config": config.asdict(),
-        "config_hash": chash, "results": summary,
-    })
-    return summary
+    write_csv(out / "converge.csv", rows, config, "-")
+    return _write_summary(out / "converge_summary.json", "converge", config, results=summary)
 
 
 # --------------------------------------------------------------------------
@@ -439,8 +435,6 @@ def cmd_converge(config: ConvergeConfig, out_dir) -> dict:
 
 def cmd_rates(config: RatesConfig, out_dir) -> dict:
     """Pilot rate calibration for both estimator families; persists fits."""
-    out = Path(out_dir)
-    chash = config.hash()
     results = {}
     for key, kind, contrast in _cases(config):
         model = PdeLevelModel(kind=kind, contrast=contrast,
@@ -464,12 +458,8 @@ def cmd_rates(config: RatesConfig, out_dir) -> dict:
                 entry["r_hat"] = optimal_rate_param(clmc_fit, eps=1.0)
             entry["feasible_interval"] = list(clmc_fit.feasible_interval())
         results[key] = entry
-    payload = {
-        "experiment": "rates", "config": config.asdict(),
-        "config_hash": chash, "seed": config.seed, "fits": results,
-    }
-    write_json(out / "rates.json", payload)
-    return payload
+    return _write_summary(Path(out_dir) / "rates.json", "rates", config,
+                          seed=config.seed, fits=results)
 
 
 # --------------------------------------------------------------------------
@@ -479,11 +469,9 @@ def cmd_rates(config: RatesConfig, out_dir) -> dict:
 def cmd_lds(config: LdsConfig, out_dir) -> dict:
     """Moment-MSE study of pseudo vs low-discrepancy exponential sampling."""
     out = Path(out_dir)
-    chash = config.hash()
     counts = [2**e for e in range(config.min_exponent, config.max_exponent + 1)]
     rows = moment_mse_experiment(config.rate, counts, config.runs, seed=config.seed)
-    write_csv(out / "lds.csv", ["kind", "count", "mse_mean", "mse_variance"],
-              rows, chash, config.seed)
+    write_csv(out / "lds.csv", rows, config, config.seed)
 
     slopes = {}
     for kind in SOURCE_KINDS:
@@ -495,13 +483,9 @@ def cmd_lds(config: LdsConfig, out_dir) -> dict:
                                                 [r["mse_variance"] for r in sub]),
             "mean_mse_at_max": sub[-1]["mse_mean"],
         }
-    summary = {
-        "experiment": "lds", "config": config.asdict(), "config_hash": chash,
-        "exact_mean": 1.0 / config.rate, "exact_variance": 1.0 / config.rate**2,
-        "slopes": slopes,
-    }
-    write_json(out / "lds_summary.json", summary)
-    return summary
+    return _write_summary(out / "lds_summary.json", "lds", config,
+                          exact_mean=1.0 / config.rate, exact_variance=1.0 / config.rate**2,
+                          slopes=slopes)
 
 
 # --------------------------------------------------------------------------
@@ -527,8 +511,6 @@ def cmd_reference(config: ReferenceConfig, out_dir) -> dict:
     the three budget components (estimator variance, squared bias, MC
     variance) is held below component_tol^2.
     """
-    out = Path(out_dir)
-    chash = config.hash()
     t = config.component_tol
     results = {}
     for key, kind, contrast in _cases(config):
@@ -569,13 +551,8 @@ def cmd_reference(config: ReferenceConfig, out_dir) -> dict:
                 "pilot_alpha": pilot.alpha,
             },
         }
-    payload = {
-        "experiment": "reference", "config": config.asdict(),
-        "config_hash": chash, "seed": config.seed,
-        "component_tol": t, "values": results,
-    }
-    write_json(out / "reference.json", payload)
-    return payload
+    return _write_summary(Path(out_dir) / "reference.json", "reference", config,
+                          seed=config.seed, component_tol=t, values=results)
 
 
 # --------------------------------------------------------------------------
@@ -598,7 +575,6 @@ def _load_table(path, hint, key) -> dict:
 def cmd_compare(config: CompareConfig, out_dir) -> dict:
     """Timed MSE comparison of the three estimators over the tolerance ladder."""
     out = Path(out_dir)
-    chash = config.hash()
     fits = _load_table(config.rates_file, "rates", "fits")
     references = _load_table(config.reference_file, "reference", "values")
 
@@ -612,27 +588,32 @@ def cmd_compare(config: CompareConfig, out_dir) -> dict:
         entry = fits[key]
         rates_at = f"{key} in {config.rates_file}"
         ref_at = f"{key} in {config.reference_file}"
-        with _reraised((KeyError, TypeError), ConfigError, f"malformed entry {rates_at}"):
-            fit = MlmcRateFit(**entry["mlmc"])
         with _reraised((KeyError, TypeError), ConfigError, f"malformed entry {ref_at}"):
             ref_value = references[key]["reference"]
-        if "r_hat" not in entry:
-            raise NumericalError(
-                f"no feasible exponential rate for {key}; the continuous-level "
-                "hypotheses failed in calibration")
-        for f in fields(fit):
-            _check_type(f"{f.name} of the MLMC fit {rates_at}", getattr(fit, f.name), f.type)
-        _check_type(f"r_hat of {rates_at}", entry["r_hat"], "float")
         _check_type(f"reference of {ref_at}", ref_value, "float")
-        if not entry["r_hat"] > 0:
-            raise ConfigError(f"r_hat of {rates_at} must be finite and positive, "
-                              f"got {entry['r_hat']!r}")
-        if not fit.alpha > 0:
-            raise NumericalError(f"MLMC fit for {key} has alpha {fit.alpha!r} <= 0; "
-                                 "the level-telescoped bias does not decay")
-        inputs[key] = fit.alpha, entry["r_hat"], ref_value
-        for tol_index, e2 in zip(config.tolerance_indices, eps_sq):
-            b_w[key, tol_index] = optimal_bias_weight(fit, math.sqrt(e2), config.level_cap)
+        alpha = r_hat = None
+        if "mlmc" in config.methods:
+            with _reraised((KeyError, TypeError), ConfigError, f"malformed entry {rates_at}"):
+                fit = MlmcRateFit(**entry["mlmc"])
+            for f in fields(fit):
+                _check_type(f"{f.name} of the MLMC fit {rates_at}", getattr(fit, f.name), f.type)
+            if not fit.alpha > 0:
+                raise NumericalError(f"MLMC fit for {key} has alpha {fit.alpha!r} <= 0; "
+                                     "the level-telescoped bias does not decay")
+            alpha = fit.alpha
+            for tol_index, e2 in zip(config.tolerance_indices, eps_sq):
+                b_w[key, tol_index] = optimal_bias_weight(fit, math.sqrt(e2), config.level_cap)
+        if "clmc" in config.methods or "qclmc" in config.methods:
+            if "r_hat" not in entry:
+                raise NumericalError(
+                    f"no feasible exponential rate for {key}; the continuous-level "
+                    "hypotheses failed in calibration")
+            r_hat = entry["r_hat"]
+            _check_type(f"r_hat of {rates_at}", r_hat, "float")
+            if not r_hat > 0:
+                raise ConfigError(f"r_hat of {rates_at} must be finite and positive, "
+                                  f"got {r_hat!r}")
+        inputs[key] = alpha, r_hat, ref_value
 
     records = []
     for (key, kind, contrast), (tol_index, e2), run_idx, method in itertools.product(
@@ -670,21 +651,16 @@ def cmd_compare(config: CompareConfig, out_dir) -> dict:
             "flags": ";".join(run.flags),
         })
         if config.emit_samples:
-            ledger, columns = _LEDGERS["mlmc" if method == "mlmc" else "clmc"]
+            # the ledger of the run: per level for MLMC, whose cost_seconds is
+            # wall-clock and so not reproducible, and per sample for (Q)CLMC
             name = f"{method}_{kind}_{_contrast_key(contrast)}_t{tol_index}_r{run_idx}.csv"
-            write_csv(out / "samples" / name, columns, run.diagnostics[ledger], chash, pde_seed)
+            write_csv(out / "samples" / name,
+                      run.diagnostics["per_level" if method == "mlmc" else "per_sample"],
+                      config, pde_seed)
 
-    write_csv(out / "records.csv",
-              ["method", "kind", "contrast", "tol_index", "eps_sq", "run",
-               "estimate", "sq_error", "seconds", "cost_dof", "samples", "flags"],
-              records, chash, config.seed_base)
-
-    summary = _summarize_compare(records, config)
-    write_json(out / "compare_summary.json", {
-        "experiment": "compare", "config": config.asdict(), "config_hash": chash,
-        "summary": summary,
-    })
-    return summary
+    write_csv(out / "records.csv", records, config, config.seed_base)
+    return _write_summary(out / "compare_summary.json", "compare", config,
+                          summary=_summarize_compare(records, config))
 
 
 def _summarize_compare(records, config: CompareConfig) -> dict:

@@ -39,10 +39,29 @@ RATES = {"fits": {"box:300": {
 REFERENCE = {"values": {"box:300": {"reference": 0.988918375057231}}}
 
 
+# the ledger columns of an estimator run that compare emits
+MLMC_LEDGER = "level,samples,mean,variance,cost_dof,cg_iterations,factored_solves,cost_seconds"
+CLMC_LEDGER = "k,max_level,index,max_dof,y,cum_estimate,cum_variance,truncated"
+
+
 def run(tmp_path, experiment, config, out="out"):
     path = tmp_path / f"{experiment}.json"
     path.write_text(json.dumps(config))
     return main([experiment, "--config", str(path), "--out", str(tmp_path / out)])
+
+
+def assert_csv_head(path, config, seed, columns):
+    """The first two lines of a CSV: the config hash and seed, then the columns."""
+    lines = path.read_text().splitlines()
+    assert lines[:2] == [f"# config_hash={config.hash()} seed={seed}", columns]
+
+
+def assert_envelope(path, experiment, config):
+    """A JSON summary names its experiment, its resolved config and that config's hash."""
+    payload = json.loads(path.read_text())
+    assert payload["experiment"] == experiment
+    assert payload["config"] == json.loads(json.dumps(config.asdict()))
+    assert payload["config_hash"] == config.hash()
 
 
 @pytest.mark.parametrize("experiment, config", [
@@ -326,7 +345,10 @@ def test_lds_is_byte_identical_across_runs(tmp_path):
     assert run(tmp_path, "lds", config, out="b") == 0
     first = (tmp_path / "a" / "lds.csv").read_bytes()
     assert first == (tmp_path / "b" / "lds.csv").read_bytes()
-    assert first.startswith(b"# config_hash=")
+    resolved = LdsConfig.from_dict(config)
+    assert_csv_head(tmp_path / "a" / "lds.csv", resolved, resolved.seed,
+                    "kind,count,mse_mean,mse_variance")
+    assert_envelope(tmp_path / "a" / "lds_summary.json", "lds", resolved)
 
 
 def test_rates_is_byte_identical_and_keeps_its_format(tmp_path):
@@ -340,6 +362,7 @@ def test_rates_is_byte_identical_and_keeps_its_format(tmp_path):
     assert sorted(entry["mlmc"]) == sorted(f.name for f in fields(MlmcRateFit))
     assert sorted(entry["clmc"]) == sorted(f.name for f in fields(ClmcRateFit))
     assert entry["mlmc"]["s"] == 2.25
+    assert_envelope(tmp_path / "a" / "rates.json", "rates", RatesConfig.from_dict(config))
 
 
 def test_lds_csv_cells_are_numbers(tmp_path):
@@ -361,6 +384,18 @@ def test_reference_on_aligned_meshes(tmp_path):
     assert math.isfinite(entry["reference"])
     assert all(v <= 0.2**2 for v in entry["components"].values())
     assert entry["detail"]["aligned_level0_samples"] >= 50
+    assert_envelope(tmp_path / "out" / "reference.json", "reference",
+                    ReferenceConfig.from_dict(config))
+
+
+def test_converge_writes_its_columns_and_summary(tmp_path):
+    config = {"kinds": ["box"], "base_n": 4, "uniform_levels": 2, "adaptive_steps": 3,
+              "fit_window": 3, "reference_n": 16}
+    assert run(tmp_path, "converge", config) == 0
+    resolved = ConvergeConfig.from_dict(config)
+    assert_csv_head(tmp_path / "out" / "converge.csv", resolved, "-",
+                    "kind,series,level,dof,weak_h1_error,estimator,qoi")
+    assert_envelope(tmp_path / "out" / "converge_summary.json", "converge", resolved)
 
 
 def test_compare_emits_reproducible_samples(tmp_path, monkeypatch):
@@ -375,10 +410,14 @@ def test_compare_emits_reproducible_samples(tmp_path, monkeypatch):
     assert run(tmp_path, "compare", config, out="a") == 0
     assert run(tmp_path, "compare", config, out="b") == 0
 
+    resolved = CompareConfig.from_dict(config)
     samples = sorted(p.name for p in (tmp_path / "a" / "samples").iterdir())
     assert samples == [f"{m}_box_300_t0_r{r}.csv"
                        for m in ("clmc", "mlmc", "qclmc") for r in (0, 1)]
     for name in samples:
+        assert_csv_head(tmp_path / "a" / "samples" / name, resolved,
+                        resolved.seed_base + int(name[-5]),  # the run's PDE seed
+                        MLMC_LEDGER if name.startswith("mlmc") else CLMC_LEDGER)
         a = (tmp_path / "a" / "samples" / name).read_text()
         b = (tmp_path / "b" / "samples" / name).read_text()
         if name.startswith("mlmc"):  # cost_seconds is wall-clock
@@ -394,6 +433,11 @@ def test_compare_emits_reproducible_samples(tmp_path, monkeypatch):
     def reject(constant):
         raise ValueError(f"{constant} is not strict JSON")
 
+    assert_csv_head(tmp_path / "a" / "records.csv", resolved, resolved.seed_base,
+                    "method,kind,contrast,tol_index,eps_sq,run,"
+                    "estimate,sq_error,seconds,cost_dof,samples,flags")
+    assert_envelope(tmp_path / "a" / "compare_summary.json", "compare", resolved)
+
     # one tolerance index gives no time-MSE slope: null, not NaN
     summary = json.loads((tmp_path / "a" / "compare_summary.json").read_text(),
                          parse_constant=reject)["summary"]
@@ -403,3 +447,20 @@ def test_compare_emits_reproducible_samples(tmp_path, monkeypatch):
     assert rows == records("b")
     assert len(rows) == 1 + 2 * 3
     assert [r[0] for r in rows[1:]] == ["mlmc", "clmc", "qclmc"] * 2
+
+
+@pytest.mark.parametrize("method, entry", [
+    ("mlmc", {"mlmc": RATES["fits"]["box:300"]["mlmc"]}),
+    ("clmc", {"r_hat": RATES["fits"]["box:300"]["r_hat"]}),
+], ids=["mlmc-without-r_hat", "clmc-without-mlmc-fit"])
+def test_compare_reads_only_the_rates_of_its_methods(tmp_path, monkeypatch, method, entry):
+    monkeypatch.setattr(levelmc.harness, "TOLERANCE_BASE", 0.25)
+    (tmp_path / "rates.json").write_text(json.dumps({"fits": {"box:300": entry}}))
+    (tmp_path / "reference.json").write_text(json.dumps(REFERENCE))
+    config = {"kinds": ["box"], "methods": [method], "runs": 2, "tolerance_indices": [0],
+              "l_max": 4, "dof_max": 5000, "m_ini_mlmc": 4, "m_ini_clmc": 4,
+              "rates_file": str(tmp_path / "rates.json"),
+              "reference_file": str(tmp_path / "reference.json")}
+    assert run(tmp_path, "compare", config) == 0
+    lines = (tmp_path / "out" / "records.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[2:]] == [method, method]

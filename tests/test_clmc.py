@@ -290,6 +290,11 @@ class TestAdaptivePath:
         assert not path.truncated
         assert path.levels[-1] >= max_level and (path.levels[1:-1] < max_level).all()
 
+    def test_initial_mesh_is_not_settable(self):
+        # a preset mesh need not match base_n, and every path refines from it
+        with pytest.raises(TypeError):
+            AdaptivePathSampler("box", 300.0, base_n=4, _mesh0=object())
+
     def test_cap_truncates_below_max_level(self):
         sampler = AdaptivePathSampler("box", 300.0, base_n=4, seed=3, dof_max=200)
         path = sampler.path(1, max_level=5.0)
