@@ -114,18 +114,16 @@ class AdaptivePathSampler:
             self._mesh0 = structured_unit_square(self.base_n)
         return self._mesh0
 
-    def path(self, k: int, max_level: float = math.inf,
-             max_refinements: int | None = None) -> Hierarchy:
-        """Refine sample k until its continuous level reaches max_level
-        (or for a fixed number of refinements), bounded by the DOF cap.
+    def path(self, k: int, max_level: float) -> Hierarchy:
+        """Refine sample k until its continuous level reaches max_level,
+        bounded by the DOF cap.
 
-        A path that reached max_level ends at its first level >= max_level.
-        Any other path stopped at max_refinements or was cut by the cap
-        (``truncated``).
+        A path ends at its first level >= max_level, unless the cap cut it
+        first (``truncated``).
         """
         coeff = draw_coefficient(self.kind, self.contrast, self.seed, k)
         return adaptive_hierarchy(coeff, self.theta, self.initial_mesh(), max_level=max_level,
-                                  max_refinements=max_refinements, max_dof=self.dof_max)
+                                  max_dof=self.dof_max)
 
 
 @dataclass
@@ -150,9 +148,9 @@ class ClmcRateFit:
         return self.gamma, min(self.beta, 2.0 * self.alpha)
 
 
-def estimate_rates_clmc(sampler: AdaptivePathSampler, refinements: int = 12,
-                        samples: int = 100) -> ClmcRateFit:
-    """Calibrate continuous-level rates from fixed-depth pilot paths.
+def estimate_rates_clmc(sampler: AdaptivePathSampler, max_level: float,
+                        samples: int) -> ClmcRateFit:
+    """Calibrate continuous-level rates from pilot paths refined to max_level.
 
     Per sample the piecewise-constant level derivative
     (Q_j - Q_{j-1}) / (l_j - l_{j-1}) and the cumulative solve cost are
@@ -160,16 +158,14 @@ def estimate_rates_clmc(sampler: AdaptivePathSampler, refinements: int = 12,
     [max_k l_1, min_k l_last]; mean, variance and cost per grid point are
     then fit log-linearly against the level.
     """
-    if samples < 2 or refinements < 3:
-        raise ValueError("need at least 2 samples and 3 refinements")
-    paths = [sampler.path(k, max_refinements=refinements) for k in range(samples)]
+    if samples < 2 or not max_level > 0:
+        raise ValueError("need at least 2 samples and a positive level")
+    paths = [sampler.path(k, max_level=max_level) for k in range(samples)]
 
     lo = max(p.levels[1] for p in paths)
     hi = min(p.levels[-1] for p in paths)
     if lo >= hi:
-        raise ValueError(
-            "empty common level domain; increase the number of refinements"
-        )
+        raise ValueError("empty common level domain; raise the pilot level")
     grid = np.linspace(lo, hi, RATE_GRID_POINTS)
 
     derivs = np.empty((samples, RATE_GRID_POINTS))

@@ -78,6 +78,8 @@ TOLERANCE_DECAY = 0.8
 
 REFERENCE_MIN_SAMPLES = 50  # plain MC samples of a reference level before its stop test
 
+MIN_FIT_R2 = 0.5  # least mean and variance R^2 of a CLMC pilot fit that gives r_hat
+
 
 class ConfigError(ValueError):
     """Bad configuration file or values (CLI exit code 2)."""
@@ -138,13 +140,13 @@ _RULES = {
     "theta": (lambda v: 0 < v < 1, "must lie in (0,1)"),
     "kinds": (lambda v: v in ("box", "cross"), "must be 'box' or 'cross'"),
     "methods": (lambda v: v in ("mlmc", "clmc", "qclmc"), "must be 'mlmc', 'clmc' or 'qclmc'"),
-    **dict.fromkeys(("contrast", "contrasts", "component_tol", "rate"),
+    **dict.fromkeys(("contrast", "contrasts", "component_tol", "rate", "clmc_level"),
                     (lambda v: v > 0, "must be positive")),
     **dict.fromkeys(("tolerance_indices", "seed", "seed_base", "scramble_base"), _at_least(0)),
     **dict.fromkeys(("base_n", "uniform_levels", "m_ini_clmc", "level_cap"), _at_least(1)),
     **dict.fromkeys(("runs", "pilot_m", "m_ini", "m_ini_mlmc"), _at_least(2)),
     # l_max: run_mlmc always computes levels 1-3
-    **dict.fromkeys(("mlmc_levels", "clmc_refinements", "pilot_levels", "l_max"), _at_least(3)),
+    **dict.fromkeys(("mlmc_levels", "pilot_levels", "l_max"), _at_least(3)),
 }
 
 # rules that relate fields: (the fields read, predicate on the config, wording);
@@ -261,7 +263,7 @@ class RatesConfig(_ConfigBase):
     theta: float = 0.5
     base_n: int = 15
     mlmc_levels: int = 6
-    clmc_refinements: int = 12
+    clmc_level: float = 2.5                # continuous level each CLMC pilot path reaches
     pilot_m: int = 100
     dof_max: int = 400_000
     seed: int = 1000
@@ -445,7 +447,7 @@ def cmd_rates(config: RatesConfig, out_dir) -> dict:
         with _reraised(ValueError, NumericalError, f"rate fit for {key} failed"):
             mlmc_fit = estimate_rates_mlmc(model, levels=config.mlmc_levels,
                                            samples=config.pilot_m)
-            clmc_fit = estimate_rates_clmc(sampler, refinements=config.clmc_refinements,
+            clmc_fit = estimate_rates_clmc(sampler, max_level=config.clmc_level,
                                            samples=config.pilot_m)
         entry = {
             "mlmc": asdict(mlmc_fit),
@@ -453,7 +455,13 @@ def cmd_rates(config: RatesConfig, out_dir) -> dict:
             "mlmc_hypotheses_hold": mlmc_fit.hypotheses_hold(),
             "clmc_hypotheses_hold": clmc_fit.hypotheses_hold(),
         }
-        if clmc_fit.hypotheses_hold():
+        r2 = clmc_fit.r_squared
+        if not clmc_fit.hypotheses_hold():
+            entry["r_hat_refused"] = "the continuous-level hypotheses failed in calibration"
+        elif not min(r2["mean"], r2["variance"]) >= MIN_FIT_R2:
+            entry["r_hat_refused"] = (f"the CLMC fit's mean or variance R^2 is below "
+                                      f"{MIN_FIT_R2}: {r2['mean']:.3g}, {r2['variance']:.3g}")
+        else:
             with _reraised(ValueError, NumericalError, f"rate fit for {key} failed"):
                 entry["r_hat"] = optimal_rate_param(clmc_fit, eps=1.0)
             entry["feasible_interval"] = list(clmc_fit.feasible_interval())
@@ -559,8 +567,9 @@ def cmd_reference(config: ReferenceConfig, out_dir) -> dict:
 # compare
 
 
-def _load_table(path, hint, key) -> dict:
-    """The ``key`` object of a JSON file that ``uq {hint}`` writes."""
+def _load_table(path, hint, key, config, settings) -> dict:
+    """The ``key`` object of a JSON file that ``uq {hint}`` writes, made with
+    the same ``settings`` as ``config``."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{hint} file {path} not found; run `uq {hint}` first")
@@ -569,14 +578,23 @@ def _load_table(path, hint, key) -> dict:
     table = payload.get(key) if isinstance(payload, dict) else None
     if not isinstance(table, dict):
         raise ConfigError(f"{hint} file {path} has no {key!r} object; rerun `uq {hint}`")
+    made = payload.get("config")
+    for name in settings:
+        value = made.get(name) if isinstance(made, dict) else None
+        if value != getattr(config, name):
+            raise ConfigError(f"{hint} file {path} was made with {name} {value!r}, not "
+                              f"{getattr(config, name)!r}; rerun `uq {hint}` with it")
     return table
 
 
 def cmd_compare(config: CompareConfig, out_dir) -> dict:
     """Timed MSE comparison of the three estimators over the tolerance ladder."""
     out = Path(out_dir)
-    fits = _load_table(config.rates_file, "rates", "fits")
-    references = _load_table(config.reference_file, "reference", "values")
+    continuous = "clmc" in config.methods or "qclmc" in config.methods
+    # E[Q - Q_0] and the MLMC fit depend on the coarse mesh, the CLMC fit on theta too
+    fits = _load_table(config.rates_file, "rates", "fits", config,
+                       ("base_n", "theta") if continuous else ("base_n",))
+    references = _load_table(config.reference_file, "reference", "values", config, ("base_n",))
 
     eps_sq = tolerance_ladder(config.tolerance_indices)
     inputs, b_w = {}, {}
@@ -603,11 +621,10 @@ def cmd_compare(config: CompareConfig, out_dir) -> dict:
             alpha = fit.alpha
             for tol_index, e2 in zip(config.tolerance_indices, eps_sq):
                 b_w[key, tol_index] = optimal_bias_weight(fit, math.sqrt(e2), config.level_cap)
-        if "clmc" in config.methods or "qclmc" in config.methods:
+        if continuous:
             if "r_hat" not in entry:
-                raise NumericalError(
-                    f"no feasible exponential rate for {key}; the continuous-level "
-                    "hypotheses failed in calibration")
+                raise NumericalError(f"no feasible exponential rate for {key}: "
+                                     f"{entry.get('r_hat_refused', 'the rates file has no r_hat')}")
             r_hat = entry["r_hat"]
             _check_type(f"r_hat of {rates_at}", r_hat, "float")
             if not r_hat > 0:

@@ -208,7 +208,7 @@ def _masked_log_fit(x, values, name: str, base: float = math.e):
     return _log_fit(np.asarray(x, float)[usable], np.log(values[usable]) / math.log(base))
 
 
-def estimate_rates_mlmc(model, levels: int = 6, samples: int = 100) -> MlmcRateFit:
+def estimate_rates_mlmc(model, levels: int, samples: int) -> MlmcRateFit:
     """Calibrate (alpha, beta, gamma) and constants from per-level pilot runs.
 
     Fits straight lines to the base-``model.s`` logarithms of |difference

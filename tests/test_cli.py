@@ -3,7 +3,7 @@ output files, on configurations small enough to run in a few seconds."""
 
 import json
 import math
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import pytest
 
@@ -29,14 +29,16 @@ from levelmc.harness import (
 from levelmc.mlmc import MlmcRateFit
 
 # MLMC fit of a desk-scale `uq rates` run for the box coefficient (rounded),
-# with the continuous-level rate r-hat of a 24-refinement calibration
-RATES = {"fits": {"box:300": {
+# with the continuous-level rate r-hat of a 24-refinement calibration; like
+# the files `uq` writes, each carries the config it was made with
+RATES = {"config": RatesConfig.from_dict({}).asdict(), "fits": {"box:300": {
     "mlmc": {"alpha": 0.716, "beta": 0.939, "gamma": 0.972, "c1": 0.877, "c2": 0.743,
              "c3": 373.3, "s": 2.25, "levels": [1, 6], "samples": 100,
              "r_squared": {"mean": 0.986, "variance": 0.980, "cost": 1.0}},
     "r_hat": 1.9,
 }}}
-REFERENCE = {"values": {"box:300": {"reference": 0.988918375057231}}}
+REFERENCE = {"config": ReferenceConfig.from_dict({"kinds": ["box"]}).asdict(),
+             "values": {"box:300": {"reference": 0.988918375057231}}}
 
 
 # the ledger columns of an estimator run that compare emits
@@ -128,6 +130,8 @@ def assert_envelope(path, experiment, config):
     ("lds", {"rate": 10**400, "runs": 2, "max_exponent": 7}),
     ("converge", {"contrast": math.nan}),
     ("lds", {"max_exponent": 25}),
+    ("rates", {"clmc_level": 0}),
+    ("rates", {"clmc_level": True}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, experiment, config):
     assert run(tmp_path, experiment, config) == 2
@@ -179,7 +183,7 @@ def test_integer_fields_keep_their_defaults_and_hashes():
 
 @pytest.mark.parametrize("cls, desk, full", [
     (ConvergeConfig, "525f2a7c51b8", "2823ec9014ad"),
-    (RatesConfig, "a6e5effaa0dd", "37c1faa1bdba"),
+    (RatesConfig, "0d62ea8fd543", "cc57838406a9"),
     (LdsConfig, "635f45d35242", "334173637c94"),
     (ReferenceConfig, "04dc3ede46d6", "e0c04d1fea2f"),
     (CompareConfig, "bbac9a8d9308", "457fcba30c1c"),
@@ -221,7 +225,8 @@ def test_mlmc_fit_round_trips_through_the_rates_file_format():
 MLMC_FIT = MlmcRateFit(alpha=0.7, beta=0.9, gamma=1.0, c1=1.0, c2=1.0, c3=1.0, s=2.25,
                        levels=(1, 3), samples=2, r_squared={})
 CLMC_FIT = ClmcRateFit(alpha=1.1, beta=2.3, gamma=1.6, c4=1.0, c5=1.0, c6=1.0,
-                       level_domain=(0.2, 1.2), samples=2, r_squared={})
+                       level_domain=(0.2, 2.5), samples=2,
+                       r_squared={"mean": 0.74, "variance": 0.75, "cost": 1.0})
 
 
 @pytest.mark.parametrize("experiment, fit", [
@@ -256,7 +261,8 @@ def with_mlmc_fit(r_hat=1.9, **changes):
     """The RATES file text with r_hat and the MLMC fit's keys changed (None drops a key)."""
     fit = {**RATES["fits"]["box:300"]["mlmc"], **changes}
     entry = {"mlmc": {k: v for k, v in fit.items() if v is not None}, "r_hat": r_hat}
-    return json.dumps({"fits": {"box:300": {k: v for k, v in entry.items() if v is not None}}})
+    return json.dumps({**RATES, "fits": {"box:300": {k: v for k, v in entry.items()
+                                                      if v is not None}}})
 
 
 @pytest.mark.parametrize("name, text, messages", [
@@ -264,7 +270,7 @@ def with_mlmc_fit(r_hat=1.9, **changes):
     ("rates.json", "not json", ["cannot read rates file", "Expecting value"]),
     ("rates.json", with_mlmc_fit(beta=None), ["malformed entry box:300", "'beta'"]),
     ("rates.json", with_mlmc_fit(alpha="0.7"), ["alpha of the MLMC fit box:300", "a number"]),
-    ("reference.json", json.dumps({"values": {"box:300": {}}}),
+    ("reference.json", json.dumps({**REFERENCE, "values": {"box:300": {}}}),
      ["malformed entry box:300", "'reference'"]),
     ("rates.json", with_mlmc_fit(r_hat=-1.0), ["r_hat of box:300", "finite and positive"]),
     ("rates.json", with_mlmc_fit(r_hat=math.inf), ["r_hat of box:300", "got inf"]),
@@ -272,7 +278,7 @@ def with_mlmc_fit(r_hat=1.9, **changes):
     ("rates.json", with_mlmc_fit(alpha=10**400),
      ["alpha of the MLMC fit box:300", "a finite number"]),
     ("rates.json", with_mlmc_fit(c3=math.nan), ["c3 of the MLMC fit box:300", "got nan"]),
-    ("reference.json", json.dumps({"values": {"box:300": {"reference": 10**400}}}),
+    ("reference.json", json.dumps({**REFERENCE, "values": {"box:300": {"reference": 10**400}}}),
      ["reference of box:300", "a finite number"]),
 ], ids=["empty", "not-json", "fit-without-beta", "string-alpha", "no-reference-value",
         "negative-r_hat", "infinite-r_hat", "huge-r_hat", "huge-alpha", "nan-c3",
@@ -352,7 +358,7 @@ def test_lds_is_byte_identical_across_runs(tmp_path):
 
 
 def test_rates_is_byte_identical_and_keeps_its_format(tmp_path):
-    config = {"kinds": ["box"], "base_n": 8, "mlmc_levels": 4, "clmc_refinements": 6,
+    config = {"kinds": ["box"], "base_n": 8, "mlmc_levels": 4, "clmc_level": 2.5,
               "pilot_m": 8, "dof_max": 20000}
     assert run(tmp_path, "rates", config, out="a") == 0
     assert run(tmp_path, "rates", config, out="b") == 0
@@ -449,13 +455,16 @@ def test_compare_emits_reproducible_samples(tmp_path, monkeypatch):
     assert [r[0] for r in rows[1:]] == ["mlmc", "clmc", "qclmc"] * 2
 
 
-@pytest.mark.parametrize("method, entry", [
-    ("mlmc", {"mlmc": RATES["fits"]["box:300"]["mlmc"]}),
-    ("clmc", {"r_hat": RATES["fits"]["box:300"]["r_hat"]}),
-], ids=["mlmc-without-r_hat", "clmc-without-mlmc-fit"])
-def test_compare_reads_only_the_rates_of_its_methods(tmp_path, monkeypatch, method, entry):
+@pytest.mark.parametrize("method, entry, made", [
+    ("mlmc", {"mlmc": RATES["fits"]["box:300"]["mlmc"]}, {}),
+    ("clmc", {"r_hat": RATES["fits"]["box:300"]["r_hat"]}, {}),
+    # theta steers only the adaptive CLMC pilot
+    ("mlmc", {"mlmc": RATES["fits"]["box:300"]["mlmc"]}, {"theta": 0.4}),
+], ids=["mlmc-without-r_hat", "clmc-without-mlmc-fit", "mlmc-with-other-theta"])
+def test_compare_reads_only_the_rates_of_its_methods(tmp_path, monkeypatch, method, entry, made):
     monkeypatch.setattr(levelmc.harness, "TOLERANCE_BASE", 0.25)
-    (tmp_path / "rates.json").write_text(json.dumps({"fits": {"box:300": entry}}))
+    rates = {"config": {**RATES["config"], **made}, "fits": {"box:300": entry}}
+    (tmp_path / "rates.json").write_text(json.dumps(rates))
     (tmp_path / "reference.json").write_text(json.dumps(REFERENCE))
     config = {"kinds": ["box"], "methods": [method], "runs": 2, "tolerance_indices": [0],
               "l_max": 4, "dof_max": 5000, "m_ini_mlmc": 4, "m_ini_clmc": 4,
@@ -464,3 +473,68 @@ def test_compare_reads_only_the_rates_of_its_methods(tmp_path, monkeypatch, meth
     assert run(tmp_path, "compare", config) == 0
     lines = (tmp_path / "out" / "records.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[2:]] == [method, method]
+
+
+@pytest.mark.parametrize("name, made, methods", [
+    ("reference.json", {"base_n": 8}, ["mlmc"]),
+    ("rates.json", {"base_n": 8}, ["mlmc"]),
+    ("rates.json", {"theta": 0.4}, ["clmc"]),
+    ("rates.json", {"theta": 0.4}, ["mlmc", "qclmc"]),
+], ids=["reference-base_n", "rates-base_n", "rates-theta-clmc", "rates-theta-qclmc"])
+def test_compare_refuses_results_made_with_other_settings(
+        tmp_path, capsys, monkeypatch, name, made, methods):
+    # E[Q - Q_0] depends on the coarse mesh of Q_0: a reference made at base_n 8
+    # read by a compare at 15 gave squared errors of about 3 at eps^2 = 0.04;
+    # a compare that read the files anyway would still be small
+    monkeypatch.setattr(levelmc.harness, "TOLERANCE_BASE", 0.25)
+    files = {"rates.json": RATES, "reference.json": REFERENCE}
+    files[name] = {**files[name], "config": {**files[name]["config"], **made}}
+    for file_name, content in files.items():
+        (tmp_path / file_name).write_text(json.dumps(content))
+    config = {"kinds": ["box"], "methods": methods, "runs": 2, "tolerance_indices": [0],
+              "l_max": 4, "dof_max": 5000, "m_ini_mlmc": 4, "m_ini_clmc": 4,
+              "rates_file": str(tmp_path / "rates.json"),
+              "reference_file": str(tmp_path / "reference.json")}
+    assert run(tmp_path, "compare", config) == 2
+    err = capsys.readouterr().err
+    (setting, value), = made.items()
+    default = getattr(CompareConfig.from_dict({}), setting)
+    assert err.startswith(f"config error: {name[:-5]} file {tmp_path / name} was made with "
+                          f"{setting} {value!r}, not {default!r}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("clmc_fit, refused", [
+    (replace(CLMC_FIT, r_squared={"mean": 0.011, "variance": 0.019, "cost": 0.99}),
+     "the CLMC fit's mean or variance R^2 is below 0.5: 0.011, 0.019"),
+    (replace(CLMC_FIT, r_squared={"mean": 0.9, "variance": 0.49, "cost": 1.0}),
+     "the CLMC fit's mean or variance R^2 is below 0.5: 0.9, 0.49"),
+    (replace(CLMC_FIT, gamma=2.5), "the continuous-level hypotheses failed in calibration"),
+], ids=["both-r2-low", "variance-r2-low", "hypotheses-fail"])
+def test_unusable_clmc_fit_gives_no_r_hat_and_a_clmc_compare_exits_3(
+        tmp_path, capsys, monkeypatch, clmc_fit, refused):
+    monkeypatch.setattr(levelmc.harness, "estimate_rates_mlmc", lambda *a, **k: MLMC_FIT)
+    monkeypatch.setattr(levelmc.harness, "estimate_rates_clmc", lambda *a, **k: clmc_fit)
+    assert run(tmp_path, "rates", {"kinds": ["box"]}, out="rates") == 0
+    entry = json.loads((tmp_path / "rates" / "rates.json").read_text())["fits"]["box:300"]
+    assert "r_hat" not in entry and "feasible_interval" not in entry
+    assert entry["r_hat_refused"] == refused
+
+    (tmp_path / "reference.json").write_text(json.dumps(REFERENCE))
+    config = {"kinds": ["box"], "methods": ["clmc"],
+              "rates_file": str(tmp_path / "rates" / "rates.json"),
+              "reference_file": str(tmp_path / "reference.json")}
+    assert run(tmp_path, "compare", config) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: no feasible exponential rate for box:300: {refused}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_clmc_fit_at_the_r2_bound_gives_r_hat(tmp_path, monkeypatch):
+    fit = replace(CLMC_FIT, r_squared={"mean": 0.5, "variance": 0.5, "cost": 1.0})
+    monkeypatch.setattr(levelmc.harness, "estimate_rates_mlmc", lambda *a, **k: MLMC_FIT)
+    monkeypatch.setattr(levelmc.harness, "estimate_rates_clmc", lambda *a, **k: fit)
+    assert run(tmp_path, "rates", {"kinds": ["box"]}) == 0
+    entry = json.loads((tmp_path / "out" / "rates.json").read_text())["fits"]["box:300"]
+    assert "r_hat_refused" not in entry
+    assert entry["feasible_interval"][0] < entry["r_hat"] < entry["feasible_interval"][1]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import levelmc.clmc
 from levelmc.clmc import (
     AdaptivePathSampler,
     ClmcConfig,
@@ -209,7 +210,7 @@ class FakeSampler:
         self.alpha, self.beta, self.gamma = alpha, beta, gamma
         self.points = points
 
-    def path(self, k, max_level=math.inf, max_refinements=None):
+    def path(self, k, max_level):
         lo, hi = 0.5, 2.5
         d = (hi - lo) / (self.points - 1)
         levels = np.concatenate([[0.0], lo + d * np.arange(self.points)])
@@ -226,23 +227,54 @@ class FakeSampler:
         return Hierarchy(steps=steps, levels=levels)
 
 
+class SyntheticPaths:
+    """A continuous-level model with a known answer, in place of PDE paths.
+
+    Sample k of a seed has its own level grid 0 = l_0 < l_1 < ... < l_J with
+    gaps from U(0.2, 0.6) and l_J >= 40, and on it
+
+        Q(l) = A_k (1 - e^(-alpha l)) + e^(-beta l / 2) z(l),
+
+    with A_k ~ N(1, 0.3^2) and z i.i.d. N(0, 0.1^2) per level, at cost
+    10 e^l DOF.  So E[Y] = E[Q(l_J) - Q(0)] = E[A] = 1 up to a term of order
+    e^(-40 alpha), and Y has finite variance for rates below min(beta, 2 alpha).
+    It takes the keywords that ``run_clmc`` builds ``AdaptivePathSampler``
+    with and reads only the seed.
+    """
+
+    alpha, beta, gaps = 1.5, 3.0, 200
+
+    def __init__(self, *, seed, **settings):
+        self.seed = seed
+
+    def path(self, k, max_level):
+        rng = np.random.default_rng([self.seed, k])
+        levels = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 0.6, self.gaps))])
+        qois = (rng.normal(1.0, 0.3) * -np.expm1(-self.alpha * levels)
+                + np.exp(-0.5 * self.beta * levels) * rng.normal(0.0, 0.1, len(levels)))
+        end = max(1, int(np.searchsorted(levels, max_level)))  # first level >= max_level
+        steps = [HierarchyStep(estimator=math.exp(-level), qoi=q, dof=int(10 * math.exp(level)))
+                 for level, q in zip(levels[:end + 1], qois[:end + 1])]
+        return Hierarchy(steps=steps, levels=levels[:end + 1])
+
+
 class TestEstimateRatesClmc:
     def test_exact_synthetic_rates(self):
-        fit = estimate_rates_clmc(FakeSampler(alpha=2.0, beta=4.0), refinements=50, samples=2)
+        fit = estimate_rates_clmc(FakeSampler(alpha=2.0, beta=4.0), max_level=2.5, samples=2)
         assert fit.alpha == pytest.approx(2.0, abs=1e-6)
         assert fit.beta == pytest.approx(4.0, abs=1e-6)
         assert fit.gamma == pytest.approx(1.0, abs=1e-6)
 
     def test_empty_common_domain_rejected(self):
         class DisjointSampler(FakeSampler):
-            def path(self, k, max_level=math.inf, max_refinements=None):
-                p = super().path(k, max_level, max_refinements)
+            def path(self, k, max_level):
+                p = super().path(k, max_level)
                 if k == 0:
                     p.levels = p.levels + np.concatenate([[0.0], np.full(50, 3.0)])
                 return p
 
         with pytest.raises(ValueError):
-            estimate_rates_clmc(DisjointSampler(), refinements=50, samples=2)
+            estimate_rates_clmc(DisjointSampler(), max_level=2.5, samples=2)
 
 
 class TestRateOptimization:
@@ -334,6 +366,21 @@ class TestRunClmc:
         assert clmc.method == "clmc" and qclmc.method == "qclmc"
         # identical PDE seeds, different maximal-level streams
         assert clmc.samples >= 6 and qclmc.samples >= 6
+
+    @pytest.mark.parametrize("sampler_kind", ["pseudo", "low-discrepancy"])
+    def test_unbiased_on_a_synthetic_model(self, monkeypatch, sampler_kind):
+        # M fixed as in the benchmark: m_ini = M - 1 and a tolerance that the
+        # first variance estimate meets; every run has its own PDE and level seeds
+        monkeypatch.setattr(levelmc.clmc, "AdaptivePathSampler", SyntheticPaths)
+        m, runs = 16, 200
+        estimates = []
+        for run in range(runs):
+            result = run_clmc(ClmcConfig(eps=1e6, rate=1.5, m_ini=m - 1, sampler_kind=sampler_kind,
+                                         seed=run, level_seed=10_000 + run))
+            assert result.samples == m and result.diagnostics["truncated_paths"] == 0
+            estimates.append(result.estimate)
+        se = np.std(estimates, ddof=1) / math.sqrt(runs)
+        assert abs(np.mean(estimates) - 1.0) <= 3 * se
 
     def test_deterministic_paths_unbiased(self):
         # frozen path: the estimator over many level draws matches the
