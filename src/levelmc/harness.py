@@ -29,6 +29,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -143,7 +144,7 @@ _RULES = {
     **dict.fromkeys(("contrast", "contrasts", "component_tol", "rate", "clmc_level"),
                     (lambda v: v > 0, "must be positive")),
     **dict.fromkeys(("tolerance_indices", "seed", "seed_base", "scramble_base"), _at_least(0)),
-    **dict.fromkeys(("base_n", "uniform_levels", "m_ini_clmc", "level_cap"), _at_least(1)),
+    **dict.fromkeys(("base_n", "uniform_levels", "m_ini_clmc"), _at_least(1)),
     **dict.fromkeys(("runs", "pilot_m", "m_ini", "m_ini_mlmc"), _at_least(2)),
     # l_max: run_mlmc always computes levels 1-3
     **dict.fromkeys(("mlmc_levels", "pilot_levels", "l_max"), _at_least(3)),
@@ -198,11 +199,16 @@ def _parse_config(cls, raw: dict, full_scale: bool):
             ok, rule = _RULES[f.name]
             for entry in entries:
                 _require(ok(entry), f"{f.name} {rule}, got {entry!r}")
+    _check_cross_rules(cfg)
+    return cfg
+
+
+def _check_cross_rules(cfg):
+    """Check each rule of ``_CROSS_RULES`` whose fields ``cfg`` has."""
     for names, ok, rule in _CROSS_RULES:
         if all(hasattr(cfg, name) for name in names) and not ok(cfg):
             got = ", ".join(f"{name}={getattr(cfg, name)!r}" for name in names)
             raise ConfigError(f"{rule}, got {got}")
-    return cfg
 
 
 @contextmanager
@@ -300,20 +306,16 @@ class ReferenceConfig(_ConfigBase):
 
 @dataclass
 class CompareConfig(_ConfigBase):
-    """Three-way method comparison over the tolerance ladder."""
+    """Three-way method comparison over the tolerance ladder, on the cases,
+    coarse mesh ``base_n`` and ``theta`` of the rates file it reads."""
 
     full_scale: bool = False
-    kinds: tuple = ("box", "cross")
-    contrasts: tuple = (300.0,)
     methods: tuple = ("mlmc", "clmc", "qclmc")
     tolerance_indices: tuple = (0, 1, 2, 3, 4, 5, 6)
     runs: int = 20
-    theta: float = 0.5
-    base_n: int = 15
     m_ini_mlmc: int = 20
     m_ini_clmc: int = 20
-    l_max: int = 9
-    level_cap: int = 8                     # largest computable uniform level
+    l_max: int = 8                         # finest MLMC level: largest computable uniform level
     dof_max: int = 200_000
     seed_base: int = 20_000
     scramble_base: int = 77_000
@@ -500,6 +502,14 @@ def cmd_lds(config: LdsConfig, out_dir) -> dict:
 # reference
 
 
+def _decaying_alpha(fit, name) -> float:
+    """The bias rate alpha of an MLMC fit; exit 3 unless it is positive."""
+    if not fit.alpha > 0:
+        raise NumericalError(f"{name} has alpha {fit.alpha!r} <= 0; "
+                             "the level-telescoped bias does not decay")
+    return fit.alpha
+
+
 def _mc_to_variance(single, target_var):
     """Plain MC of the level-0 QoI until the estimator variance is below target;
     returns the mean, the estimator variance and the sample count."""
@@ -530,7 +540,7 @@ def cmd_reference(config: ReferenceConfig, out_dir) -> dict:
         eps = math.sqrt(1.5) * t
         b_w = 2.0 / 3.0
         diff_run = run_mlmc(
-            MlmcConfig(eps=eps, alpha=pilot.alpha, b_w=b_w,
+            MlmcConfig(eps=eps, alpha=_decaying_alpha(pilot, f"aligned pilot for {key}"), b_w=b_w,
                        m_ini=config.m_ini, l_max=config.l_max),
             model(seed=config.seed + 1, aligned=True),
         )
@@ -567,38 +577,41 @@ def cmd_reference(config: ReferenceConfig, out_dir) -> dict:
 # compare
 
 
-def _load_table(path, hint, key, config, settings) -> dict:
-    """The ``key`` object of a JSON file that ``uq {hint}`` writes, made with
-    the same ``settings`` as ``config``."""
+def _load_table(path, hint, key, cls):
+    """The ``key`` object of a JSON file that ``uq {hint}`` writes, and the
+    config of class ``cls`` it was made with, checked like a given one."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{hint} file {path} not found; run `uq {hint}` first")
     with _reraised((OSError, json.JSONDecodeError), ConfigError, f"cannot read {hint} file {path}"):
         payload = json.loads(path.read_text())
-    table = payload.get(key) if isinstance(payload, dict) else None
-    if not isinstance(table, dict):
-        raise ConfigError(f"{hint} file {path} has no {key!r} object; rerun `uq {hint}`")
-    made = payload.get("config")
-    for name in settings:
-        value = made.get(name) if isinstance(made, dict) else None
-        if value != getattr(config, name):
-            raise ConfigError(f"{hint} file {path} was made with {name} {value!r}, not "
-                              f"{getattr(config, name)!r}; rerun `uq {hint}` with it")
-    return table
+    for name in (key, "config"):
+        if not isinstance(payload, dict) or not isinstance(payload.get(name), dict):
+            raise ConfigError(f"{hint} file {path} has no {name!r} object; rerun `uq {hint}`")
+    made = dict(payload["config"])
+    # a missing full_scale is None, which its type check refuses
+    full_scale = made.pop("full_scale", None)
+    with _reraised(ConfigError, ConfigError, f"{hint} file {path} holds a config that "
+                   f"this version does not take; rerun `uq {hint}`"):
+        return payload[key], cls.from_dict(made, full_scale)
 
 
 def cmd_compare(config: CompareConfig, out_dir) -> dict:
     """Timed MSE comparison of the three estimators over the tolerance ladder."""
     out = Path(out_dir)
     continuous = "clmc" in config.methods or "qclmc" in config.methods
-    # E[Q - Q_0] and the MLMC fit depend on the coarse mesh, the CLMC fit on theta too
-    fits = _load_table(config.rates_file, "rates", "fits", config,
-                       ("base_n", "theta") if continuous else ("base_n",))
-    references = _load_table(config.reference_file, "reference", "values", config, ("base_n",))
+    fits, calibration = _load_table(config.rates_file, "rates", "fits", RatesConfig)
+    _check_cross_rules(SimpleNamespace(dof_max=config.dof_max, base_n=calibration.base_n))
+    references, made = _load_table(config.reference_file, "reference", "values", ReferenceConfig)
+    # E[Q - Q_0] depends on the coarse mesh of Q_0
+    if made.base_n != calibration.base_n:
+        raise ConfigError(f"reference file {config.reference_file} was made with base_n "
+                          f"{made.base_n!r}, not the rates file's {calibration.base_n!r}; "
+                          "rerun `uq reference` with it")
 
     eps_sq = tolerance_ladder(config.tolerance_indices)
     inputs, b_w = {}, {}
-    for key, kind, contrast in _cases(config):
+    for key, kind, contrast in _cases(calibration):
         if key not in fits:
             raise ConfigError(f"no rate fit for {key}; rerun `uq rates`")
         if key not in references:
@@ -615,12 +628,9 @@ def cmd_compare(config: CompareConfig, out_dir) -> dict:
                 fit = MlmcRateFit(**entry["mlmc"])
             for f in fields(fit):
                 _check_type(f"{f.name} of the MLMC fit {rates_at}", getattr(fit, f.name), f.type)
-            if not fit.alpha > 0:
-                raise NumericalError(f"MLMC fit for {key} has alpha {fit.alpha!r} <= 0; "
-                                     "the level-telescoped bias does not decay")
-            alpha = fit.alpha
+            alpha = _decaying_alpha(fit, f"MLMC fit for {key}")
             for tol_index, e2 in zip(config.tolerance_indices, eps_sq):
-                b_w[key, tol_index] = optimal_bias_weight(fit, math.sqrt(e2), config.level_cap)
+                b_w[key, tol_index] = optimal_bias_weight(fit, math.sqrt(e2), config.l_max)
         if continuous:
             if "r_hat" not in entry:
                 raise NumericalError(f"no feasible exponential rate for {key}: "
@@ -634,7 +644,7 @@ def cmd_compare(config: CompareConfig, out_dir) -> dict:
 
     records = []
     for (key, kind, contrast), (tol_index, e2), run_idx, method in itertools.product(
-            _cases(config), zip(config.tolerance_indices, eps_sq),
+            _cases(calibration), zip(config.tolerance_indices, eps_sq),
             range(config.runs), config.methods):
         alpha, r_hat, ref_value = inputs[key]
         eps = math.sqrt(e2)
@@ -644,17 +654,18 @@ def cmd_compare(config: CompareConfig, out_dir) -> dict:
             run = run_mlmc(
                 MlmcConfig(eps=eps, alpha=alpha, b_w=b_w[key, tol_index],
                            m_ini=config.m_ini_mlmc, l_max=config.l_max),
-                PdeLevelModel(kind=kind, contrast=contrast, base_n=config.base_n, seed=pde_seed),
+                PdeLevelModel(kind=kind, contrast=contrast, base_n=calibration.base_n,
+                              seed=pde_seed),
             )
         else:
             run = run_clmc(
                 ClmcConfig(
                     eps=eps, rate=r_hat, m_ini=config.m_ini_clmc, dof_max=config.dof_max,
                     sampler_kind="low-discrepancy" if method == "qclmc" else "pseudo",
-                    theta=config.theta, seed=pde_seed,
+                    theta=calibration.theta, seed=pde_seed,
                     level_seed=config.scramble_base + run_idx,
                 ),
-                kind=kind, contrast=contrast, base_n=config.base_n,
+                kind=kind, contrast=contrast, base_n=calibration.base_n,
             )
         seconds = time.perf_counter() - t0
         records.append({
@@ -677,10 +688,11 @@ def cmd_compare(config: CompareConfig, out_dir) -> dict:
 
     write_csv(out / "records.csv", records, config, config.seed_base)
     return _write_summary(out / "compare_summary.json", "compare", config,
-                          summary=_summarize_compare(records, config))
+                          inputs={"rates": calibration.hash(), "reference": made.hash()},
+                          summary=_summarize_compare(records, config, calibration))
 
 
-def _summarize_compare(records, config: CompareConfig) -> dict:
+def _summarize_compare(records, config: CompareConfig, calibration: RatesConfig) -> dict:
     groups = {}
     for rec in records:
         key = (rec["method"], rec["kind"], rec["contrast"], rec["tol_index"])
@@ -706,7 +718,7 @@ def _summarize_compare(records, config: CompareConfig) -> dict:
     out = {"cells": list(cells.values()), "methods": {}}
     for method in config.methods:
         per_kind = {}
-        for key, kind, contrast in _cases(config):
+        for key, kind, contrast in _cases(calibration):
             cells_m = [cells[method, kind, contrast, t] for t in ladder]
             slope = None
             if len(cells_m) >= 2:
@@ -726,6 +738,6 @@ def _summarize_compare(records, config: CompareConfig) -> dict:
                                   for t in config.tolerance_indices),
                 "cells": len(config.tolerance_indices),
             }
-            for key, kind, contrast in _cases(config)
+            for key, kind, contrast in _cases(calibration)
         }
     return out

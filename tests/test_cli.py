@@ -26,7 +26,7 @@ from levelmc.harness import (
     ReferenceConfig,
     _ConfigBase,
 )
-from levelmc.mlmc import MlmcRateFit
+from levelmc.mlmc import EstimatorRun, MlmcRateFit, optimal_bias_weight
 
 # MLMC fit of a desk-scale `uq rates` run for the box coefficient (rounded),
 # with the continuous-level rate r-hat of a 24-refinement calibration; like
@@ -37,8 +37,11 @@ RATES = {"config": RatesConfig.from_dict({}).asdict(), "fits": {"box:300": {
              "r_squared": {"mean": 0.986, "variance": 0.980, "cost": 1.0}},
     "r_hat": 1.9,
 }}}
-REFERENCE = {"config": ReferenceConfig.from_dict({"kinds": ["box"]}).asdict(),
-             "values": {"box:300": {"reference": 0.988918375057231}}}
+# the reference of the default config holds both kinds; a compare on RATES
+# reads only its box value (the cross value is a stand-in)
+REFERENCE = {"config": ReferenceConfig.from_dict({}).asdict(),
+             "values": {"box:300": {"reference": 0.988918375057231},
+                        "cross:300": {"reference": 1.0}}}
 
 
 # the ledger columns of an estimator run that compare emits
@@ -76,8 +79,10 @@ def assert_envelope(path, experiment, config):
     ("compare", {"runs": "20"}),
     ("compare", {"m_ini_mlmc": 1}),
     ("compare", {"m_ini_clmc": 0}),
-    ("compare", {"level_cap": 0}),
-    ("compare", {"kinds": "box"}),
+    # compare takes its cases, base_n and theta from its rates file, and l_max
+    # is its one finest level
+    ("compare", {"level_cap": 8}),
+    ("compare", {"kinds": ["box"]}),
     ("lds", {"runs": 2.5}),
     ("lds", {"seed": True}),
     ("lds", {"max_exponent": 9.0}),
@@ -96,16 +101,16 @@ def assert_envelope(path, experiment, config):
     ("rates", {"contrasts": [300, True]}),
     ("compare", {"methods": ["mlmc", 1]}),
     ("converge", {"base_n": 0}),
-    ("compare", {"base_n": 0}),
+    ("compare", {"base_n": 15}),
     ("reference", {"base_n": -1}),
-    ("compare", {"dof_max": 300}),
+    ("compare", {"contrasts": [300]}),
     ("rates", {"dof_max": 512}),  # 2 (base_n + 1)^2: the first refinement is cut
     ("lds", {"min_exponent": 0}),
     ("lds", {"min_exponent": -2}),
     ("compare", {"runs": None}),
     ("converge", {"uniform_levels": None}),
     ("compare", {"tolerance_indices": [0, 0]}),
-    ("compare", {"kinds": ["box", "box"]}),
+    ("compare", {"theta": 0.5}),
     ("rates", {"contrasts": [300, 300.0001]}),  # both name the case box:300
     ("reference", {"contrasts": [300, 300.0]}),
     ("rates", {"contrasts": []}),
@@ -146,11 +151,11 @@ def test_malformed_config_exits_2(tmp_path, capsys, experiment, config):
     {"tolerance_indices": [0.5]},
     {"tolerance_indices": [-1]},
     {"methods": ["mlmc", 1]},
-    {"base_n": 0},
-    {"dof_max": 300},
+    {"m_ini_mlmc": 1},
+    {"l_max": 2},
     {"runs": None},
     {"tolerance_indices": [0, 0]},
-    {"kinds": ["box", "box"]},
+    {"methods": ["mlmc", "mlmc"]},
     {"methods": []},
     {"seed_base": -1},
     {"scramble_base": -1},
@@ -186,7 +191,7 @@ def test_integer_fields_keep_their_defaults_and_hashes():
     (RatesConfig, "0d62ea8fd543", "cc57838406a9"),
     (LdsConfig, "635f45d35242", "334173637c94"),
     (ReferenceConfig, "04dc3ede46d6", "e0c04d1fea2f"),
-    (CompareConfig, "bbac9a8d9308", "457fcba30c1c"),
+    (CompareConfig, "5c2a0a45ac7b", "e50efd2e19d0"),
 ])
 def test_default_config_hashes_pinned(cls, desk, full):
     # every emitted file carries its config hash; a serializer change must keep them
@@ -280,14 +285,17 @@ def with_mlmc_fit(r_hat=1.9, **changes):
     ("rates.json", with_mlmc_fit(c3=math.nan), ["c3 of the MLMC fit box:300", "got nan"]),
     ("reference.json", json.dumps({**REFERENCE, "values": {"box:300": {"reference": 10**400}}}),
      ["reference of box:300", "a finite number"]),
+    # the key that `uq rates` wrote before clmc_level replaced it
+    ("rates.json", json.dumps({**RATES, "config": {**RATES["config"], "clmc_refinements": 12}}),
+     ["unknown config keys for RatesConfig: ['clmc_refinements']", "rerun `uq rates`"]),
 ], ids=["empty", "not-json", "fit-without-beta", "string-alpha", "no-reference-value",
         "negative-r_hat", "infinite-r_hat", "huge-r_hat", "huge-alpha", "nan-c3",
-        "huge-reference"])
+        "huge-reference", "stale-rates-config"])
 def test_malformed_results_file_exits_2(tmp_path, capsys, name, text, messages):
     files = {"rates.json": json.dumps(RATES), "reference.json": json.dumps(REFERENCE), name: text}
     for file_name, content in files.items():
         (tmp_path / file_name).write_text(content)
-    config = {"kinds": ["box"], "rates_file": str(tmp_path / "rates.json"),
+    config = {"rates_file": str(tmp_path / "rates.json"),
               "reference_file": str(tmp_path / "reference.json")}
     assert run(tmp_path, "compare", config) == 2
     err = capsys.readouterr().err
@@ -305,7 +313,7 @@ def test_malformed_results_file_exits_2(tmp_path, capsys, name, text, messages):
 def test_unusable_rate_fit_exits_3(tmp_path, capsys, rates, message):
     (tmp_path / "rates.json").write_text(rates)
     (tmp_path / "reference.json").write_text(json.dumps(REFERENCE))
-    config = {"kinds": ["box"], "rates_file": str(tmp_path / "rates.json"),
+    config = {"rates_file": str(tmp_path / "rates.json"),
               "reference_file": str(tmp_path / "reference.json")}
     assert run(tmp_path, "compare", config) == 3
     err = capsys.readouterr().err
@@ -394,6 +402,17 @@ def test_reference_on_aligned_meshes(tmp_path):
                     ReferenceConfig.from_dict(config))
 
 
+def test_reference_pilot_whose_bias_does_not_decay_exits_3(tmp_path, capsys):
+    # this aligned pilot fits alpha = -9.68
+    config = {"kinds": ["box"], "base_n": 4, "pilot_levels": 3, "pilot_m": 2, "seed": 0,
+              "component_tol": 0.1, "m_ini": 4, "l_max": 5}
+    assert run(tmp_path, "reference", config) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: aligned pilot for box:300 has alpha -9.")
+    assert "<= 0; the level-telescoped bias does not decay" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_converge_writes_its_columns_and_summary(tmp_path):
     config = {"kinds": ["box"], "base_n": 4, "uniform_levels": 2, "adaptive_steps": 3,
               "fit_window": 3, "reference_n": 16}
@@ -409,7 +428,7 @@ def test_compare_emits_reproducible_samples(tmp_path, monkeypatch):
     monkeypatch.setattr(levelmc.harness, "TOLERANCE_BASE", 0.25)
     (tmp_path / "rates.json").write_text(json.dumps(RATES))
     (tmp_path / "reference.json").write_text(json.dumps(REFERENCE))
-    config = {"kinds": ["box"], "runs": 2, "tolerance_indices": [0], "l_max": 4,
+    config = {"runs": 2, "tolerance_indices": [0], "l_max": 4,
               "dof_max": 5000, "m_ini_mlmc": 4, "m_ini_clmc": 4,
               "emit_samples": True, "rates_file": str(tmp_path / "rates.json"),
               "reference_file": str(tmp_path / "reference.json")}
@@ -444,9 +463,13 @@ def test_compare_emits_reproducible_samples(tmp_path, monkeypatch):
                     "estimate,sq_error,seconds,cost_dof,samples,flags")
     assert_envelope(tmp_path / "a" / "compare_summary.json", "compare", resolved)
 
+    payload = json.loads((tmp_path / "a" / "compare_summary.json").read_text(),
+                         parse_constant=reject)
+    # the runs take their settings from the input files, which their hashes name
+    assert payload["inputs"] == {"rates": RatesConfig.from_dict({}).hash(),
+                                 "reference": ReferenceConfig.from_dict({}).hash()}
     # one tolerance index gives no time-MSE slope: null, not NaN
-    summary = json.loads((tmp_path / "a" / "compare_summary.json").read_text(),
-                         parse_constant=reject)["summary"]
+    summary = payload["summary"]
     assert {s["box:300"]["time_mse_slope"] for s in summary["methods"].values()} == {None}
 
     rows = records("a")
@@ -466,7 +489,7 @@ def test_compare_reads_only_the_rates_of_its_methods(tmp_path, monkeypatch, meth
     rates = {"config": {**RATES["config"], **made}, "fits": {"box:300": entry}}
     (tmp_path / "rates.json").write_text(json.dumps(rates))
     (tmp_path / "reference.json").write_text(json.dumps(REFERENCE))
-    config = {"kinds": ["box"], "methods": [method], "runs": 2, "tolerance_indices": [0],
+    config = {"methods": [method], "runs": 2, "tolerance_indices": [0],
               "l_max": 4, "dof_max": 5000, "m_ini_mlmc": 4, "m_ini_clmc": 4,
               "rates_file": str(tmp_path / "rates.json"),
               "reference_file": str(tmp_path / "reference.json")}
@@ -475,33 +498,86 @@ def test_compare_reads_only_the_rates_of_its_methods(tmp_path, monkeypatch, meth
     assert [line.split(",")[0] for line in lines[2:]] == [method, method]
 
 
-@pytest.mark.parametrize("name, made, methods", [
-    ("reference.json", {"base_n": 8}, ["mlmc"]),
-    ("rates.json", {"base_n": 8}, ["mlmc"]),
-    ("rates.json", {"theta": 0.4}, ["clmc"]),
-    ("rates.json", {"theta": 0.4}, ["mlmc", "qclmc"]),
-], ids=["reference-base_n", "rates-base_n", "rates-theta-clmc", "rates-theta-qclmc"])
-def test_compare_refuses_results_made_with_other_settings(
-        tmp_path, capsys, monkeypatch, name, made, methods):
+@pytest.mark.parametrize("name", ["reference.json", "rates.json"],
+                         ids=["reference-base_n", "rates-base_n"])
+def test_compare_refuses_results_made_with_other_settings(tmp_path, capsys, monkeypatch, name):
     # E[Q - Q_0] depends on the coarse mesh of Q_0: a reference made at base_n 8
     # read by a compare at 15 gave squared errors of about 3 at eps^2 = 0.04;
     # a compare that read the files anyway would still be small
     monkeypatch.setattr(levelmc.harness, "TOLERANCE_BASE", 0.25)
     files = {"rates.json": RATES, "reference.json": REFERENCE}
-    files[name] = {**files[name], "config": {**files[name]["config"], **made}}
+    files[name] = {**files[name], "config": {**files[name]["config"], "base_n": 8}}
     for file_name, content in files.items():
         (tmp_path / file_name).write_text(json.dumps(content))
-    config = {"kinds": ["box"], "methods": methods, "runs": 2, "tolerance_indices": [0],
-              "l_max": 4, "dof_max": 5000, "m_ini_mlmc": 4, "m_ini_clmc": 4,
+    config = {"methods": ["mlmc"], "runs": 2, "tolerance_indices": [0],
+              "l_max": 4, "dof_max": 5000, "m_ini_mlmc": 4,
               "rates_file": str(tmp_path / "rates.json"),
               "reference_file": str(tmp_path / "reference.json")}
     assert run(tmp_path, "compare", config) == 2
     err = capsys.readouterr().err
-    (setting, value), = made.items()
-    default = getattr(CompareConfig.from_dict({}), setting)
-    assert err.startswith(f"config error: {name[:-5]} file {tmp_path / name} was made with "
-                          f"{setting} {value!r}, not {default!r}")
+    made, calibrated = (8, 15) if name == "reference.json" else (15, 8)
+    assert err.startswith(f"config error: reference file {tmp_path / 'reference.json'} was "
+                          f"made with base_n {made}, not the rates file's {calibrated}")
     assert not (tmp_path / "out").exists()
+
+
+def write_inputs(tmp_path, rates=RATES, reference=REFERENCE):
+    """Write the rates and reference files; return the compare config keys naming them."""
+    (tmp_path / "rates.json").write_text(json.dumps(rates))
+    (tmp_path / "reference.json").write_text(json.dumps(reference))
+    return {"rates_file": str(tmp_path / "rates.json"),
+            "reference_file": str(tmp_path / "reference.json")}
+
+
+def test_compare_runs_the_cases_of_its_rates_file(tmp_path, monkeypatch):
+    # inputs of the default rates (box) and reference (box and cross) configs;
+    # the compare config names no case
+    monkeypatch.setattr(levelmc.harness, "TOLERANCE_BASE", 0.25)
+    config = {"runs": 2, "tolerance_indices": [0], "l_max": 4, "dof_max": 5000,
+              "m_ini_mlmc": 4, "m_ini_clmc": 4, **write_inputs(tmp_path)}
+    assert run(tmp_path, "compare", config) == 0
+    lines = (tmp_path / "out" / "records.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[2:]]
+    assert [(r[0], r[1], r[2]) for r in rows] == [
+        (method, "box", "300.0") for method in ("mlmc", "clmc", "qclmc")] * 2
+    summary = json.loads((tmp_path / "out" / "compare_summary.json").read_text())["summary"]
+    assert all(list(per_case) == ["box:300"] for per_case in summary["methods"].values())
+
+
+@pytest.mark.parametrize("base_n, dof_max", [(15, 512), (8, 162)])
+def test_compare_dof_max_is_checked_against_the_rates_base_n_before_any_run(
+        tmp_path, capsys, monkeypatch, base_n, dof_max):
+    runs = []
+    monkeypatch.setattr(levelmc.harness, "run_mlmc", lambda *a, **k: runs.append(a))
+    monkeypatch.setattr(levelmc.harness, "run_clmc", lambda *a, **k: runs.append(a))
+    rates = {**RATES, "config": {**RATES["config"], "base_n": base_n}}
+    reference = {**REFERENCE, "config": {**REFERENCE["config"], "base_n": base_n}}
+    config = {"dof_max": dof_max, **write_inputs(tmp_path, rates, reference)}
+    assert run(tmp_path, "compare", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: dof_max must exceed 2 (base_n + 1)^2 so that a path "
+                          f"refines at least once, got dof_max={dof_max}, base_n={base_n}")
+    assert not runs and not (tmp_path / "out").exists()
+
+
+def test_compare_weighs_the_mlmc_bias_for_its_finest_level(tmp_path, monkeypatch):
+    # with the RATES fit, eps = 0.16 takes b_w 0.3115 for level 8 and 0.4660 for level 4
+    configs = []
+
+    def recorded_run(config, model):
+        configs.append(config)
+        return EstimatorRun(method="mlmc", estimate=1.0, variance_estimate=0.0, bias_proxy=0.0,
+                            cost_dof=1.0, samples=2, diagnostics={}, flags=[])
+
+    monkeypatch.setattr(levelmc.harness, "run_mlmc", recorded_run)
+    config = {"methods": ["mlmc"], "runs": 2, "tolerance_indices": [0, 1], "l_max": 4,
+              **write_inputs(tmp_path)}
+    assert run(tmp_path, "compare", config) == 0
+    fit = MlmcRateFit(**RATES["fits"]["box:300"]["mlmc"])
+    expected = [optimal_bias_weight(fit, eps, 4) for eps in (0.2, 0.16) for _ in range(2)]
+    assert [c.b_w for c in configs] == expected
+    assert {c.l_max for c in configs} == {4}
+    assert round(expected[-1], 4) == 0.466
 
 
 @pytest.mark.parametrize("clmc_fit, refused", [
@@ -521,7 +597,7 @@ def test_unusable_clmc_fit_gives_no_r_hat_and_a_clmc_compare_exits_3(
     assert entry["r_hat_refused"] == refused
 
     (tmp_path / "reference.json").write_text(json.dumps(REFERENCE))
-    config = {"kinds": ["box"], "methods": ["clmc"],
+    config = {"methods": ["clmc"],
               "rates_file": str(tmp_path / "rates" / "rates.json"),
               "reference_file": str(tmp_path / "reference.json")}
     assert run(tmp_path, "compare", config) == 3
