@@ -36,11 +36,10 @@ import numpy as np
 from .coefficient import draw_coefficient
 from .indicator import Hierarchy, adaptive_hierarchy
 from .mesh import structured_unit_square
-from .mlmc import EstimatorRun, _masked_log_fit
+from .mlmc import EstimatorRun, RateFit
 from .sampling import SOURCE_KINDS, ExponentialLevelSampler, UniformSource
 
 __all__ = [
-    "ClmcRateFit",
     "ClmcConfig",
     "AdaptivePathSampler",
     "path_contribution",
@@ -126,30 +125,8 @@ class AdaptivePathSampler:
                                   max_dof=self.dof_max)
 
 
-@dataclass
-class ClmcRateFit:
-    """Calibrated continuous-level decay/growth:
-    |E dQ/dl| ~ c4 e^(-alpha l), V[dQ/dl] ~ c5 e^(-beta l), cost ~ c6 e^(gamma l)."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    c4: float
-    c5: float
-    c6: float
-    level_domain: tuple
-    samples: int
-    r_squared: dict
-
-    def hypotheses_hold(self) -> bool:
-        return min(self.beta, 2.0 * self.alpha) > self.gamma
-
-    def feasible_interval(self) -> tuple:
-        return self.gamma, min(self.beta, 2.0 * self.alpha)
-
-
 def estimate_rates_clmc(sampler: AdaptivePathSampler, max_level: float,
-                        samples: int) -> ClmcRateFit:
+                        samples: int) -> RateFit:
     """Calibrate continuous-level rates from pilot paths refined to max_level.
 
     Per sample the piecewise-constant level derivative
@@ -175,31 +152,18 @@ def estimate_rates_clmc(sampler: AdaptivePathSampler, max_level: float,
         gaps = np.diff(p.levels)
         derivs[i] = np.diff(p.qois)[j - 1] / gaps[j - 1]
         costs[i] = np.cumsum(p.dofs)[j]
-
-    mean = derivs.mean(axis=0)
-    var = derivs.var(axis=0, ddof=1)
-    cost = costs.mean(axis=0)
-
-    mean_slope, log_c4, r2_mean = _masked_log_fit(grid, np.abs(mean), "mean")
-    var_slope, log_c5, r2_var = _masked_log_fit(grid, var, "variance")
-    cost_slope, log_c6, r2_cost = _masked_log_fit(grid, cost, "cost")
-    return ClmcRateFit(
-        alpha=-mean_slope, beta=-var_slope, gamma=cost_slope,
-        c4=math.exp(log_c4), c5=math.exp(log_c5), c6=math.exp(log_c6),
-        level_domain=(float(lo), float(hi)),
-        samples=samples,
-        r_squared={"mean": r2_mean, "variance": r2_var, "cost": r2_cost},
-    )
+    return RateFit.fit(grid, derivs.mean(axis=0), derivs.var(axis=0, ddof=1),
+                       costs.mean(axis=0), math.e, samples)
 
 
-def clmc_cost(fit: ClmcRateFit, eps: float, rate: float) -> float:
+def clmc_cost(fit: RateFit, eps: float, rate: float) -> float:
     """Cost bound of the level-continuous estimator at tolerance eps and rate r."""
     a, b, g = fit.alpha, fit.beta, fit.gamma
-    var_part = 4.0 * fit.c5 / ((b - rate) * b) + fit.c4**2 * rate / ((2.0 * a - rate) * a**2)
-    return fit.c6 / (eps**2 * (rate - g)) * var_part
+    var_part = 4.0 * fit.c2 / ((b - rate) * b) + fit.c1**2 * rate / ((2.0 * a - rate) * a**2)
+    return fit.c3 / (eps**2 * (rate - g)) * var_part
 
 
-def optimal_rate_param(fit: ClmcRateFit, eps: float) -> float:
+def optimal_rate_param(fit: RateFit, eps: float) -> float:
     """Cost-minimizing exponential rate on the open feasibility interval.
 
     Searches a midpoint grid of (gamma, min(beta, 2 alpha)); endpoints are

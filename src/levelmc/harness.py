@@ -46,8 +46,8 @@ from .indicator import adaptive_hierarchy
 from .mesh import aligned_structured_mesh, level_resolution, structured_unit_square, uniform_family
 from .mlmc import (
     MlmcConfig,
-    MlmcRateFit,
     PdeLevelModel,
+    RateFit,
     Welford,
     _log_fit,
     estimate_rates_mlmc,
@@ -619,13 +619,15 @@ def cmd_compare(config: CompareConfig, out_dir) -> dict:
         entry = fits[key]
         rates_at = f"{key} in {config.rates_file}"
         ref_at = f"{key} in {config.reference_file}"
+        _check_type(f"entry {rates_at}", entry, "dict")
         with _reraised((KeyError, TypeError), ConfigError, f"malformed entry {ref_at}"):
             ref_value = references[key]["reference"]
         _check_type(f"reference of {ref_at}", ref_value, "float")
         alpha = r_hat = None
         if "mlmc" in config.methods:
-            with _reraised((KeyError, TypeError), ConfigError, f"malformed entry {rates_at}"):
-                fit = MlmcRateFit(**entry["mlmc"])
+            with _reraised((KeyError, TypeError), ConfigError,
+                           f"malformed entry {rates_at}; rerun `uq rates`"):
+                fit = RateFit(**entry["mlmc"])
             for f in fields(fit):
                 _check_type(f"{f.name} of the MLMC fit {rates_at}", getattr(fit, f.name), f.type)
             alpha = _decaying_alpha(fit, f"MLMC fit for {key}")

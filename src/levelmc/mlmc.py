@@ -30,10 +30,10 @@ from .mesh import aligned_structured_mesh, level_resolution, uniform_family
 
 __all__ = [
     "EstimatorRun",
-    "MlmcRateFit",
     "MlmcConfig",
     "PairSample",
     "PdeLevelModel",
+    "RateFit",
     "Welford",
     "estimate_rates_mlmc",
     "bias_level",
@@ -161,9 +161,10 @@ class PdeLevelModel:
 
 
 @dataclass
-class MlmcRateFit:
-    """Log-linear decay/growth calibration: |mean| ~ c1 s^(-alpha l),
-    variance ~ c2 s^(-beta l), cost ~ c3 s^(gamma l)."""
+class RateFit:
+    """Log-linear decay/growth calibration over a level axis l: |mean| ~ c1 s^(-alpha l),
+    variance ~ c2 s^(-beta l), cost ~ c3 s^(gamma l).  MLMC fits integer levels with
+    the model's DOF growth s, CLMC the continuous level with s = e."""
 
     alpha: float
     beta: float
@@ -172,12 +173,33 @@ class MlmcRateFit:
     c2: float
     c3: float
     s: float
-    levels: tuple
+    domain: tuple
     samples: int
     r_squared: dict
+    points: dict  # the number of values each fit used
+
+    @classmethod
+    def fit(cls, levels, means, variances, costs, s: float, samples: int) -> RateFit:
+        """Fit lines to the base-s logarithms of |means|, variances and costs
+        against the levels, each over its positive values only."""
+        mean_slope, log_c1, r2_mean, n_mean = _masked_log_fit(levels, np.abs(means), "mean", s)
+        var_slope, log_c2, r2_var, n_var = _masked_log_fit(levels, variances, "variance", s)
+        cost_slope, log_c3, r2_cost, n_cost = _masked_log_fit(levels, costs, "cost", s)
+        return cls(
+            alpha=-mean_slope, beta=-var_slope, gamma=cost_slope,
+            c1=s**log_c1, c2=s**log_c2, c3=s**log_c3, s=s,
+            domain=(float(levels[0]), float(levels[-1])), samples=samples,
+            r_squared={"mean": r2_mean, "variance": r2_var, "cost": r2_cost},
+            points={"mean": n_mean, "variance": n_var, "cost": n_cost},
+        )
+
+    def feasible_interval(self) -> tuple:
+        """The rates r with gamma < r < min(beta, 2 alpha)."""
+        return self.gamma, min(self.beta, 2.0 * self.alpha)
 
     def hypotheses_hold(self) -> bool:
-        return min(self.beta, 2.0 * self.alpha) > self.gamma
+        lo, hi = self.feasible_interval()
+        return lo < hi
 
 
 def _log_fit(x, y):
@@ -191,24 +213,25 @@ def _log_fit(x, y):
     return float(slope), float(intercept), float(r2)
 
 
-def _masked_log_fit(x, values, name: str, base: float = math.e):
+def _masked_log_fit(x, values, name: str, base: float):
     """Line through (x, log_base(values)) over the positive values only.
 
     Nonpositive values are excluded with a warning; fewer than 3 usable
-    points is an error.  Returns slope, intercept, R^2 as ``_log_fit``;
-    log(e) is exactly 1, so the default base divides by one.
+    points is an error.  Returns slope, intercept, R^2 as ``_log_fit`` and
+    the number of points used.
     """
     values = np.asarray(values, float)
     usable = values > 0
-    if not usable.all():
-        warnings.warn(f"excluding {int((~usable).sum())} points from the {name} fit "
+    count = int(usable.sum())
+    if count < len(values):
+        warnings.warn(f"excluding {len(values) - count} points from the {name} fit "
                       "(nonpositive estimates)")
-    if usable.sum() < 3:
+    if count < 3:
         raise ValueError(f"fewer than 3 usable points for the {name} fit")
-    return _log_fit(np.asarray(x, float)[usable], np.log(values[usable]) / math.log(base))
+    return (*_log_fit(np.asarray(x, float)[usable], np.log(values[usable]) / math.log(base)), count)
 
 
-def estimate_rates_mlmc(model, levels: int, samples: int) -> MlmcRateFit:
+def estimate_rates_mlmc(model, levels: int, samples: int) -> RateFit:
     """Calibrate (alpha, beta, gamma) and constants from per-level pilot runs.
 
     Fits straight lines to the base-``model.s`` logarithms of |difference
@@ -228,25 +251,17 @@ def estimate_rates_mlmc(model, levels: int, samples: int) -> MlmcRateFit:
         variances.append(diffs.var(ddof=1))
         costs.append(np.mean([p.cost_dof for p in pairs]))
 
-    s = model.s
-    lvl = np.arange(1, levels + 1, dtype=float)
-    mean_slope, log_c1, r2_mean = _masked_log_fit(lvl, np.abs(means), "mean", s)
-    var_slope, log_c2, r2_var = _masked_log_fit(lvl, variances, "variance", s)
-    cost_slope, log_c3, r2_cost = _masked_log_fit(lvl, costs, "cost", s)
-    return MlmcRateFit(
-        alpha=-mean_slope, beta=-var_slope, gamma=cost_slope,
-        c1=s**log_c1, c2=s**log_c2, c3=s**log_c3, s=s, levels=(1, levels), samples=samples,
-        r_squared={"mean": r2_mean, "variance": r2_var, "cost": r2_cost},
-    )
+    return RateFit.fit(np.arange(1, levels + 1, dtype=float), means, variances, costs,
+                       model.s, samples)
 
 
-def bias_level(fit: MlmcRateFit, eps: float, b_w: float) -> float:
+def bias_level(fit: RateFit, eps: float, b_w: float) -> float:
     """Continuous level L(b_w) at which the geometric bias tail meets sqrt(b_w) eps."""
     return math.log(fit.c1 / (math.sqrt(b_w) * eps * (fit.s**fit.alpha - 1.0))) \
         / (fit.alpha * math.log(fit.s))
 
 
-def computable_mlmc_cost(fit: MlmcRateFit, eps: float, b_w: float) -> float:
+def computable_mlmc_cost(fit: RateFit, eps: float, b_w: float) -> float:
     """Computable cost bound of the level-telescoped estimator at weight b_w,
     up to the continuous bias level L(b_w)."""
     level = bias_level(fit, eps, b_w)
@@ -261,7 +276,7 @@ def computable_mlmc_cost(fit: MlmcRateFit, eps: float, b_w: float) -> float:
     return max(2.0 * geo, var_term) + geo
 
 
-def optimal_bias_weight(fit: MlmcRateFit, eps: float, level_cap: int) -> float:
+def optimal_bias_weight(fit: RateFit, eps: float, level_cap: int) -> float:
     """Cost-minimizing MSE weight over (b_low, 1).
 
     b_low makes the continuous bias level meet the largest computable level;

@@ -10,7 +10,6 @@ import pytest
 import levelmc.cli
 import levelmc.harness
 from levelmc.cli import main
-from levelmc.clmc import ClmcRateFit
 from levelmc.fem import SolverError
 from levelmc.harness import (
     _CROSS_RULES,
@@ -26,15 +25,20 @@ from levelmc.harness import (
     ReferenceConfig,
     _ConfigBase,
 )
-from levelmc.mlmc import EstimatorRun, MlmcRateFit, optimal_bias_weight
+from levelmc.mlmc import EstimatorRun, RateFit, optimal_bias_weight
 
-# MLMC fit of a desk-scale `uq rates` run for the box coefficient (rounded),
-# with the continuous-level rate r-hat of a 24-refinement calibration; like
-# the files `uq` writes, each carries the config it was made with
+# MLMC and CLMC fits of a desk-scale `uq rates` run for the box coefficient
+# (rounded), with the continuous-level rate r-hat of a 24-refinement
+# calibration; like the files `uq` writes, each carries the config it was made with
 RATES = {"config": RatesConfig.from_dict({}).asdict(), "fits": {"box:300": {
     "mlmc": {"alpha": 0.716, "beta": 0.939, "gamma": 0.972, "c1": 0.877, "c2": 0.743,
-             "c3": 373.3, "s": 2.25, "levels": [1, 6], "samples": 100,
-             "r_squared": {"mean": 0.986, "variance": 0.980, "cost": 1.0}},
+             "c3": 373.3, "s": 2.25, "domain": [1.0, 6.0], "samples": 100,
+             "r_squared": {"mean": 0.986, "variance": 0.980, "cost": 1.0},
+             "points": {"mean": 6, "variance": 6, "cost": 6}},
+    "clmc": {"alpha": 1.489, "beta": 3.174, "gamma": 1.624, "c1": 1.232, "c2": 7.210,
+             "c3": 583.0, "s": math.e, "domain": [0.241, 2.503], "samples": 100,
+             "r_squared": {"mean": 0.743, "variance": 0.748, "cost": 0.997},
+             "points": {"mean": 50, "variance": 50, "cost": 50}},
     "r_hat": 1.9,
 }}}
 # the reference of the default config holds both kinds; a compare on RATES
@@ -220,18 +224,19 @@ def test_every_number_field_has_a_range_and_every_table_key_a_field():
     assert set(_RULES) <= {f.name for cls in configs for f in fields(cls)}
 
 
-def test_mlmc_fit_round_trips_through_the_rates_file_format():
-    entry = RATES["fits"]["box:300"]["mlmc"]
-    fit = MlmcRateFit(**entry)
+@pytest.mark.parametrize("method", ["mlmc", "clmc"])
+def test_rate_fit_round_trips_through_the_rates_file_format(method):
+    entry = RATES["fits"]["box:300"][method]
+    fit = RateFit(**entry)
     assert json.loads(json.dumps(asdict(fit))) == entry
-    assert MlmcRateFit(**json.loads(json.dumps(asdict(fit)))) == fit
+    assert RateFit(**json.loads(json.dumps(asdict(fit)))) == fit
 
 
-MLMC_FIT = MlmcRateFit(alpha=0.7, beta=0.9, gamma=1.0, c1=1.0, c2=1.0, c3=1.0, s=2.25,
-                       levels=(1, 3), samples=2, r_squared={})
-CLMC_FIT = ClmcRateFit(alpha=1.1, beta=2.3, gamma=1.6, c4=1.0, c5=1.0, c6=1.0,
-                       level_domain=(0.2, 2.5), samples=2,
-                       r_squared={"mean": 0.74, "variance": 0.75, "cost": 1.0})
+MLMC_FIT = RateFit(alpha=0.7, beta=0.9, gamma=1.0, c1=1.0, c2=1.0, c3=1.0, s=2.25,
+                   domain=(1.0, 3.0), samples=2, r_squared={}, points={})
+CLMC_FIT = RateFit(alpha=1.1, beta=2.3, gamma=1.6, c1=1.0, c2=1.0, c3=1.0, s=math.e,
+                   domain=(0.2, 2.5), samples=2,
+                   r_squared={"mean": 0.74, "variance": 0.75, "cost": 1.0}, points={})
 
 
 @pytest.mark.parametrize("experiment, fit", [
@@ -270,32 +275,49 @@ def with_mlmc_fit(r_hat=1.9, **changes):
                                                       if v is not None}}})
 
 
-@pytest.mark.parametrize("name, text, messages", [
-    ("rates.json", "{}", ["has no 'fits' object"]),
-    ("rates.json", "not json", ["cannot read rates file", "Expecting value"]),
-    ("rates.json", with_mlmc_fit(beta=None), ["malformed entry box:300", "'beta'"]),
-    ("rates.json", with_mlmc_fit(alpha="0.7"), ["alpha of the MLMC fit box:300", "a number"]),
+# a compare runs every method unless a case names some
+ALL_METHODS = ["mlmc", "clmc", "qclmc"]
+# a rates file whose box:300 entry is the number 5, not an object
+NON_OBJECT_ENTRY = json.dumps({**RATES, "fits": {"box:300": 5}})
+
+
+@pytest.mark.parametrize("name, text, messages, methods", [
+    ("rates.json", "{}", ["has no 'fits' object"], ALL_METHODS),
+    ("rates.json", "not json", ["cannot read rates file", "Expecting value"], ALL_METHODS),
+    ("rates.json", with_mlmc_fit(beta=None), ["malformed entry box:300", "'beta'"], ALL_METHODS),
+    ("rates.json", with_mlmc_fit(alpha="0.7"), ["alpha of the MLMC fit box:300", "a number"],
+     ALL_METHODS),
     ("reference.json", json.dumps({**REFERENCE, "values": {"box:300": {}}}),
-     ["malformed entry box:300", "'reference'"]),
-    ("rates.json", with_mlmc_fit(r_hat=-1.0), ["r_hat of box:300", "finite and positive"]),
-    ("rates.json", with_mlmc_fit(r_hat=math.inf), ["r_hat of box:300", "got inf"]),
-    ("rates.json", with_mlmc_fit(r_hat=10**400), ["r_hat of box:300", "a finite number"]),
+     ["malformed entry box:300", "'reference'"], ALL_METHODS),
+    ("rates.json", with_mlmc_fit(r_hat=-1.0), ["r_hat of box:300", "finite and positive"],
+     ALL_METHODS),
+    ("rates.json", with_mlmc_fit(r_hat=math.inf), ["r_hat of box:300", "got inf"], ALL_METHODS),
+    ("rates.json", with_mlmc_fit(r_hat=10**400), ["r_hat of box:300", "a finite number"],
+     ALL_METHODS),
     ("rates.json", with_mlmc_fit(alpha=10**400),
-     ["alpha of the MLMC fit box:300", "a finite number"]),
-    ("rates.json", with_mlmc_fit(c3=math.nan), ["c3 of the MLMC fit box:300", "got nan"]),
+     ["alpha of the MLMC fit box:300", "a finite number"], ALL_METHODS),
+    ("rates.json", with_mlmc_fit(c3=math.nan), ["c3 of the MLMC fit box:300", "got nan"],
+     ALL_METHODS),
     ("reference.json", json.dumps({**REFERENCE, "values": {"box:300": {"reference": 10**400}}}),
-     ["reference of box:300", "a finite number"]),
+     ["reference of box:300", "a finite number"], ALL_METHODS),
     # the key that `uq rates` wrote before clmc_level replaced it
     ("rates.json", json.dumps({**RATES, "config": {**RATES["config"], "clmc_refinements": 12}}),
-     ["unknown config keys for RatesConfig: ['clmc_refinements']", "rerun `uq rates`"]),
+     ["unknown config keys for RatesConfig: ['clmc_refinements']", "rerun `uq rates`"],
+     ALL_METHODS),
+    ("rates.json", NON_OBJECT_ENTRY, ["entry box:300", "must be an object, got 5"], ["mlmc"]),
+    ("rates.json", NON_OBJECT_ENTRY, ["entry box:300", "must be an object, got 5"], ["clmc"]),
+    # the key that `uq rates` wrote for the MLMC level range before `domain` replaced it
+    ("rates.json", with_mlmc_fit(domain=None, levels=[1, 6]),
+     ["malformed entry box:300", "rerun `uq rates`", "'levels'"], ["mlmc"]),
 ], ids=["empty", "not-json", "fit-without-beta", "string-alpha", "no-reference-value",
         "negative-r_hat", "infinite-r_hat", "huge-r_hat", "huge-alpha", "nan-c3",
-        "huge-reference", "stale-rates-config"])
-def test_malformed_results_file_exits_2(tmp_path, capsys, name, text, messages):
+        "huge-reference", "stale-rates-config", "non-object-entry-mlmc",
+        "non-object-entry-clmc", "stale-mlmc-levels"])
+def test_malformed_results_file_exits_2(tmp_path, capsys, name, text, messages, methods):
     files = {"rates.json": json.dumps(RATES), "reference.json": json.dumps(REFERENCE), name: text}
     for file_name, content in files.items():
         (tmp_path / file_name).write_text(content)
-    config = {"rates_file": str(tmp_path / "rates.json"),
+    config = {"methods": methods, "rates_file": str(tmp_path / "rates.json"),
               "reference_file": str(tmp_path / "reference.json")}
     assert run(tmp_path, "compare", config) == 2
     err = capsys.readouterr().err
@@ -373,9 +395,11 @@ def test_rates_is_byte_identical_and_keeps_its_format(tmp_path):
     first = (tmp_path / "a" / "rates.json").read_bytes()
     assert first == (tmp_path / "b" / "rates.json").read_bytes()
     entry = json.loads(first)["fits"]["box:300"]
-    assert sorted(entry["mlmc"]) == sorted(f.name for f in fields(MlmcRateFit))
-    assert sorted(entry["clmc"]) == sorted(f.name for f in fields(ClmcRateFit))
+    assert sorted(entry["mlmc"]) == sorted(f.name for f in fields(RateFit))
+    assert sorted(entry["clmc"]) == sorted(f.name for f in fields(RateFit))
     assert entry["mlmc"]["s"] == 2.25
+    assert entry["clmc"]["s"] == math.e
+    assert entry["mlmc"]["domain"] == [1.0, 4.0]
     assert_envelope(tmp_path / "a" / "rates.json", "rates", RatesConfig.from_dict(config))
 
 
@@ -573,7 +597,7 @@ def test_compare_weighs_the_mlmc_bias_for_its_finest_level(tmp_path, monkeypatch
     config = {"methods": ["mlmc"], "runs": 2, "tolerance_indices": [0, 1], "l_max": 4,
               **write_inputs(tmp_path)}
     assert run(tmp_path, "compare", config) == 0
-    fit = MlmcRateFit(**RATES["fits"]["box:300"]["mlmc"])
+    fit = RateFit(**RATES["fits"]["box:300"]["mlmc"])
     expected = [optimal_bias_weight(fit, eps, 4) for eps in (0.2, 0.16) for _ in range(2)]
     assert [c.b_w for c in configs] == expected
     assert {c.l_max for c in configs} == {4}

@@ -8,7 +8,6 @@ import levelmc.clmc
 from levelmc.clmc import (
     AdaptivePathSampler,
     ClmcConfig,
-    ClmcRateFit,
     clmc_cost,
     estimate_rates_clmc,
     optimal_rate_param,
@@ -18,13 +17,15 @@ from levelmc.clmc import (
     variance_estimate,
 )
 from levelmc.indicator import Hierarchy, HierarchyStep, continuous_levels
+from levelmc.mlmc import RateFit
 from levelmc.sampling import UniformSource
 
 
-def make_fit(alpha=2.0, beta=4.0, gamma=2.0, c4=1.0, c5=1.0, c6=1.0):
-    return ClmcRateFit(alpha=alpha, beta=beta, gamma=gamma, c4=c4, c5=c5, c6=c6,
-                       level_domain=(0.2, 2.0), samples=100,
-                       r_squared={"mean": 1.0, "variance": 1.0, "cost": 1.0})
+def make_fit(alpha=2.0, beta=4.0, gamma=2.0, c1=1.0, c2=1.0, c3=1.0):
+    return RateFit(alpha=alpha, beta=beta, gamma=gamma, c1=c1, c2=c2, c3=c3, s=math.e,
+                   domain=(0.2, 2.0), samples=100,
+                   r_squared={"mean": 1.0, "variance": 1.0, "cost": 1.0},
+                   points={"mean": 50, "variance": 50, "cost": 50})
 
 
 class TestContinuousLevel:

@@ -9,9 +9,9 @@ from levelmc.fem import BAND_MAX, assemble, h1_norm, solve
 from levelmc.mesh import uniform_family
 from levelmc.mlmc import (
     MlmcConfig,
-    MlmcRateFit,
     PairSample,
     PdeLevelModel,
+    RateFit,
     Welford,
     bias_level,
     bias_stop,
@@ -68,9 +68,10 @@ class ConstantModel:
 
 
 def make_fit(alpha=1.0, beta=2.0, gamma=1.0, c1=1.0, c2=1.0, c3=1.0, s=2.25):
-    return MlmcRateFit(alpha=alpha, beta=beta, gamma=gamma, c1=c1, c2=c2, c3=c3,
-                       s=s, levels=(1, 6), samples=100,
-                       r_squared={"mean": 1.0, "variance": 1.0, "cost": 1.0})
+    return RateFit(alpha=alpha, beta=beta, gamma=gamma, c1=c1, c2=c2, c3=c3,
+                   s=s, domain=(1.0, 6.0), samples=100,
+                   r_squared={"mean": 1.0, "variance": 1.0, "cost": 1.0},
+                   points={"mean": 6, "variance": 6, "cost": 6})
 
 
 def mc_estimate(samples) -> float:
@@ -179,6 +180,46 @@ class TestEstimateRates:
     def test_requires_minimum_levels(self):
         with pytest.raises(ValueError):
             estimate_rates_mlmc(ExactRateModel(), levels=2, samples=10)
+
+
+class TestRateFit:
+    @pytest.mark.parametrize("levels, s", [
+        (np.arange(1, 7, dtype=float), 2.25),   # MLMC: integer levels, DOF growth s
+        (np.linspace(0.3, 2.5, 50), math.e),   # CLMC: the continuous level
+    ], ids=["integer-levels", "continuous-level"])
+    def test_recovers_exact_rates(self, levels, s):
+        alpha, beta, gamma, c1, c2, c3 = 0.7, 1.3, 1.1, 0.9, 0.4, 300.0
+        # a negative mean fits by its absolute value
+        fit = RateFit.fit(levels, -c1 * s ** (-alpha * levels), c2 * s ** (-beta * levels),
+                          c3 * s ** (gamma * levels), s, samples=8)
+        for got, want in [(fit.alpha, alpha), (fit.beta, beta), (fit.gamma, gamma)]:
+            assert got == pytest.approx(want, abs=1e-12)
+        for got, want in [(fit.c1, c1), (fit.c2, c2), (fit.c3, c3)]:
+            assert got == pytest.approx(want, rel=1e-12)
+        assert all(r2 == pytest.approx(1.0, abs=1e-12) for r2 in fit.r_squared.values())
+        assert fit.points == dict.fromkeys(("mean", "variance", "cost"), len(levels))
+        assert (fit.s, fit.domain, fit.samples) == (s, (levels[0], levels[-1]), 8)
+
+    def test_nonpositive_mean_is_left_out_of_its_fit(self):
+        levels = np.arange(1, 7, dtype=float)
+        means = 2.25 ** -levels
+        means[2] = 0.0
+        with pytest.warns(UserWarning, match="excluding 1 points from the mean fit"):
+            fit = RateFit.fit(levels, means, 2.25 ** -levels, 2.25**levels, 2.25, samples=8)
+        assert fit.points == {"mean": 5, "variance": 6, "cost": 6}
+        assert fit.alpha == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha, beta, gamma, holds", [
+        (1.0, 2.0, 1.5, True),
+        (1.0, 3.0, 2.0, False),   # gamma = 2 alpha
+        (2.0, 1.5, 1.5, False),   # gamma = beta
+        (0.5, 1.0, 2.0, False),
+    ], ids=["feasible", "boundary-alpha", "boundary-beta", "infeasible"])
+    def test_hypotheses_hold_on_a_nonempty_feasible_interval(self, alpha, beta, gamma, holds):
+        fit = make_fit(alpha=alpha, beta=beta, gamma=gamma)
+        lo, hi = fit.feasible_interval()
+        assert (lo, hi) == (gamma, min(beta, 2.0 * alpha))
+        assert fit.hypotheses_hold() == (lo < hi) == holds
 
 
 class TestOptimalSamples:
