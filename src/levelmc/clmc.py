@@ -36,7 +36,7 @@ import numpy as np
 from .coefficient import draw_coefficient
 from .indicator import Hierarchy, adaptive_hierarchy
 from .mesh import structured_unit_square
-from .mlmc import EstimatorRun, RateFit
+from .mlmc import M_MAX, EstimatorRun, RateFit
 from .sampling import SOURCE_KINDS, ExponentialLevelSampler, UniformSource
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
 
 RATE_GRID_POINTS = 50  # level grid of the continuous-level rate calibration
 RATE_SEARCH_POINTS = 1000  # midpoint grid of the cost-optimal rate search
-M_MAX = 2_000_000  # samples after which a run stops, flagged variance-unconverged
 
 
 def path_contribution(levels, qois, rate: float, max_levels) -> np.ndarray:

@@ -66,8 +66,6 @@ __all__ = [
     "solve",
     "pcg",
     "h1_norm",
-    "energy_norm",
-    "error_norms",
 ]
 
 CG_RTOL = 1e-10
@@ -476,47 +474,3 @@ def h1_norm(sol: FESolution) -> float:
     gx, gy = sol.gradient_sums
     mass = (areas / 12.0) * ((u0 + u1 + u2) ** 2 + (u0 * u0 + u1 * u1 + u2 * u2))
     return float(np.sqrt(mass.sum() + ((gx**2 + gy**2) / (4.0 * areas)).sum()))
-
-
-def energy_norm(sol: FESolution, coeff) -> float:
-    """Energy norm sqrt(sum_K a_K int_K |grad v|^2) of a solution or difference."""
-    a_k = element_coefficients(sol.mesh, coeff)
-    gx, gy = sol.gradient_sums
-    return float(np.sqrt((a_k * ((gx**2 + gy**2) / (4.0 * sol.mesh.areas))).sum()))
-
-
-# degree-5 quadrature on the reference triangle (barycentric points, weights sum to 1)
-_QW = np.array(
-    [9.0 / 40.0]
-    + [(155.0 + np.sqrt(15.0)) / 1200.0] * 3
-    + [(155.0 - np.sqrt(15.0)) / 1200.0] * 3
-)
-_a1, _b1 = (6.0 + np.sqrt(15.0)) / 21.0, (9.0 - 2.0 * np.sqrt(15.0)) / 21.0
-_a2, _b2 = (6.0 - np.sqrt(15.0)) / 21.0, (9.0 + 2.0 * np.sqrt(15.0)) / 21.0
-_QP = np.array(
-    [
-        [1 / 3, 1 / 3, 1 / 3],
-        [_b1, _a1, _a1], [_a1, _b1, _a1], [_a1, _a1, _b1],
-        [_b2, _a2, _a2], [_a2, _b2, _a2], [_a2, _a2, _b2],
-    ]
-)
-
-
-def error_norms(sol: FESolution, exact, exact_grad):
-    """(L2, H1) errors against a smooth exact solution via degree-5 quadrature."""
-    mesh = sol.mesh
-    p = mesh.vertices[mesh.triangles]          # (M, 3, 2)
-    pts = np.einsum("qi,mid->mqd", _QP, p)     # (M, Q, 2)
-    flat = pts.reshape(-1, 2)
-    uh = np.einsum("qi,mi->mq", _QP, np.column_stack(sol.corner_values))
-    gx, gy = sol.gradient_sums
-    gxh = gx / (2.0 * mesh.areas)
-    gyh = gy / (2.0 * mesh.areas)
-
-    du = (np.asarray(exact(flat)).reshape(uh.shape) - uh) ** 2
-    g = np.asarray(exact_grad(flat)).reshape(pts.shape[0], pts.shape[1], 2)
-    dg = (g[:, :, 0] - gxh[:, None]) ** 2 + (g[:, :, 1] - gyh[:, None]) ** 2
-
-    l2_sq = (mesh.areas[:, None] * _QW * du).sum()
-    h1_semi_sq = (mesh.areas[:, None] * _QW * dg).sum()
-    return float(np.sqrt(l2_sq)), float(np.sqrt(l2_sq + h1_semi_sq))

@@ -45,6 +45,7 @@ from .fem import assemble, h1_norm, solve
 from .indicator import adaptive_hierarchy
 from .mesh import aligned_structured_mesh, level_resolution, structured_unit_square, uniform_family
 from .mlmc import (
+    M_MAX,
     MlmcConfig,
     PdeLevelModel,
     RateFit,
@@ -141,20 +142,22 @@ _RULES = {
     "theta": (lambda v: 0 < v < 1, "must lie in (0,1)"),
     "kinds": (lambda v: v in ("box", "cross"), "must be 'box' or 'cross'"),
     "methods": (lambda v: v in ("mlmc", "clmc", "qclmc"), "must be 'mlmc', 'clmc' or 'qclmc'"),
-    **dict.fromkeys(("contrast", "contrasts", "component_tol", "rate", "clmc_level"),
+    **dict.fromkeys(("contrast", "contrasts", "clmc_level", "adaptive_level"),
                     (lambda v: v > 0, "must be positive")),
+    # inv_exp_cdf draws distinct low-discrepancy levels for these rates
+    "rate": (lambda v: 0.01 <= v <= 50, "must lie in [0.01, 50]"),
+    # it bounds a share of E[Q - Q_0], which is about 1
+    "component_tol": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
     **dict.fromkeys(("tolerance_indices", "seed", "seed_base", "scramble_base"), _at_least(0)),
     **dict.fromkeys(("base_n", "uniform_levels", "m_ini_clmc"), _at_least(1)),
     **dict.fromkeys(("runs", "pilot_m", "m_ini", "m_ini_mlmc"), _at_least(2)),
-    # l_max: run_mlmc always computes levels 1-3
-    **dict.fromkeys(("mlmc_levels", "pilot_levels", "l_max"), _at_least(3)),
+    # l_max: run_mlmc always computes levels 1-3; fit_window: a rate fit takes 3 points
+    **dict.fromkeys(("mlmc_levels", "pilot_levels", "l_max", "fit_window"), _at_least(3)),
 }
 
 # rules that relate fields: (the fields read, predicate on the config, wording);
 # they run after the single-field rules, so each sees fields already in range
 _CROSS_RULES = (
-    (("adaptive_steps", "fit_window"), lambda c: c.adaptive_steps >= c.fit_window >= 3,
-     "need adaptive_steps >= fit_window >= 3"),
     # a run holds all 2^max_exponent draws at once, and scrambling them peaks
     # near 64 B a draw: 2^24 draws take about 1 GiB
     (("min_exponent", "max_exponent"), lambda c: 1 <= c.min_exponent < c.max_exponent <= 24,
@@ -254,7 +257,7 @@ class ConvergeConfig(_ConfigBase):
     theta: float = 0.5
     base_n: int = 15
     uniform_levels: int = 6
-    adaptive_steps: int = 16
+    adaptive_level: float = 2.5            # continuous level the adaptive path reaches
     reference_n: int = 256
     fit_window: int = 7                    # trailing levels used for rate fits
 
@@ -326,7 +329,7 @@ class CompareConfig(_ConfigBase):
 
 # the paper-scale values that ``full_scale`` puts in place of desk defaults
 _FULL_SCALE = {
-    ConvergeConfig: {"uniform_levels": 7, "adaptive_steps": 22, "reference_n": 640},
+    ConvergeConfig: {"uniform_levels": 7, "adaptive_level": 3.4, "reference_n": 640},
     RatesConfig: {"pilot_m": 1000},
     ReferenceConfig: {"component_tol": 0.0025},
     CompareConfig: {"runs": 100},
@@ -404,7 +407,12 @@ def cmd_converge(config: ConvergeConfig, out_dir) -> dict:
             })
 
         hierarchy = adaptive_hierarchy(sample, config.theta, structured_unit_square(config.base_n),
-                                       max_refinements=config.adaptive_steps)
+                                       max_level=config.adaptive_level)
+        w = config.fit_window
+        if len(hierarchy.steps) < w:
+            raise NumericalError(
+                f"the adaptive {kind} path reached level {config.adaptive_level!r} in "
+                f"{len(hierarchy.steps)} steps, fewer than fit_window {w}")
         for level, step in enumerate(hierarchy.steps):
             rows.append({
                 "kind": kind, "series": "adaptive", "level": level,
@@ -412,7 +420,6 @@ def cmd_converge(config: ConvergeConfig, out_dir) -> dict:
                 "estimator": step.estimator, "qoi": step.qoi,
             })
 
-        w = config.fit_window
         uni = [r for r in rows if r["kind"] == kind and r["series"] == "uniform"]
         ada = [r for r in rows if r["kind"] == kind and r["series"] == "adaptive"]
         est_rate = -_loglog_slope([r["dof"] for r in ada[-w:]],
@@ -427,6 +434,9 @@ def cmd_converge(config: ConvergeConfig, out_dir) -> dict:
             "adaptive_weak_rate": ada_rate,
             "uniform_weak_rate": uni_rate,
             "rate_gain": ada_rate / uni_rate if uni_rate != 0 else None,
+            "adaptive_steps": len(hierarchy.steps),
+            "adaptive_final_level": float(hierarchy.levels[-1]),
+            "level_fixes": hierarchy.level_fixes,
         }
 
     write_csv(out / "converge.csv", rows, config, "-")
@@ -514,10 +524,12 @@ def _mc_to_variance(single, target_var):
     """Plain MC of the level-0 QoI until the estimator variance is below target;
     returns the mean, the estimator variance and the sample count."""
     acc = Welford()
-    while True:
+    while acc.count < M_MAX:
         acc.push(single(0, acc.count))
         if acc.count >= REFERENCE_MIN_SAMPLES and acc.variance / acc.count <= target_var:
             return acc.mean, acc.variance / acc.count, acc.count
+    raise ValueError(f"plain MC of level 0 did not reach variance {target_var!r} "
+                     f"within M_MAX = {M_MAX} samples")
 
 
 def cmd_reference(config: ReferenceConfig, out_dir) -> dict:
@@ -536,19 +548,19 @@ def cmd_reference(config: ReferenceConfig, out_dir) -> dict:
         with _reraised(ValueError, NumericalError, f"rate fit for {key} failed"):
             pilot = estimate_rates_mlmc(model(seed=config.seed, aligned=True),
                                         levels=config.pilot_levels, samples=config.pilot_m)
-        # difference part: variance <= t^2/2, squared bias <= t^2
-        eps = math.sqrt(1.5) * t
-        b_w = 2.0 / 3.0
-        diff_run = run_mlmc(
-            MlmcConfig(eps=eps, alpha=_decaying_alpha(pilot, f"aligned pilot for {key}"), b_w=b_w,
-                       m_ini=config.m_ini, l_max=config.l_max),
-            model(seed=config.seed + 1, aligned=True),
-        )
-        # aligned coarse level: variance <= t^2/2
-        mc0_aligned = _mc_to_variance(model(seed=config.seed + 2, aligned=True).single,
-                                      t**2 / 2.0)
-        # standard coarse level Q_0: variance <= t^2
-        mc0_std = _mc_to_variance(model(seed=config.seed + 3).single, t**2)
+        alpha = _decaying_alpha(pilot, f"aligned pilot for {key}")
+        with _reraised(ValueError, NumericalError, f"reference for {key} failed"):
+            # difference part: variance <= t^2/2, squared bias <= t^2
+            diff_run = run_mlmc(
+                MlmcConfig(eps=math.sqrt(1.5) * t, alpha=alpha, b_w=2.0 / 3.0,
+                           m_ini=config.m_ini, l_max=config.l_max),
+                model(seed=config.seed + 1, aligned=True),
+            )
+            # aligned coarse level: variance <= t^2/2
+            mc0_aligned = _mc_to_variance(model(seed=config.seed + 2, aligned=True).single,
+                                          t**2 / 2.0)
+            # standard coarse level Q_0: variance <= t^2
+            mc0_std = _mc_to_variance(model(seed=config.seed + 3).single, t**2)
 
         reference = diff_run.estimate + mc0_aligned[0] - mc0_std[0]
         results[key] = {
@@ -610,6 +622,7 @@ def cmd_compare(config: CompareConfig, out_dir) -> dict:
                           "rerun `uq reference` with it")
 
     eps_sq = tolerance_ladder(config.tolerance_indices)
+    run_failed = "{} run for {} at tolerance index {} failed".format  # method, key, index
     inputs, b_w = {}, {}
     for key, kind, contrast in _cases(calibration):
         if key not in fits:
@@ -632,7 +645,8 @@ def cmd_compare(config: CompareConfig, out_dir) -> dict:
                 _check_type(f"{f.name} of the MLMC fit {rates_at}", getattr(fit, f.name), f.type)
             alpha = _decaying_alpha(fit, f"MLMC fit for {key}")
             for tol_index, e2 in zip(config.tolerance_indices, eps_sq):
-                b_w[key, tol_index] = optimal_bias_weight(fit, math.sqrt(e2), config.l_max)
+                with _reraised(ValueError, NumericalError, run_failed("mlmc", key, tol_index)):
+                    b_w[key, tol_index] = optimal_bias_weight(fit, math.sqrt(e2), config.l_max)
         if continuous:
             if "r_hat" not in entry:
                 raise NumericalError(f"no feasible exponential rate for {key}: "
@@ -652,23 +666,24 @@ def cmd_compare(config: CompareConfig, out_dir) -> dict:
         eps = math.sqrt(e2)
         pde_seed = config.seed_base + run_idx
         t0 = time.perf_counter()
-        if method == "mlmc":
-            run = run_mlmc(
-                MlmcConfig(eps=eps, alpha=alpha, b_w=b_w[key, tol_index],
-                           m_ini=config.m_ini_mlmc, l_max=config.l_max),
-                PdeLevelModel(kind=kind, contrast=contrast, base_n=calibration.base_n,
-                              seed=pde_seed),
-            )
-        else:
-            run = run_clmc(
-                ClmcConfig(
-                    eps=eps, rate=r_hat, m_ini=config.m_ini_clmc, dof_max=config.dof_max,
-                    sampler_kind="low-discrepancy" if method == "qclmc" else "pseudo",
-                    theta=calibration.theta, seed=pde_seed,
-                    level_seed=config.scramble_base + run_idx,
-                ),
-                kind=kind, contrast=contrast, base_n=calibration.base_n,
-            )
+        with _reraised(ValueError, NumericalError, run_failed(method, key, tol_index)):
+            if method == "mlmc":
+                run = run_mlmc(
+                    MlmcConfig(eps=eps, alpha=alpha, b_w=b_w[key, tol_index],
+                               m_ini=config.m_ini_mlmc, l_max=config.l_max),
+                    PdeLevelModel(kind=kind, contrast=contrast, base_n=calibration.base_n,
+                                  seed=pde_seed),
+                )
+            else:
+                run = run_clmc(
+                    ClmcConfig(
+                        eps=eps, rate=r_hat, m_ini=config.m_ini_clmc, dof_max=config.dof_max,
+                        sampler_kind="low-discrepancy" if method == "qclmc" else "pseudo",
+                        theta=calibration.theta, seed=pde_seed,
+                        level_seed=config.scramble_base + run_idx,
+                    ),
+                    kind=kind, contrast=contrast, base_n=calibration.base_n,
+                )
         seconds = time.perf_counter() - t0
         records.append({
             "method": method, "kind": kind, "contrast": contrast,

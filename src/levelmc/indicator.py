@@ -24,7 +24,6 @@ while the path refines.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,7 +160,7 @@ class Hierarchy:
     steps: list[HierarchyStep] = field(default_factory=list)
     levels: np.ndarray = field(default_factory=lambda: np.zeros(0))
     level_fixes: int = 0     # levels nudged by continuous_levels
-    truncated: bool = False  # cut by the DOF cap before a level or step target
+    truncated: bool = False  # cut by the DOF cap before the level target
 
     @property
     def estimators(self) -> np.ndarray:
@@ -181,15 +180,13 @@ class Hierarchy:
 
 
 def adaptive_hierarchy(coeff, theta: float, initial_mesh: TriMesh, *,
-                       max_level: float = math.inf, max_refinements: int | None = None,
-                       max_dof: int | None = None) -> Hierarchy:
+                       max_level: float, max_dof: int | None = None) -> Hierarchy:
     """Solve/estimate/mark/refine, for the source f = 1, until a stopping rule fires.
 
-    Stopping rules (combined; whichever fires first):
+    Stopping rules (whichever fires first):
       * ``max_level`` -- stop at the first refined step whose continuous
         level reaches it; the levels of a prefix do not depend on the steps
         after it, so the path's final levels agree with this test,
-      * ``max_refinements`` -- stop after this many refinements,
       * ``max_dof`` -- stop, flagged truncated, when the next refinement is
         predicted (current vertex count x 2) to exceed the cap.
     """
@@ -201,10 +198,7 @@ def adaptive_hierarchy(coeff, theta: float, initial_mesh: TriMesh, *,
         hierarchy.steps.append(
             HierarchyStep(estimator=ind.total, qoi=h1_norm(sol), dof=mesh.num_vertices))
         hierarchy.levels, hierarchy.level_fixes = continuous_levels(hierarchy.estimators)
-        refinements_done = len(hierarchy.steps) - 1
-        if refinements_done >= 1 and hierarchy.levels[-1] >= max_level:
-            break
-        if max_refinements is not None and refinements_done >= max_refinements:
+        if len(hierarchy.steps) > 1 and hierarchy.levels[-1] >= max_level:
             break
         if max_dof is not None and 2 * mesh.num_vertices >= max_dof:
             hierarchy.truncated = True

@@ -164,17 +164,6 @@ class TriMesh:
         e0, e1, e2 = self.tri_edges.T
         return np.maximum(np.maximum(lengths[e0], lengths[e1]), lengths[e2])
 
-    def min_angle(self) -> float:
-        """Smallest interior angle over all triangles (radians)."""
-        p = self.vertices[self.triangles]
-        angles = []
-        for i in range(3):
-            a = p[:, (i + 1) % 3] - p[:, i]
-            b = p[:, (i + 2) % 3] - p[:, i]
-            cosang = (a * b).sum(axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
-            angles.append(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        return float(np.min(angles))
-
 
 def _tensor_triangulation(xs, ys) -> TriMesh:
     """Triangulate the tensor grid xs x ys of [0,1]^2, two triangles per cell.

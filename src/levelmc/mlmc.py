@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 BIAS_WEIGHT_POINTS = 10_000  # midpoint grid of the cost-optimal MSE weight search
+M_MAX = 2_000_000  # sample cap of an MLMC level, a CLMC run and a plain MC reference
 
 
 @dataclass
@@ -301,7 +302,8 @@ def optimal_samples(variances, costs, eps: float, b_w: float) -> np.ndarray:
     Given per-level variances V_l and per-sample costs C_l (fine+coarse DOF),
     returns ceil(S * sqrt(V_l / C_l) / ((1-b_w) eps^2)) with
     S = sum_m sqrt(V_m C_m), floored at 2.  The result satisfies
-    sum V_l / M_l <= (1 - b_w) eps^2.
+    sum V_l / M_l <= (1 - b_w) eps^2.  A count above M_MAX, or one that is
+    not finite (eps^2 underflows to 0), raises ValueError.
 
     This is the rounded-up continuous optimum x_u, not the integer optimum
     (which need not be unique).  When every x_u,l > 1 its cost sum C_l M_l
@@ -315,7 +317,10 @@ def optimal_samples(variances, costs, eps: float, b_w: float) -> np.ndarray:
         raise ValueError("variances must be >= 0 and costs > 0")
     budget = (1.0 - b_w) * eps**2
     total = np.sqrt(v * c).sum()
-    raw = np.ceil(np.sqrt(v / c) * total / budget)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = np.ceil(np.sqrt(v / c) * total / budget)
+    if not np.all(raw <= M_MAX):
+        raise ValueError(f"MLMC sample counts {raw.tolist()} exceed M_MAX = {M_MAX}")
     return np.maximum(2, raw.astype(np.int64))
 
 

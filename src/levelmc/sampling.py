@@ -25,7 +25,6 @@ __all__ = [
     "UniformSource",
     "ExponentialLevelSampler",
     "inv_exp_cdf",
-    "exp_cdf",
     "radical_inverse_base2",
     "moment_mse_experiment",
 ]
@@ -153,13 +152,6 @@ def inv_exp_cdf(x, r: float):
         raise ValueError("uniform input must lie in [0, 1)")
     out = -np.log1p(-arr) / r
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
-def exp_cdf(t, r: float):
-    """CDF of Exp(r); inverse of :func:`inv_exp_cdf`."""
-    if r <= 0:
-        raise ValueError("rate must be positive")
-    return -np.expm1(-r * np.asarray(t, dtype=np.float64))
 
 
 @dataclass

@@ -141,6 +141,20 @@ def assert_envelope(path, experiment, config):
     ("lds", {"max_exponent": 25}),
     ("rates", {"clmc_level": 0}),
     ("rates", {"clmc_level": True}),
+    # rates outside [0.01, 50] divided by zero or overflowed in the lds run
+    ("lds", {"runs": 2, "min_exponent": 1, "max_exponent": 2, "rate": 1e-300}),
+    ("lds", {"runs": 2, "min_exponent": 1, "max_exponent": 2, "rate": 1e300}),
+    ("lds", {"runs": 2, "max_exponent": 7, "rate": 0.0099}),
+    ("lds", {"runs": 2, "max_exponent": 7, "rate": 50.5}),
+    # t^2 overflowed; E[Q - Q_0], which component_tol bounds a share of, is about 1
+    ("reference", {"kinds": ["box"], "base_n": 4, "pilot_levels": 3, "pilot_m": 2,
+                   "component_tol": 1e300, "m_ini": 4, "l_max": 5}),
+    ("reference", {"component_tol": 1.5}),
+    ("converge", {"adaptive_level": 0}),
+    ("converge", {"adaptive_level": True}),
+    ("converge", {"fit_window": 2}),
+    # the key that converge took before adaptive_level replaced it
+    ("converge", {"adaptive_steps": 16}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, experiment, config):
     assert run(tmp_path, experiment, config) == 2
@@ -191,7 +205,7 @@ def test_integer_fields_keep_their_defaults_and_hashes():
 
 
 @pytest.mark.parametrize("cls, desk, full", [
-    (ConvergeConfig, "525f2a7c51b8", "2823ec9014ad"),
+    (ConvergeConfig, "e4aef1618b00", "56fde937217d"),
     (RatesConfig, "0d62ea8fd543", "cc57838406a9"),
     (LdsConfig, "635f45d35242", "334173637c94"),
     (ReferenceConfig, "04dc3ede46d6", "e0c04d1fea2f"),
@@ -438,13 +452,74 @@ def test_reference_pilot_whose_bias_does_not_decay_exits_3(tmp_path, capsys):
 
 
 def test_converge_writes_its_columns_and_summary(tmp_path):
-    config = {"kinds": ["box"], "base_n": 4, "uniform_levels": 2, "adaptive_steps": 3,
+    # levels 0.412 and 0.491 at steps 2 and 3: the path stops at step 3
+    config = {"kinds": ["box"], "base_n": 4, "uniform_levels": 2, "adaptive_level": 0.45,
               "fit_window": 3, "reference_n": 16}
     assert run(tmp_path, "converge", config) == 0
     resolved = ConvergeConfig.from_dict(config)
     assert_csv_head(tmp_path / "out" / "converge.csv", resolved, "-",
                     "kind,series,level,dof,weak_h1_error,estimator,qoi")
     assert_envelope(tmp_path / "out" / "converge_summary.json", "converge", resolved)
+    lines = (tmp_path / "out" / "converge.csv").read_text().splitlines()
+    assert [line.split(",")[2] for line in lines if ",adaptive," in line] == ["0", "1", "2", "3"]
+    box = json.loads((tmp_path / "out" / "converge_summary.json").read_text())["results"]["box"]
+    assert box["adaptive_steps"] == 4 and box["level_fixes"] == 0
+    assert 0.45 <= box["adaptive_final_level"] < 0.5
+
+
+def test_converge_path_shorter_than_its_fit_window_exits_3(tmp_path, capsys):
+    config = {"kinds": ["box"], "base_n": 4, "uniform_levels": 2, "adaptive_level": 0.45,
+              "fit_window": 5, "reference_n": 16}
+    assert run(tmp_path, "converge", config) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: the adaptive box path reached level 0.45 in 4 "
+                          "steps, fewer than fit_window 5")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# the repros of sample counts past M_MAX: eps^2 is about 1e-40 at tolerance index
+# 200 and underflows to 0 at 2000
+@pytest.mark.parametrize("methods, index, message", [
+    (["mlmc"], 200, "mlmc run for box:300 at tolerance index 200 failed: MLMC sample counts"),
+    (["mlmc"], 2000, "mlmc run for box:300 at tolerance index 2000 failed: eps must be positive"),
+    (["clmc"], 2000, "clmc run for box:300 at tolerance index 2000 failed: "
+                     "eps and rate must be positive"),
+], ids=["mlmc-200", "mlmc-2000", "clmc-2000"])
+@pytest.mark.filterwarnings("ignore:empty feasible interval for the MSE weight")
+def test_compare_past_the_sample_cap_exits_3(tmp_path, capsys, methods, index, message):
+    config = {"methods": methods, "tolerance_indices": [index], **write_inputs(tmp_path)}
+    assert run(tmp_path, "compare", config) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: {message}") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+REFERENCE_REPRO = {"kinds": ["box"], "base_n": 4, "pilot_levels": 3, "pilot_m": 2,
+                   "m_ini": 4, "l_max": 5}
+
+
+def test_reference_past_the_sample_cap_exits_3(tmp_path, capsys):
+    # t^2 underflows to 0, so the difference run asks for infinitely many samples
+    assert run(tmp_path, "reference", {**REFERENCE_REPRO, "component_tol": 1e-200}) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: reference for box:300 failed: "
+                          "MLMC sample counts [")
+    assert "exceed M_MAX = 2000000" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_reference_level0_mc_stops_at_the_sample_cap(tmp_path, capsys, monkeypatch):
+    # the difference run meets component_tol 0.2; plain MC of level 0 needs at
+    # least 50 samples, more than the lowered cap
+    monkeypatch.setattr(levelmc.harness, "M_MAX", 10)
+    assert run(tmp_path, "reference", {**REFERENCE_REPRO, "component_tol": 0.2}) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: reference for box:300 failed: plain MC of "
+                          "level 0 did not reach variance 0.020000000000000004 within "
+                          "M_MAX = 10 samples")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_compare_emits_reproducible_samples(tmp_path, monkeypatch):

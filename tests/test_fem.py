@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from adaptive_replay import REPLAYED, replay_hierarchy
+from reference_numerics import energy_norm, error_norms
 
 import levelmc.indicator
 import levelmc.mlmc
@@ -21,8 +22,6 @@ from levelmc.fem import (
     _grid_transfers,
     _vcycle,
     assemble,
-    energy_norm,
-    error_norms,
     h1_norm,
     pcg,
     solve,
@@ -194,7 +193,9 @@ class TestNorms:
 
         coeff = CoefficientSample("box", 0.4, 0.6, 300.0, length=0.3)
         q_ref = aligned_reference_qoi(coeff, 64)
-        hierarchy = adaptive_hierarchy(coeff, 0.5, structured_unit_square(15), max_refinements=10)
+        # levels 1.203 and 1.389 at steps 9 and 10: the path stops at step 10
+        hierarchy = adaptive_hierarchy(coeff, 0.5, structured_unit_square(15), max_level=1.3)
+        assert len(hierarchy.steps) == 11
         errors = np.abs(q_ref - hierarchy.qois)
         # statistical trend over levels: the tail is far closer than the head
         assert errors[-1] < 0.1 * errors[0]
@@ -588,7 +589,8 @@ class TestMeshLifetime:
     def test_adaptive_hierarchy_keeps_no_mesh(self, monkeypatch, gc_disabled):
         built = record_meshes(monkeypatch, levelmc.indicator, "bisect_refine")
         coeff, mesh, refinements = REPLAYED["contrast-300"]
-        hierarchy = adaptive_hierarchy(coeff, 0.5, mesh, max_refinements=refinements)
+        # levels 0.775 and 0.930 at steps 5 and 6: the path stops at step 6
+        hierarchy = adaptive_hierarchy(coeff, 0.5, mesh, max_level=0.9)
         assert len(built) == len(hierarchy.steps) - 1 == refinements
         assert [ref() for ref in built] == [None] * refinements
 

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from adaptive_replay import REPLAYED, replay_hierarchy
+from reference_numerics import energy_norm, error_norms
 
 from levelmc.coefficient import CoefficientSample
-from levelmc.fem import FESolution, assemble, energy_norm, h1_norm, solve
+from levelmc.fem import FESolution, assemble, h1_norm, solve
 from levelmc.indicator import (
     ErrorIndicators,
     adaptive_hierarchy,
+    continuous_levels,
     doerfler_mark,
     residual_indicators,
 )
@@ -59,8 +63,6 @@ class TestResidualIndicators:
         f = lambda p: (
             2 * np.pi**2 * np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
         )
-        from levelmc.fem import error_norms
-
         for n in (8, 12, 18, 27, 40):
             sol = solve(assemble(structured_unit_square(n), None, f))
             ind = residual_indicators(sol, None, f)
@@ -132,16 +134,19 @@ class TestAdaptiveHierarchy:
     @pytest.mark.parametrize("case", REPLAYED)
     def test_replay_gives_the_hierarchy_bit_for_bit(self, case):
         coeff, mesh, refinements = REPLAYED[case]
-        h = adaptive_hierarchy(coeff, 0.5, mesh, max_refinements=refinements)
         replayed = replay_hierarchy(coeff, mesh, refinements)
+        # the levels increase strictly, so the path stops at the replay's last step
+        levels, _ = continuous_levels([ind.total for _, _, ind in replayed])
+        h = adaptive_hierarchy(coeff, 0.5, mesh, max_level=levels[-1])
         assert [(s.estimator, s.qoi, s.dof) for s in h.steps] == \
             [(ind.total, h1_norm(sol), m.num_vertices) for m, sol, ind in replayed]
 
     def test_zero_refinements_single_step(self):
         coeff = CoefficientSample("box", 0.5, 0.5, 300.0, length=0.25)
         mesh = structured_unit_square(8)
-        h = adaptive_hierarchy(coeff, 0.5, mesh, max_refinements=0)
-        assert len(h.steps) == 1
+        # a level target refines at least once; a DOF cap at the initial mesh does not
+        h = adaptive_hierarchy(coeff, 0.5, mesh, max_level=1.0, max_dof=2 * mesh.num_vertices)
+        assert len(h.steps) == 1 and h.truncated
         [(_, sol, ind)] = replay_hierarchy(coeff, mesh, 0)
         assert h.steps[0].dof == mesh.num_vertices
         assert (h.steps[0].estimator, h.steps[0].qoi) == (ind.total, h1_norm(sol))
@@ -167,14 +172,14 @@ class TestAdaptiveHierarchy:
     def test_max_dof_truncates(self):
         coeff = CoefficientSample("box", 0.45, 0.55, 300.0, length=0.25)
         h = adaptive_hierarchy(coeff, 0.5, structured_unit_square(15),
-                               max_refinements=50, max_dof=1000)
+                               max_level=math.inf, max_dof=1000)
         assert h.truncated
         assert h.steps[-1].dof < 1000
 
     def test_estimators_recorded_even_if_non_monotone(self):
         coeff = CoefficientSample("box", 0.4, 0.6, 300.0, length=0.3)
-        h = adaptive_hierarchy(coeff, 0.5, structured_unit_square(15),
-                               max_refinements=6)
+        # levels 0.468 at steps 3-5 (4 and 5 nudged) and 0.644 at step 6
+        h = adaptive_hierarchy(coeff, 0.5, structured_unit_square(15), max_level=0.6)
         assert len(h.estimators) == 7
         assert (h.estimators > 0).all()
 

@@ -245,6 +245,16 @@ class TestOptimalSamples:
         doubled = optimal_samples(2 * v, c, eps=0.05, b_w=0.3)
         assert (doubled >= 2 * base - 1).all()
 
+    def test_counts_below_the_cap_are_kept(self):
+        assert optimal_samples([0.1, 0.01], [10, 40], 0.05, 0.5).tolist() == [131, 21]
+
+    # about 3e19 counts overflowed int64, 3e17 fit it but exceed the cap, and
+    # at 1e-200 eps^2 underflows to 0
+    @pytest.mark.parametrize("eps", [1e-10, 1e-9, 1e-200])
+    def test_counts_past_the_cap_raise(self, eps):
+        with pytest.raises(ValueError, match="exceed M_MAX = 2000000"):
+            optimal_samples([0.1, 0.01], [10, 40], eps, 0.5)
+
     def test_matches_exhaustive_two_level_search(self):
         # The rounded-up continuous optimum x_u costs less than the integer
         # optimum plus sum(c): the integer optimum costs at least c @ x_u,

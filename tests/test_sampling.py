@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_numerics import exp_cdf
 
 from levelmc.sampling import (
     LEVEL_BLOCK,
     ExponentialLevelSampler,
     UniformSource,
     _scramble_key,
-    exp_cdf,
     inv_exp_cdf,
     moment_mse_experiment,
     radical_inverse_base2,
