@@ -36,7 +36,7 @@ import numpy as np
 from .coefficient import draw_coefficient
 from .indicator import Hierarchy, adaptive_hierarchy
 from .mesh import structured_unit_square
-from .mlmc import M_MAX, EstimatorRun, RateFit
+from .mlmc import EstimatorRun, RateFit, check_sample_cap
 from .sampling import SOURCE_KINDS, ExponentialLevelSampler, UniformSource
 
 __all__ = [
@@ -198,8 +198,8 @@ class ClmcConfig:
     level_seed: int = field(kw_only=True)  # seed of the maximal-level stream
 
     def __post_init__(self):
-        if self.eps <= 0 or self.rate <= 0:
-            raise ValueError("eps and rate must be positive")
+        if not (self.eps**2 > 0 and self.rate > 0):
+            raise ValueError("eps and rate must be positive, and eps^2 must not underflow to 0")
         if self.m_ini < 1:
             raise ValueError("m_ini must be >= 1")
         if self.sampler_kind not in SOURCE_KINDS:
@@ -214,8 +214,8 @@ def run_clmc(config: ClmcConfig, kind: str = "box", contrast: float = 300.0,
     """Sequential sampling loop: draw a maximal level, refine, accumulate Y,
     stop once the on-the-fly variance estimate reaches eps^2.
 
-    The variance is pinned to 1 for the first m_ini samples, so at least
-    m_ini + 1 samples are always computed.
+    The variance is pinned to 1 for the first m_ini samples; after them, each
+    projected count M variance / eps^2 must pass ``check_sample_cap``.
     """
     sampler = AdaptivePathSampler(
         kind=kind, contrast=contrast, theta=config.theta,
@@ -224,14 +224,16 @@ def run_clmc(config: ClmcConfig, kind: str = "box", contrast: float = 300.0,
     level_source = UniformSource(config.sampler_kind, seed=config.level_seed)
     level_sampler = ExponentialLevelSampler(config.rate, level_source)
 
-    flags = []
     rows = []
     sum_y = sum_y2 = 0.0
     cost_dof = 0
     level_fixes = 0
     truncation_levels = []
-    count = 0
-    while True:
+    count, variance = 0, 1.0
+    while count <= config.m_ini or variance > config.eps**2:
+        if count > config.m_ini:
+            check_sample_cap(count * variance / config.eps**2, f"after {count} samples at "
+                             f"variance {variance:.3g}, the projected sample count")
         count += 1
         max_level = level_sampler.draw_max_level()
         path = sampler.path(count, max_level=max_level)
@@ -255,11 +257,6 @@ def run_clmc(config: ClmcConfig, kind: str = "box", contrast: float = 300.0,
                 "truncated": int(path.truncated),
             }
         )
-        if count > config.m_ini and variance <= config.eps**2:
-            break
-        if count >= M_MAX:
-            flags.append("variance-unconverged")
-            break
 
     # without a truncated path the cap is infinite and the bound exactly 0.0
     level_cap = min(truncation_levels, default=math.inf)
@@ -275,5 +272,4 @@ def run_clmc(config: ClmcConfig, kind: str = "box", contrast: float = 300.0,
             "truncated_paths": len(truncation_levels),
             "level_fixes": level_fixes,
         },
-        flags=flags,
     )

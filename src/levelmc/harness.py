@@ -42,15 +42,15 @@ from .clmc import (
 )
 from .coefficient import CoefficientSample
 from .fem import assemble, h1_norm, solve
-from .indicator import adaptive_hierarchy
+from .indicator import adaptive_hierarchy, may_refine
 from .mesh import aligned_structured_mesh, level_resolution, structured_unit_square, uniform_family
 from .mlmc import (
-    M_MAX,
     MlmcConfig,
     PdeLevelModel,
     RateFit,
     Welford,
     _log_fit,
+    check_sample_cap,
     estimate_rates_mlmc,
     optimal_bias_weight,
     run_mlmc,
@@ -162,9 +162,8 @@ _CROSS_RULES = (
     # near 64 B a draw: 2^24 draws take about 1 GiB
     (("min_exponent", "max_exponent"), lambda c: 1 <= c.min_exponent < c.max_exponent <= 24,
      "need 1 <= min_exponent < max_exponent <= 24"),
-    # the initial mesh has (base_n + 1)^2 vertices; a path refines only while
-    # twice its vertex count stays below the cap
-    (("dof_max", "base_n"), lambda c: c.dof_max > 2 * (c.base_n + 1) ** 2,
+    # the initial mesh has (base_n + 1)^2 vertices
+    (("dof_max", "base_n"), lambda c: may_refine((c.base_n + 1) ** 2, c.dof_max),
      "dof_max must exceed 2 (base_n + 1)^2 so that a path refines at least once"),
     (("reference_n", "uniform_levels", "base_n"),
      lambda c: c.reference_n > level_resolution(c.uniform_levels, c.base_n),
@@ -524,12 +523,12 @@ def _mc_to_variance(single, target_var):
     """Plain MC of the level-0 QoI until the estimator variance is below target;
     returns the mean, the estimator variance and the sample count."""
     acc = Welford()
-    while acc.count < M_MAX:
+    while acc.count < REFERENCE_MIN_SAMPLES or acc.variance / acc.count > target_var:
+        if acc.count >= REFERENCE_MIN_SAMPLES:
+            check_sample_cap(acc.variance / target_var, f"plain MC of level 0 after "
+                             f"{acc.count} samples, the projected sample count")
         acc.push(single(0, acc.count))
-        if acc.count >= REFERENCE_MIN_SAMPLES and acc.variance / acc.count <= target_var:
-            return acc.mean, acc.variance / acc.count, acc.count
-    raise ValueError(f"plain MC of level 0 did not reach variance {target_var!r} "
-                     f"within M_MAX = {M_MAX} samples")
+    return acc.mean, acc.variance / acc.count, acc.count
 
 
 def cmd_reference(config: ReferenceConfig, out_dir) -> dict:

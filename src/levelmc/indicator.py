@@ -45,6 +45,7 @@ __all__ = [
     "continuous_levels",
     "HierarchyStep",
     "Hierarchy",
+    "may_refine",
     "adaptive_hierarchy",
 ]
 
@@ -179,6 +180,12 @@ class Hierarchy:
         return int(self.dofs.sum())
 
 
+def may_refine(num_vertices: int, max_dof: int) -> bool:
+    """The DOF cap of an adaptive path: a mesh is refined only while twice its
+    vertex count, the predicted count after a refinement, stays below the cap."""
+    return 2 * num_vertices < max_dof
+
+
 def adaptive_hierarchy(coeff, theta: float, initial_mesh: TriMesh, *,
                        max_level: float, max_dof: int | None = None) -> Hierarchy:
     """Solve/estimate/mark/refine, for the source f = 1, until a stopping rule fires.
@@ -200,7 +207,7 @@ def adaptive_hierarchy(coeff, theta: float, initial_mesh: TriMesh, *,
         hierarchy.levels, hierarchy.level_fixes = continuous_levels(hierarchy.estimators)
         if len(hierarchy.steps) > 1 and hierarchy.levels[-1] >= max_level:
             break
-        if max_dof is not None and 2 * mesh.num_vertices >= max_dof:
+        if max_dof is not None and not may_refine(mesh.num_vertices, max_dof):
             hierarchy.truncated = True
             break
         # f = 1 keeps every estimator positive, so marking marks an element

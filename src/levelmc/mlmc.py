@@ -8,10 +8,11 @@ telescopes the per-level difference means,
 
     estimate = sum_l mean(Q_l - Q_{l-1}),    l = 1..L,
 
-targeting E[Q - Q_0].  The driver adds levels until a rate-corrected bias
-proxy built from the last three difference means falls below the bias
-share of the tolerance, and extends per-level sample counts to the
-variance-optimal allocation (never discarding computed samples).
+targeting E[Q - Q_0].  On its current levels the driver first extends the
+per-level sample counts to the variance-optimal allocation (never
+discarding computed samples), then tests a rate-corrected bias proxy built
+from the last three difference means against the bias share of the
+tolerance, and adds a level while that test fails.
 """
 
 from __future__ import annotations
@@ -41,11 +42,18 @@ __all__ = [
     "optimal_bias_weight",
     "optimal_samples",
     "bias_stop",
+    "check_sample_cap",
     "run_mlmc",
 ]
 
 BIAS_WEIGHT_POINTS = 10_000  # midpoint grid of the cost-optimal MSE weight search
 M_MAX = 2_000_000  # sample cap of an MLMC level, a CLMC run and a plain MC reference
+
+
+def check_sample_cap(counts, what: str):
+    """Raise ValueError unless each projected sample count is finite and at most M_MAX."""
+    if not np.all(np.asarray(counts, float) <= M_MAX):  # nan compares false
+        raise ValueError(f"{what} {counts} exceed{'' if np.ndim(counts) else 's'} M_MAX = {M_MAX}")
 
 
 @dataclass
@@ -59,7 +67,7 @@ class EstimatorRun:
     cost_dof: float
     samples: int
     diagnostics: dict
-    flags: list
+    flags: list = field(default_factory=list)
 
 
 class Welford:
@@ -302,8 +310,7 @@ def optimal_samples(variances, costs, eps: float, b_w: float) -> np.ndarray:
     Given per-level variances V_l and per-sample costs C_l (fine+coarse DOF),
     returns ceil(S * sqrt(V_l / C_l) / ((1-b_w) eps^2)) with
     S = sum_m sqrt(V_m C_m), floored at 2.  The result satisfies
-    sum V_l / M_l <= (1 - b_w) eps^2.  A count above M_MAX, or one that is
-    not finite (eps^2 underflows to 0), raises ValueError.
+    sum V_l / M_l <= (1 - b_w) eps^2, and must pass ``check_sample_cap``.
 
     This is the rounded-up continuous optimum x_u, not the integer optimum
     (which need not be unique).  When every x_u,l > 1 its cost sum C_l M_l
@@ -319,8 +326,7 @@ def optimal_samples(variances, costs, eps: float, b_w: float) -> np.ndarray:
     total = np.sqrt(v * c).sum()
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = np.ceil(np.sqrt(v / c) * total / budget)
-    if not np.all(raw <= M_MAX):
-        raise ValueError(f"MLMC sample counts {raw.tolist()} exceed M_MAX = {M_MAX}")
+    check_sample_cap(raw.tolist(), "MLMC sample counts")
     return np.maximum(2, raw.astype(np.int64))
 
 
@@ -371,8 +377,10 @@ class _LevelState:
 
 
 def run_mlmc(config: MlmcConfig, model) -> EstimatorRun:
-    """On-the-fly driver: warm-up on levels 1..3, then add levels until the
-    bias criterion holds, re-optimizing sample counts as variances update."""
+    """On-the-fly driver in the order of Giles (Acta Numerica 2015, Algorithm 1):
+    warm up levels 1..3; then extend the sample counts to the variance-optimal
+    allocation until no level is short, test the bias, and add a level while
+    the test fails."""
     states: dict[int, _LevelState] = {}
 
     def ensure(level, target):
@@ -383,27 +391,26 @@ def run_mlmc(config: MlmcConfig, model) -> EstimatorRun:
     for level in (1, 2, 3):
         ensure(level, config.m_ini)
     top = 3
-
-    def stop() -> bool:
-        means = [states[l].stats.mean for l in range(1, top + 1)]
-        return bias_stop(means, model.s, config.alpha, config.b_w, config.eps)
-
-    while not stop():
+    while True:
+        levels = list(range(1, top + 1))
+        while True:
+            variances = np.array([states[l].stats.variance for l in levels])
+            costs = np.array([states[l].cost_dof / states[l].stats.count for l in levels])
+            counts = optimal_samples(variances, costs, config.eps, config.b_w)
+            short = [(l, int(m)) for l, m in zip(levels, counts) if m > states[l].stats.count]
+            if not short:
+                break
+            for l, m in short:
+                ensure(l, m)
+        means = [states[l].stats.mean for l in levels]
+        if bias_stop(means, model.s, config.alpha, config.b_w, config.eps):
+            break
         if top >= config.l_max:
             flags.append("bias-unconverged")
             break
         top += 1
         ensure(top, config.m_ini)
-        levels = list(range(1, top + 1))
-        variances = np.array([states[l].stats.variance for l in levels])
-        costs = np.array(
-            [states[l].cost_dof / states[l].stats.count for l in levels]
-        )
-        counts = optimal_samples(variances, costs, config.eps, config.b_w)
-        for l, m in zip(levels, counts):
-            ensure(l, max(int(m), states[l].stats.count))  # never discard samples
 
-    levels = list(range(1, top + 1))
     estimate = float(sum(states[l].stats.mean for l in levels))
     variance_sum = float(
         sum(states[l].stats.variance / states[l].stats.count for l in levels)

@@ -9,6 +9,7 @@ import pytest
 
 import levelmc.cli
 import levelmc.harness
+import levelmc.mlmc
 from levelmc.cli import main
 from levelmc.fem import SolverError
 from levelmc.harness import (
@@ -17,6 +18,7 @@ from levelmc.harness import (
     _FIELD_TYPES,
     _FULL_SCALE,
     _RULES,
+    REFERENCE_MIN_SAMPLES,
     CompareConfig,
     ConfigError,
     ConvergeConfig,
@@ -24,6 +26,7 @@ from levelmc.harness import (
     RatesConfig,
     ReferenceConfig,
     _ConfigBase,
+    _mc_to_variance,
 )
 from levelmc.mlmc import EstimatorRun, RateFit, optimal_bias_weight
 
@@ -479,19 +482,25 @@ def test_converge_path_shorter_than_its_fit_window_exits_3(tmp_path, capsys):
 
 
 # the repros of sample counts past M_MAX: eps^2 is about 1e-40 at tolerance index
-# 200 and underflows to 0 at 2000
+# 200 and underflows to 0 at 2000; CLMC and QCLMC refuse right after their
+# m_ini_clmc = 20 warm-up samples
 @pytest.mark.parametrize("methods, index, message", [
     (["mlmc"], 200, "mlmc run for box:300 at tolerance index 200 failed: MLMC sample counts"),
     (["mlmc"], 2000, "mlmc run for box:300 at tolerance index 2000 failed: eps must be positive"),
     (["clmc"], 2000, "clmc run for box:300 at tolerance index 2000 failed: "
                      "eps and rate must be positive"),
-], ids=["mlmc-200", "mlmc-2000", "clmc-2000"])
+    (["clmc"], 200, "clmc run for box:300 at tolerance index 200 failed: after 21 samples at "
+                    "variance "),
+    (["qclmc"], 200, "qclmc run for box:300 at tolerance index 200 failed: after 21 samples at "
+                     "variance "),
+], ids=["mlmc-200", "mlmc-2000", "clmc-2000", "clmc-200", "qclmc-200"])
 @pytest.mark.filterwarnings("ignore:empty feasible interval for the MSE weight")
 def test_compare_past_the_sample_cap_exits_3(tmp_path, capsys, methods, index, message):
     config = {"methods": methods, "tolerance_indices": [index], **write_inputs(tmp_path)}
     assert run(tmp_path, "compare", config) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"numerical failure: {message}") and "Traceback" not in err
+    assert ("M_MAX = 2000000" in err) == (index == 200)
     assert not (tmp_path / "out").exists()
 
 
@@ -510,16 +519,30 @@ def test_reference_past_the_sample_cap_exits_3(tmp_path, capsys):
 
 
 def test_reference_level0_mc_stops_at_the_sample_cap(tmp_path, capsys, monkeypatch):
-    # the difference run meets component_tol 0.2; plain MC of level 0 needs at
-    # least 50 samples, more than the lowered cap
-    monkeypatch.setattr(levelmc.harness, "M_MAX", 10)
+    # the difference run meets component_tol 0.2 with at most 75 samples a level;
+    # after its first 50 samples, plain MC of the aligned level 0 projects 101,
+    # more than the lowered cap
+    monkeypatch.setattr(levelmc.mlmc, "M_MAX", 80)
     assert run(tmp_path, "reference", {**REFERENCE_REPRO, "component_tol": 0.2}) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: reference for box:300 failed: plain MC of "
-                          "level 0 did not reach variance 0.020000000000000004 within "
-                          "M_MAX = 10 samples")
+                          "level 0 after 50 samples, the projected sample count 101.")
+    assert err.rstrip().endswith("exceeds M_MAX = 80")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_reference_mc_refuses_a_target_past_the_cap_after_its_warm_up():
+    calls = []
+
+    def single(level, k):
+        calls.append((level, k))
+        return float(k % 2)  # sample variance about 1/4
+
+    with pytest.raises(ValueError, match=f"plain MC of level 0 after {REFERENCE_MIN_SAMPLES} "
+                       r"samples, the projected sample count 2\.5\d*e\+19 exceeds M_MAX"):
+        _mc_to_variance(single, 1e-20)
+    assert calls == [(0, k) for k in range(REFERENCE_MIN_SAMPLES)]
 
 
 def test_compare_emits_reproducible_samples(tmp_path, monkeypatch):

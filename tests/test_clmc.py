@@ -369,6 +369,24 @@ class TestRunClmc:
         assert clmc.samples >= 6 and qclmc.samples >= 6
 
     @pytest.mark.parametrize("sampler_kind", ["pseudo", "low-discrepancy"])
+    def test_refuses_a_tolerance_past_the_cap_right_after_its_warm_up(self, monkeypatch,
+                                                                      sampler_kind):
+        calls = []
+        path = AdaptivePathSampler.path
+
+        def counted(sampler, k, max_level):
+            calls.append(k)
+            return path(sampler, k, max_level)
+
+        monkeypatch.setattr(AdaptivePathSampler, "path", counted)
+        cfg = ClmcConfig(eps=1e-20, rate=2.0, m_ini=4, dof_max=5000, sampler_kind=sampler_kind,
+                         seed=3, level_seed=11)
+        with pytest.raises(ValueError, match=r"^after 5 samples at variance \S+, the projected "
+                           r"sample count \S+e\+\d+ exceeds M_MAX = 2000000$"):
+            run_clmc(cfg, kind="box", contrast=300.0)
+        assert calls == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("sampler_kind", ["pseudo", "low-discrepancy"])
     def test_unbiased_on_a_synthetic_model(self, monkeypatch, sampler_kind):
         # M fixed as in the benchmark: m_ini = M - 1 and a tolerance that the
         # first variance estimate meets; every run has its own PDE and level seeds

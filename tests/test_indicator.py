@@ -12,6 +12,7 @@ from levelmc.indicator import (
     adaptive_hierarchy,
     continuous_levels,
     doerfler_mark,
+    may_refine,
     residual_indicators,
 )
 from levelmc.mesh import structured_unit_square
@@ -175,6 +176,15 @@ class TestAdaptiveHierarchy:
                                max_level=math.inf, max_dof=1000)
         assert h.truncated
         assert h.steps[-1].dof < 1000
+
+    @pytest.mark.parametrize("max_dof, steps", [(162, 1), (163, 2)])
+    def test_dof_cap_refines_while_twice_the_vertex_count_stays_below_it(self, max_dof, steps):
+        # the rule that the dof_max config check reads as well
+        mesh = structured_unit_square(8)
+        assert mesh.num_vertices == 81 and may_refine(81, max_dof) == (steps == 2)
+        coeff = CoefficientSample("box", 0.45, 0.55, 300.0, length=0.25)
+        h = adaptive_hierarchy(coeff, 0.5, mesh, max_level=math.inf, max_dof=max_dof)
+        assert len(h.steps) == steps and h.truncated
 
     def test_estimators_recorded_even_if_non_monotone(self):
         coeff = CoefficientSample("box", 0.4, 0.6, 300.0, length=0.3)

@@ -8,6 +8,7 @@ import levelmc.mlmc
 from levelmc.fem import BAND_MAX, assemble, h1_norm, solve
 from levelmc.mesh import uniform_family
 from levelmc.mlmc import (
+    M_MAX,
     MlmcConfig,
     PairSample,
     PdeLevelModel,
@@ -15,6 +16,7 @@ from levelmc.mlmc import (
     Welford,
     bias_level,
     bias_stop,
+    check_sample_cap,
     computable_mlmc_cost,
     estimate_rates_mlmc,
     optimal_bias_weight,
@@ -57,6 +59,22 @@ class GaussianModel:
         mean = self.c1 * self.s ** (-self.alpha * level)
         sd = math.sqrt(self.c2 * self.s ** (-self.beta * level))
         return PairSample(fine=mean + sd * rng.standard_normal(), coarse=0.0,
+                          cost_dof=int(round(10 * self.s**level)), seconds=0.0)
+
+
+class StepModel:
+    """Level-1 differences N(0, 1.5^2) and finer ones N(0, 1e-6): the means of
+    levels 1-3 pass the bias test long before level 1 has its samples."""
+
+    s = 2.25
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def pair(self, level, k):
+        rng = np.random.default_rng(np.random.SeedSequence((self.seed, level, k)))
+        sd = 1.5 if level == 1 else 1e-3
+        return PairSample(fine=sd * rng.standard_normal(), coarse=0.0,
                           cost_dof=int(round(10 * self.s**level)), seconds=0.0)
 
 
@@ -255,6 +273,13 @@ class TestOptimalSamples:
         with pytest.raises(ValueError, match="exceed M_MAX = 2000000"):
             optimal_samples([0.1, 0.01], [10, 40], eps, 0.5)
 
+    def test_cap_refuses_counts_that_are_not_finite_or_past_it(self):
+        check_sample_cap(M_MAX, "count")
+        check_sample_cap([2, M_MAX], "counts")
+        for counts in (math.nan, math.inf, M_MAX + 1, [2.0, math.nan]):
+            with pytest.raises(ValueError, match=f"exceeds? M_MAX = {M_MAX}$"):
+                check_sample_cap(counts, "count")
+
     def test_matches_exhaustive_two_level_search(self):
         # The rounded-up continuous optimum x_u costs less than the integer
         # optimum plus sum(c): the integer optimum costs at least c @ x_u,
@@ -352,6 +377,17 @@ class TestRunMlmc:
                            model)
             errors.append((run.estimate - model.truth()) ** 2)
         assert np.mean(errors) <= 1.5 * eps**2
+
+    # a driver that tests the bias before it allocates ends 7 of these 10 runs
+    # over budget, 5 of them at the warm-up
+    @pytest.mark.parametrize("eps", [0.1, 0.05])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_allocates_before_it_tests_the_bias(self, eps, seed):
+        cfg = MlmcConfig(eps=eps, alpha=1.0, b_w=0.5, m_ini=20, l_max=8)
+        run = run_mlmc(cfg, StepModel(seed))
+        means = [d["mean"] for d in run.diagnostics["per_level"]]
+        assert run.variance_estimate <= (1 - cfg.b_w) * eps**2
+        assert bias_stop(means, StepModel.s, cfg.alpha, cfg.b_w, eps) and not run.flags
 
     def test_bias_proxy_uses_the_model_growth_factor(self):
         model = GaussianModel(seed=2, s=3.0)
