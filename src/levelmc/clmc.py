@@ -36,14 +36,13 @@ import numpy as np
 from .coefficient import draw_coefficient
 from .indicator import Hierarchy, adaptive_hierarchy
 from .mesh import structured_unit_square
-from .mlmc import EstimatorRun, RateFit, check_sample_cap
+from .mlmc import EstimatorRun, RateFit, sequential_sampling
 from .sampling import SOURCE_KINDS, ExponentialLevelSampler, UniformSource
 
 __all__ = [
     "ClmcConfig",
     "AdaptivePathSampler",
     "path_contribution",
-    "variance_estimate",
     "estimate_rates_clmc",
     "clmc_cost",
     "optimal_rate_param",
@@ -77,18 +76,6 @@ def path_contribution(levels, qois, rate: float, max_levels) -> np.ndarray:
     lo, hi = lv[None, :-1], lv[None, 1:]
     w = (np.exp(rate * np.minimum(hi, np.maximum(L, lo))) - np.exp(rate * lo)) / (rate * gaps)
     return (w * dq).sum(axis=1)
-
-
-def variance_estimate(count: int, sum_y: float, sum_y2: float) -> float:
-    """Estimator-variance estimate (1/(M-1)) (mean(Y^2) - mean(Y)^2) from
-    the running sums of M samples Y and Y^2.
-
-    This is the variance of the *estimator*, carrying the extra 1/M
-    relative to the sample variance of Y.
-    """
-    if count < 2:
-        raise ValueError("need at least 2 samples for a variance estimate")
-    return (sum_y2 / count - (sum_y / count) ** 2) / (count - 1)
 
 
 @dataclass
@@ -212,10 +199,10 @@ class ClmcConfig:
 def run_clmc(config: ClmcConfig, kind: str = "box", contrast: float = 300.0,
              base_n: int = 15) -> EstimatorRun:
     """Sequential sampling loop: draw a maximal level, refine, accumulate Y,
-    stop once the on-the-fly variance estimate reaches eps^2.
+    stop once the variance of the mean of the Ys reaches eps^2.
 
-    The variance is pinned to 1 for the first m_ini samples; after them, each
-    projected count M variance / eps^2 must pass ``check_sample_cap``.
+    The warm-up is m_ini + 1 samples, over which the ``cum_variance`` column
+    is pinned to 1; the stop rule is ``sequential_sampling``.
     """
     sampler = AdaptivePathSampler(
         kind=kind, contrast=contrast, theta=config.theta,
@@ -225,35 +212,28 @@ def run_clmc(config: ClmcConfig, kind: str = "box", contrast: float = 300.0,
     level_sampler = ExponentialLevelSampler(config.rate, level_source)
 
     rows = []
-    sum_y = sum_y2 = 0.0
     cost_dof = 0
     level_fixes = 0
     truncation_levels = []
-    count, variance = 0, 1.0
-    while count <= config.m_ini or variance > config.eps**2:
-        if count > config.m_ini:
-            check_sample_cap(count * variance / config.eps**2, f"after {count} samples at "
-                             f"variance {variance:.3g}, the projected sample count")
-        count += 1
+    for acc in sequential_sampling(config.eps**2, warmup=config.m_ini + 1):
+        k = acc.count + 1
         max_level = level_sampler.draw_max_level()
-        path = sampler.path(count, max_level=max_level)
+        path = sampler.path(k, max_level=max_level)
         y = float(path_contribution(path.levels, path.qois, config.rate, [max_level])[0])
-        sum_y += y
-        sum_y2 += y * y
+        acc.push(y)
         cost_dof += path.cost_dof
         level_fixes += path.level_fixes
         if path.truncated:
             truncation_levels.append(path.levels[-1])
-        variance = 1.0 if count <= config.m_ini else variance_estimate(count, sum_y, sum_y2)
         rows.append(
             {
-                "k": count,
+                "k": k,
                 "max_level": max_level,
                 "index": len(path.levels) - 1,
                 "max_dof": int(path.dofs.max()),
                 "y": y,
-                "cum_estimate": sum_y / count,
-                "cum_variance": variance,
+                "cum_estimate": acc.mean,
+                "cum_variance": 1.0 if k <= config.m_ini else acc.variance / k,
                 "truncated": int(path.truncated),
             }
         )
@@ -262,11 +242,11 @@ def run_clmc(config: ClmcConfig, kind: str = "box", contrast: float = 300.0,
     level_cap = min(truncation_levels, default=math.inf)
     return EstimatorRun(
         method="qclmc" if config.sampler_kind == "low-discrepancy" else "clmc",
-        estimate=sum_y / count,
-        variance_estimate=variance_estimate(count, sum_y, sum_y2),
-        bias_proxy=truncation_bias_bound(count, config.rate, level_cap),
+        estimate=acc.mean,
+        variance_estimate=acc.variance / acc.count,
+        bias_proxy=truncation_bias_bound(acc.count, config.rate, level_cap),
         cost_dof=float(cost_dof),
-        samples=count,
+        samples=acc.count,
         diagnostics={
             "per_sample": rows,
             "truncated_paths": len(truncation_levels),

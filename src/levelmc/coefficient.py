@@ -24,7 +24,9 @@ import numpy as np
 from .mesh import TriMesh
 from .sampling import UniformSource
 
-__all__ = ["CoefficientSample", "draw_coefficient", "sample_box", "sample_cross"]
+__all__ = ["KINDS", "CoefficientSample", "draw_coefficient", "sample_box", "sample_cross"]
+
+KINDS = ("box", "cross")
 
 BOX_CENTER_RANGE = (0.4, 0.6)
 BOX_LENGTH_RANGE = (0.2, 0.3)
@@ -34,14 +36,14 @@ BOX_LENGTH_RANGE = (0.2, 0.3)
 class CoefficientSample:
     """One realized coefficient: kind, discontinuity geometry and contrast P."""
 
-    kind: str                  # "box" | "cross"
+    kind: str                  # one of KINDS
     x: float
     y: float
     contrast: float            # P > 0
     length: float | None = None  # box edge length
 
     def __post_init__(self):
-        if self.kind not in ("box", "cross"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown coefficient kind {self.kind!r}")
         if self.contrast <= 0:
             raise ValueError("contrast P must be positive")
@@ -105,6 +107,8 @@ def sample_cross(source: UniformSource, contrast: float) -> CoefficientSample:
 
 def draw_coefficient(kind: str, contrast: float, seed: int, stream) -> CoefficientSample:
     """Draw a box or cross sample from the pseudo-random substream (seed, stream)."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown coefficient kind {kind!r}")
     source = UniformSource("pseudo", seed=seed, stream=stream)
     if kind == "box":
         return sample_box(source, contrast)

@@ -40,7 +40,7 @@ from .clmc import (
     optimal_rate_param,
     run_clmc,
 )
-from .coefficient import CoefficientSample
+from .coefficient import KINDS, CoefficientSample
 from .fem import assemble, h1_norm, solve
 from .indicator import adaptive_hierarchy, may_refine
 from .mesh import aligned_structured_mesh, level_resolution, structured_unit_square, uniform_family
@@ -48,12 +48,11 @@ from .mlmc import (
     MlmcConfig,
     PdeLevelModel,
     RateFit,
-    Welford,
     _log_fit,
-    check_sample_cap,
     estimate_rates_mlmc,
     optimal_bias_weight,
     run_mlmc,
+    sequential_sampling,
 )
 from .sampling import SOURCE_KINDS, moment_mse_experiment
 
@@ -140,7 +139,7 @@ def _at_least(bound):
 # range of each field, in every config that has it; a list field's rule holds for each entry
 _RULES = {
     "theta": (lambda v: 0 < v < 1, "must lie in (0,1)"),
-    "kinds": (lambda v: v in ("box", "cross"), "must be 'box' or 'cross'"),
+    "kinds": (lambda v: v in KINDS, f"must be one of {KINDS}"),
     "methods": (lambda v: v in ("mlmc", "clmc", "qclmc"), "must be 'mlmc', 'clmc' or 'qclmc'"),
     **dict.fromkeys(("contrast", "contrasts", "clmc_level", "adaptive_level"),
                     (lambda v: v > 0, "must be positive")),
@@ -251,7 +250,7 @@ class ConvergeConfig(_ConfigBase):
     """Single-sample convergence study (uniform vs adaptive refinement)."""
 
     full_scale: bool = False
-    kinds: tuple = ("box", "cross")
+    kinds: tuple = KINDS
     contrast: float = 300.0
     theta: float = 0.5
     base_n: int = 15
@@ -294,7 +293,7 @@ class ReferenceConfig(_ConfigBase):
     """High-accuracy reference for E[Q - Q_0] via interface-aligned meshes."""
 
     full_scale: bool = False
-    kinds: tuple = ("box", "cross")
+    kinds: tuple = KINDS
     contrasts: tuple = (300.0,)
     theta: float = 0.5
     base_n: int = 15
@@ -522,11 +521,7 @@ def _decaying_alpha(fit, name) -> float:
 def _mc_to_variance(single, target_var):
     """Plain MC of the level-0 QoI until the estimator variance is below target;
     returns the mean, the estimator variance and the sample count."""
-    acc = Welford()
-    while acc.count < REFERENCE_MIN_SAMPLES or acc.variance / acc.count > target_var:
-        if acc.count >= REFERENCE_MIN_SAMPLES:
-            check_sample_cap(acc.variance / target_var, f"plain MC of level 0 after "
-                             f"{acc.count} samples, the projected sample count")
+    for acc in sequential_sampling(target_var, REFERENCE_MIN_SAMPLES, "plain MC of level 0 "):
         acc.push(single(0, acc.count))
     return acc.mean, acc.variance / acc.count, acc.count
 

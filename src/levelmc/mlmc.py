@@ -43,6 +43,7 @@ __all__ = [
     "optimal_samples",
     "bias_stop",
     "check_sample_cap",
+    "sequential_sampling",
     "run_mlmc",
 ]
 
@@ -90,6 +91,25 @@ class Welford:
         if self.count < 2:
             return math.nan
         return self._m2 / (self.count - 1)
+
+
+def sequential_sampling(target: float, warmup: int, prefix: str = ""):
+    """The stop rule of every sequential sampler: yield one ``Welford``
+    accumulator, into which the caller pushes one sample per step, while fewer
+    than ``warmup`` samples are in or the variance of their mean exceeds target.
+
+    From the warm-up on, each further sample's projected count, sample variance
+    / target, must pass ``check_sample_cap``; ``prefix`` names the sampler in
+    its message.
+    """
+    if warmup < 2:
+        raise ValueError("the warm-up needs at least 2 samples for a variance")
+    acc = Welford()
+    while acc.count < warmup or acc.variance / acc.count > target:
+        if acc.count >= warmup:
+            check_sample_cap(acc.variance / target, f"{prefix}after {acc.count} samples at "
+                             f"variance {acc.variance / acc.count:.3g}, the projected sample count")
+        yield acc
 
 
 @dataclass
@@ -348,7 +368,7 @@ class MlmcConfig:
     l_max: int = 10
 
     def __post_init__(self):
-        if self.eps <= 0 or self.alpha <= 0:
+        if not (self.eps > 0 and self.alpha > 0):  # nan compares false
             raise ValueError("eps and alpha must be positive")
         if not 0.0 < self.b_w < 1.0:
             raise ValueError("bias weight must lie in (0, 1)")

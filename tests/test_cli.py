@@ -526,7 +526,8 @@ def test_reference_level0_mc_stops_at_the_sample_cap(tmp_path, capsys, monkeypat
     assert run(tmp_path, "reference", {**REFERENCE_REPRO, "component_tol": 0.2}) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: reference for box:300 failed: plain MC of "
-                          "level 0 after 50 samples, the projected sample count 101.")
+                          "level 0 after 50 samples at variance 0.0405, the projected sample "
+                          "count 101.")
     assert err.rstrip().endswith("exceeds M_MAX = 80")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
@@ -539,8 +540,9 @@ def test_reference_mc_refuses_a_target_past_the_cap_after_its_warm_up():
         calls.append((level, k))
         return float(k % 2)  # sample variance about 1/4
 
-    with pytest.raises(ValueError, match=f"plain MC of level 0 after {REFERENCE_MIN_SAMPLES} "
-                       r"samples, the projected sample count 2\.5\d*e\+19 exceeds M_MAX"):
+    with pytest.raises(ValueError, match=f"^plain MC of level 0 after {REFERENCE_MIN_SAMPLES} "
+                       r"samples at variance 0\.0051, the projected sample count 2\.5\d*e\+19 "
+                       r"exceeds M_MAX = 2000000$"):
         _mc_to_variance(single, 1e-20)
     assert calls == [(0, k) for k in range(REFERENCE_MIN_SAMPLES)]
 

@@ -14,7 +14,6 @@ from levelmc.clmc import (
     path_contribution,
     run_clmc,
     truncation_bias_bound,
-    variance_estimate,
 )
 from levelmc.indicator import Hierarchy, HierarchyStep, continuous_levels
 from levelmc.mlmc import RateFit
@@ -178,30 +177,6 @@ class TestPathContribution:
                 val, _ = quad(integrand, lo, hi, epsabs=1e-13, limit=200)
                 tail, _ = quad(integrand, hi, np.inf, epsabs=1e-13, limit=200)
                 assert val + tail == pytest.approx(1.0, abs=1e-10)
-
-
-def variance_of(ys):
-    """variance_estimate from the running sums of the samples ys."""
-    ys = np.asarray(ys, float)
-    return variance_estimate(len(ys), ys.sum(), (ys**2).sum())
-
-
-class TestVarianceEstimate:
-    def test_constant_samples(self):
-        assert variance_of([3.0, 3.0]) == 0.0
-
-    def test_hand_case(self):
-        assert variance_of([0.0, 2.0]) == pytest.approx(1.0)
-
-    def test_scales_inversely_with_sample_count(self):
-        rng = np.random.default_rng(9)
-        small = np.mean([variance_of(rng.normal(size=50)) for _ in range(400)])
-        large = np.mean([variance_of(rng.normal(size=100)) for _ in range(400)])
-        assert large == pytest.approx(small / 2.0, rel=0.15)
-
-    def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            variance_of([1.0])
 
 
 class FakeSampler:
@@ -385,6 +360,20 @@ class TestRunClmc:
                            r"sample count \S+e\+\d+ exceeds M_MAX = 2000000$"):
             run_clmc(cfg, kind="box", contrast=300.0)
         assert calls == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("sampler_kind", ["pseudo", "low-discrepancy"])
+    def test_estimate_and_variance_are_those_of_the_y_column(self, monkeypatch, sampler_kind):
+        monkeypatch.setattr(levelmc.clmc, "AdaptivePathSampler", SyntheticPaths)
+        run = run_clmc(ClmcConfig(eps=0.05, rate=1.5, m_ini=10, sampler_kind=sampler_kind,
+                                  seed=5, level_seed=77))
+        rows = run.diagnostics["per_sample"]
+        ys = np.array([r["y"] for r in rows])
+        assert run.samples == len(ys) > 11
+        assert run.estimate == pytest.approx(ys.mean(), rel=1e-12)
+        assert run.variance_estimate == pytest.approx(np.var(ys, ddof=1) / len(ys), rel=1e-12)
+        assert [r["cum_variance"] for r in rows[:10]] == [1.0] * 10
+        assert rows[-1]["cum_variance"] == run.variance_estimate <= 0.05**2
+        assert rows[-2]["cum_variance"] > 0.05**2
 
     @pytest.mark.parametrize("sampler_kind", ["pseudo", "low-discrepancy"])
     def test_unbiased_on_a_synthetic_model(self, monkeypatch, sampler_kind):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelmc.coefficient import CoefficientSample, sample_box, sample_cross
+from levelmc.coefficient import KINDS, CoefficientSample, draw_coefficient, sample_box, sample_cross
 from levelmc.mesh import aligned_structured_mesh, structured_unit_square
 from levelmc.sampling import UniformSource
 
@@ -126,6 +126,14 @@ class TestValidation:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             CoefficientSample("disc", 0.5, 0.5, 2.0)
+
+    @pytest.mark.parametrize("kind", ["Box", "disc", ""])
+    def test_draw_refuses_an_unknown_kind(self, kind):
+        with pytest.raises(ValueError, match=f"^unknown coefficient kind {kind!r}$"):
+            draw_coefficient(kind, 300.0, 1, 0)
+
+    def test_draw_gives_each_kind(self):
+        assert [draw_coefficient(k, 300.0, 1, 0).kind for k in KINDS] == ["box", "cross"]
 
     def test_nonpositive_contrast(self):
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from levelmc.mlmc import (
     optimal_bias_weight,
     optimal_samples,
     run_mlmc,
+    sequential_sampling,
 )
 
 
@@ -406,6 +407,12 @@ class TestRunMlmc:
             MlmcConfig(eps=0.1, alpha=1.0, b_w=0.5, l_max=2)
         assert MlmcConfig(eps=0.1, alpha=1.0, b_w=0.5, l_max=3).l_max == 3
 
+    @pytest.mark.parametrize("field", ["eps", "alpha"])
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -0.1])
+    def test_refuses_eps_or_alpha_that_is_not_positive(self, field, value):
+        with pytest.raises(ValueError, match="eps and alpha must be positive"):
+            MlmcConfig(**{"eps": 0.1, "alpha": 1.0, field: value}, b_w=0.5)
+
     def test_samples_never_discarded_and_cost_consistent(self):
         model = GaussianModel(seed=12)
         run = run_mlmc(MlmcConfig(eps=0.03, alpha=1.0, b_w=0.4, m_ini=10), model)
@@ -423,3 +430,60 @@ class TestWelford:
             acc.push(x)
         assert acc.mean == pytest.approx(xs.mean(), rel=1e-12)
         assert acc.variance == pytest.approx(xs.var(ddof=1), rel=1e-10)
+
+    def test_constant_samples(self):
+        acc = Welford()
+        for x in (3.0, 3.0):
+            acc.push(x)
+        assert acc.variance == 0.0
+
+    def test_hand_case(self):
+        # sample variance 2, so the variance of the mean of two samples is 1
+        acc = Welford()
+        for x in (0.0, 2.0):
+            acc.push(x)
+        assert acc.variance / acc.count == pytest.approx(1.0)
+
+    def test_scales_inversely_with_sample_count(self):
+        rng = np.random.default_rng(9)
+
+        def variance_of_mean(size):
+            acc = Welford()
+            for x in rng.normal(size=size):
+                acc.push(x)
+            return acc.variance / acc.count
+
+        small = np.mean([variance_of_mean(50) for _ in range(400)])
+        large = np.mean([variance_of_mean(100) for _ in range(400)])
+        assert large == pytest.approx(small / 2.0, rel=0.15)
+
+
+class TestSequentialSampling:
+    @pytest.mark.parametrize("target, warmup", [(4e-4, 10), (1.0, 10), (4e-4, 3000)])
+    def test_stops_at_the_first_count_past_the_warm_up_that_meets_the_target(self, target,
+                                                                              warmup):
+        ys = np.random.default_rng(21).normal(size=6000)
+        for acc in sequential_sampling(target, warmup):
+            acc.push(ys[acc.count])
+        m = next(m for m in range(warmup, len(ys) + 1)
+                 if np.var(ys[:m], ddof=1) / m <= target)
+        assert acc.count == m
+        assert acc.mean == pytest.approx(ys[:m].mean(), rel=1e-12)
+        assert acc.variance == pytest.approx(np.var(ys[:m], ddof=1), rel=1e-12)
+
+    def test_refuses_a_target_past_the_cap_after_exactly_its_warm_up(self):
+        ys = np.random.default_rng(22).normal(size=100)
+        pushed = []
+        with pytest.raises(ValueError, match=r"^level 0 after 7 samples at variance \S+, the "
+                           r"projected sample count \S+e\+\d+ exceeds M_MAX = 2000000$"):
+            for acc in sequential_sampling(1e-20, 7, "level 0 "):
+                pushed.append(acc.count)
+                acc.push(ys[acc.count])
+        assert pushed == list(range(7))
+
+    def test_needs_two_samples(self):
+        acc = Welford()
+        acc.push(1.0)
+        assert math.isnan(acc.variance)
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            next(sequential_sampling(1.0, warmup=1))
