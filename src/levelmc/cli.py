@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .fem import AssemblyError, SolverError
 from .harness import (
+    OUT_ROOT,
     CompareConfig,
     ConfigError,
     ConvergeConfig,
@@ -66,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", help="JSON config file (defaults apply if omitted)")
-        p.add_argument("--out", default=None, help="output directory (default uq-out/<experiment>)")
+        p.add_argument("--out", default=None,
+                       help=f"output directory (default {OUT_ROOT}/<experiment>)")
         p.add_argument("--full-scale", action="store_true",
                        help="use the paper-scale defaults instead of the desk-scale ones")
     return parser
@@ -75,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cls, command = _COMMANDS[args.experiment]
-    out_dir = Path(args.out) if args.out else Path("uq-out") / args.experiment
+    out_dir = Path(args.out) if args.out else Path(OUT_ROOT) / args.experiment
     # the output directory is made before the run, so that a path that cannot
     # be one fails at once; a failed run removes what it made while empty
     created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]

@@ -1,9 +1,10 @@
 """Piecewise-linear Galerkin solver with homogeneous Dirichlet conditions.
 
-The diffusion coefficient enters elementwise through its barycenter value
-a_K, which is exact on meshes aligned with the discontinuities.  Stiffness
-integrals are exact for P1; loads are exact for constant sources and use
-the three-point edge-midpoint rule (degree 2) otherwise.
+The diffusion coefficient enters as one value a_K per element, which the
+caller evaluates (the coefficient model takes it at the barycenter, exact
+on meshes aligned with the discontinuities).  Stiffness integrals are
+exact for P1; loads are exact for constant sources and use the three-point
+edge-midpoint rule (degree 2) otherwise.
 
 The stiffness pattern and values come from the mesh's edge table.  All but
 a_K is set up on first assembly and kept with the mesh: the free vertices,
@@ -55,7 +56,6 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .coefficient import CoefficientSample
 from .mesh import TriMesh
 
 __all__ = [
@@ -86,15 +86,6 @@ class SolverError(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
-
-
-def element_coefficients(mesh: TriMesh, coeff) -> np.ndarray:
-    """Per-element diffusion values for a sample, a scalar, or None (a = 1)."""
-    if coeff is None:
-        return np.ones(mesh.num_triangles)
-    if isinstance(coeff, CoefficientSample):
-        return coeff.element_values(mesh)
-    return np.full(mesh.num_triangles, float(coeff))
 
 
 @dataclass
@@ -273,10 +264,10 @@ def _assembler(mesh: TriMesh) -> _MeshAssembler:
     return cache
 
 
-def assemble(mesh: TriMesh, coeff=None, f=1.0) -> SparseSystem:
-    """Assemble the stiffness system for -div(a grad u) = f, u = 0 on the boundary."""
+def assemble(mesh: TriMesh, a_k: np.ndarray, f=1.0) -> SparseSystem:
+    """Assemble the stiffness system for -div(a grad u) = f, u = 0 on the
+    boundary, where a takes the value a_k[K] on element K."""
     asm = _assembler(mesh)
-    a_k = element_coefficients(mesh, coeff)
     return SparseSystem(matrix=asm.stiffness(a_k), rhs=asm.load(mesh, f), free=asm.free,
                         mesh=mesh, transfers=asm.transfers, band=asm.band)
 

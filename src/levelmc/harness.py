@@ -57,6 +57,7 @@ from .mlmc import (
 from .sampling import SOURCE_KINDS, moment_mse_experiment
 
 __all__ = [
+    "OUT_ROOT",
     "ConfigError",
     "NumericalError",
     "ConvergeConfig",
@@ -70,6 +71,8 @@ __all__ = [
     "cmd_reference",
     "cmd_compare",
 ]
+
+OUT_ROOT = "uq-out"      # `uq <experiment>` writes to OUT_ROOT/<experiment> by default
 
 # fixed single-sample parameters of the convergence study, by kind
 CONVERGE_SAMPLES = {"box": dict(x=0.4, y=0.6, length=0.3), "cross": dict(x=0.4, y=0.6)}
@@ -320,8 +323,9 @@ class CompareConfig(_ConfigBase):
     dof_max: int = 200_000
     seed_base: int = 20_000
     scramble_base: int = 77_000
-    rates_file: str = "rates.json"
-    reference_file: str = "reference.json"
+    # where `uq rates` and `uq reference` write by default
+    rates_file: str = f"{OUT_ROOT}/rates/rates.json"
+    reference_file: str = f"{OUT_ROOT}/reference/reference.json"
     emit_samples: bool = False
 
 
@@ -384,7 +388,7 @@ def aligned_reference_qoi(sample: CoefficientSample, resolution: int) -> float:
     """QoI on a fine mesh aligned with the sample's discontinuities."""
     bx, by = sample.break_lines()
     mesh = aligned_structured_mesh(bx, by, resolution)
-    return h1_norm(solve(assemble(mesh, sample)))
+    return h1_norm(solve(assemble(mesh, sample.element_values(mesh))))
 
 
 def cmd_converge(config: ConvergeConfig, out_dir) -> dict:
@@ -397,7 +401,7 @@ def cmd_converge(config: ConvergeConfig, out_dir) -> dict:
 
         for level in range(config.uniform_levels + 1):
             mesh = uniform_family(level, config.base_n)
-            q = h1_norm(solve(assemble(mesh, sample)))
+            q = h1_norm(solve(assemble(mesh, sample.element_values(mesh))))
             rows.append({
                 "kind": kind, "series": "uniform", "level": level,
                 "dof": mesh.num_vertices, "weak_h1_error": abs(q_ref - q),
@@ -731,14 +735,17 @@ def _summarize_compare(records, config: CompareConfig, calibration: RatesConfig)
         per_kind = {}
         for key, kind, contrast in _cases(calibration):
             cells_m = [cells[method, kind, contrast, t] for t in ladder]
-            slope = None
-            if len(cells_m) >= 2:
-                slope = _loglog_slope([c["mean_seconds"] for c in cells_m],
-                                      [c["mean_mse"] for c in cells_m])
             per_kind[key] = {
-                "time_mse_slope": slope,
                 "mse_within_budget": all(c["mean_mse"] <= 1.5 * c["eps_sq"] for c in cells_m),
             }
+            # log mean MSE against log mean cost, in seconds and in DOF; one
+            # tolerance index, or one cost for all, fits no line
+            for name, cost in (("time", "mean_seconds"), ("dof", "mean_cost_dof")):
+                log_cost = np.log([c[cost] for c in cells_m])
+                slope = r2 = None
+                if np.ptp(log_cost) > 0:
+                    slope, _, r2 = _log_fit(log_cost, np.log([c["mean_mse"] for c in cells_m]))
+                per_kind[key] |= {f"{name}_mse_slope": slope, f"{name}_mse_r2": r2}
         out["methods"][method] = per_kind
 
     if "clmc" in config.methods and "qclmc" in config.methods:

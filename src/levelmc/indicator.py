@@ -28,14 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import (
-    FESolution,
-    _edge_midpoints,
-    assemble,
-    element_coefficients,
-    h1_norm,
-    solve,
-)
+from .fem import FESolution, _edge_midpoints, assemble, h1_norm, solve
 from .mesh import TriMesh, bisect_refine
 
 __all__ = [
@@ -66,10 +59,10 @@ class ErrorIndicators:
         return float(np.sqrt((self.eta**2).sum()))
 
 
-def residual_indicators(sol: FESolution, coeff, f=1.0) -> ErrorIndicators:
-    """Elementwise residual indicators for the discontinuous-coefficient problem."""
+def residual_indicators(sol: FESolution, a_k: np.ndarray, f=1.0) -> ErrorIndicators:
+    """Elementwise residual indicators for the discontinuous-coefficient
+    problem, with the element values a_k the solution was assembled with."""
     mesh = sol.mesh
-    a_k = element_coefficients(mesh, coeff)
     areas = mesh.areas
 
     # interior residual: h_K^2 a_K^-1 ||f||^2_{L2(K)}
@@ -189,6 +182,8 @@ def may_refine(num_vertices: int, max_dof: int) -> bool:
 def adaptive_hierarchy(coeff, theta: float, initial_mesh: TriMesh, *,
                        max_level: float, max_dof: int | None = None) -> Hierarchy:
     """Solve/estimate/mark/refine, for the source f = 1, until a stopping rule fires.
+    The coefficient's ``element_values`` are taken once per mesh, for both
+    the solve and the indicators.
 
     Stopping rules (whichever fires first):
       * ``max_level`` -- stop at the first refined step whose continuous
@@ -200,8 +195,9 @@ def adaptive_hierarchy(coeff, theta: float, initial_mesh: TriMesh, *,
     hierarchy = Hierarchy()
     mesh = initial_mesh
     while True:
-        sol = solve(assemble(mesh, coeff))
-        ind = residual_indicators(sol, coeff)
+        a_k = coeff.element_values(mesh)
+        sol = solve(assemble(mesh, a_k))
+        ind = residual_indicators(sol, a_k)
         hierarchy.steps.append(
             HierarchyStep(estimator=ind.total, qoi=h1_norm(sol), dof=mesh.num_vertices))
         hierarchy.levels, hierarchy.level_fixes = continuous_levels(hierarchy.estimators)

@@ -165,7 +165,7 @@ class PdeLevelModel:
     @staticmethod
     def _qoi(mesh, coeff):
         """The QoI of a solve, its CG iteration count and whether it was factored."""
-        solution = solve(assemble(mesh, coeff))
+        solution = solve(assemble(mesh, coeff.element_values(mesh)))
         return h1_norm(solution), solution.iterations, solution.factored
 
     def pair(self, level: int, k: int) -> PairSample:

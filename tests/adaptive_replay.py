@@ -29,6 +29,7 @@ def replay_hierarchy(coeff, mesh, refinements, theta=0.5):
     for _ in range(refinements + 1):
         if steps:
             mesh = bisect_refine(mesh, doerfler_mark(steps[-1][2], theta))
-        sol = solve(assemble(mesh, coeff))
-        steps.append((mesh, sol, residual_indicators(sol, coeff)))
+        a_k = coeff.element_values(mesh)
+        sol = solve(assemble(mesh, a_k))
+        steps.append((mesh, sol, residual_indicators(sol, a_k)))
     return steps

@@ -1,6 +1,6 @@
 """Reference numerics that only the tests use: the L2 and H1 errors against a
-smooth exact solution, the energy norm, the smallest angle of a mesh and
-the CDF of Exp(r).
+smooth exact solution, the energy norm, the smallest angle of a mesh, the
+CDF of Exp(r) and the element values of the unit coefficient.
 
 The package computes none of them; the tests check the solver, the
 bisection and the level draws against them.
@@ -8,12 +8,16 @@ bisection and the level draws against them.
 
 import numpy as np
 
-from levelmc.fem import FESolution, element_coefficients
+from levelmc.fem import FESolution
 
 
-def energy_norm(sol: FESolution, coeff) -> float:
+def unit_coefficient(mesh) -> np.ndarray:
+    """Element values a_K = 1 of the coefficient a = 1."""
+    return np.ones(mesh.num_triangles)
+
+
+def energy_norm(sol: FESolution, a_k) -> float:
     """Energy norm sqrt(sum_K a_K int_K |grad v|^2) of a solution or difference."""
-    a_k = element_coefficients(sol.mesh, coeff)
     gx, gy = sol.gradient_sums
     return float(np.sqrt((a_k * ((gx**2 + gy**2) / (4.0 * sol.mesh.areas))).sum()))
 

@@ -17,6 +17,7 @@ from levelmc.harness import (
     _ENTRY_TYPES,
     _FIELD_TYPES,
     _FULL_SCALE,
+    OUT_ROOT,
     _RULES,
     REFERENCE_MIN_SAMPLES,
     CompareConfig,
@@ -27,6 +28,7 @@ from levelmc.harness import (
     ReferenceConfig,
     _ConfigBase,
     _mc_to_variance,
+    _summarize_compare,
 )
 from levelmc.mlmc import EstimatorRun, RateFit, optimal_bias_weight
 
@@ -54,6 +56,8 @@ REFERENCE = {"config": ReferenceConfig.from_dict({}).asdict(),
 # the ledger columns of an estimator run that compare emits
 MLMC_LEDGER = "level,samples,mean,variance,cost_dof,cg_iterations,factored_solves,cost_seconds"
 CLMC_LEDGER = "k,max_level,index,max_dof,y,cum_estimate,cum_variance,truncated"
+# the log-log fits of mean MSE against mean cost in compare_summary.json
+COST_FITS = ("time_mse_slope", "time_mse_r2", "dof_mse_slope", "dof_mse_r2")
 
 
 def run(tmp_path, experiment, config, out="out"):
@@ -212,7 +216,7 @@ def test_integer_fields_keep_their_defaults_and_hashes():
     (RatesConfig, "0d62ea8fd543", "cc57838406a9"),
     (LdsConfig, "635f45d35242", "334173637c94"),
     (ReferenceConfig, "04dc3ede46d6", "e0c04d1fea2f"),
-    (CompareConfig, "5c2a0a45ac7b", "e50efd2e19d0"),
+    (CompareConfig, "0fae276d527f", "159acf90451f"),
 ])
 def test_default_config_hashes_pinned(cls, desk, full):
     # every emitted file carries its config hash; a serializer change must keep them
@@ -592,9 +596,9 @@ def test_compare_emits_reproducible_samples(tmp_path, monkeypatch):
     # the runs take their settings from the input files, which their hashes name
     assert payload["inputs"] == {"rates": RatesConfig.from_dict({}).hash(),
                                  "reference": ReferenceConfig.from_dict({}).hash()}
-    # one tolerance index gives no time-MSE slope: null, not NaN
+    # one tolerance index gives no cost-MSE fit: null, not NaN
     summary = payload["summary"]
-    assert {s["box:300"]["time_mse_slope"] for s in summary["methods"].values()} == {None}
+    assert {s["box:300"][key] for s in summary["methods"].values() for key in COST_FITS} == {None}
 
     rows = records("a")
     assert rows == records("b")
@@ -666,6 +670,45 @@ def test_compare_runs_the_cases_of_its_rates_file(tmp_path, monkeypatch):
         (method, "box", "300.0") for method in ("mlmc", "clmc", "qclmc")] * 2
     summary = json.loads((tmp_path / "out" / "compare_summary.json").read_text())["summary"]
     assert all(list(per_case) == ["box:300"] for per_case in summary["methods"].values())
+
+
+def test_compare_summary_fits_mse_against_seconds_and_dof():
+    # mean MSE 0.04 * 4^-i against seconds 0.5 * 2^i and DOF 1000 * 4^i:
+    # exact power laws of exponents -2 and -1
+    config = CompareConfig.from_dict({"methods": ["mlmc"], "tolerance_indices": [0, 1, 2]})
+    records = [{"method": "mlmc", "kind": "box", "contrast": 300.0, "tol_index": i,
+                "sq_error": 0.04 * 4.0**-i, "seconds": 0.5 * 2.0**i, "cost_dof": 1000 * 4**i}
+               for i in (0, 1, 2) for _ in range(2)]
+    summary = _summarize_compare(records, config, RatesConfig.from_dict({"kinds": ["box"]}))
+    fits = summary["methods"]["mlmc"]["box:300"]
+    assert fits["time_mse_slope"] == pytest.approx(-2.0, rel=1e-12)
+    assert fits["dof_mse_slope"] == pytest.approx(-1.0, rel=1e-12)
+    assert fits["time_mse_r2"] == pytest.approx(1.0, abs=1e-12)
+    assert fits["dof_mse_r2"] == pytest.approx(1.0, abs=1e-12)
+    assert fits["mse_within_budget"]
+
+
+def test_default_pipeline_chains_through_the_default_output_directories(tmp_path, monkeypatch):
+    # rates and reference write under the output root, and a compare config that
+    # names no file reads what they wrote there
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(levelmc.harness, "TOLERANCE_BASE", 0.25)
+    configs = {
+        "rates": {"kinds": ["box"], "base_n": 8, "mlmc_levels": 4, "clmc_level": 2.5,
+                  "pilot_m": 8, "dof_max": 20000},
+        "reference": {"kinds": ["box"], "component_tol": 0.2, "pilot_levels": 3, "pilot_m": 2,
+                      "m_ini": 2, "l_max": 4, "base_n": 8},
+        "compare": {"runs": 2, "tolerance_indices": [0], "l_max": 4, "dof_max": 5000,
+                    "m_ini_mlmc": 4, "m_ini_clmc": 4},
+    }
+    for experiment, config in configs.items():
+        (tmp_path / f"{experiment}.json").write_text(json.dumps(config))
+        assert main([experiment, "--config", f"{experiment}.json"]) == 0
+    out = tmp_path / OUT_ROOT
+    summary = json.loads((out / "compare" / "compare_summary.json").read_text())
+    assert summary["inputs"] == {
+        name: json.loads((out / name / f"{name}.json").read_text())["config_hash"]
+        for name in ("rates", "reference")}
 
 
 @pytest.mark.parametrize("base_n, dof_max", [(15, 512), (8, 162)])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from adaptive_replay import REPLAYED, replay_hierarchy
-from reference_numerics import energy_norm, error_norms
+from reference_numerics import energy_norm, error_norms, unit_coefficient
 
 import levelmc.indicator
 import levelmc.mlmc
@@ -60,10 +60,8 @@ class TestAssemble:
         mesh = structured_unit_square(1)
         # keep all vertices: compare the full matrix via a mesh with no
         # boundary elimination by assembling elementwise ourselves
-        from levelmc.fem import element_coefficients
-
         b, c = (columns.T for columns in mesh.gradient_factors)
-        a_k = element_coefficients(mesh, None)
+        a_k = unit_coefficient(mesh)
         full = np.zeros((4, 4))
         for m, tri in enumerate(mesh.triangles):
             local = (np.outer(b[m], b[m]) + np.outer(c[m], c[m])) / (4 * mesh.areas[m])
@@ -78,19 +76,19 @@ class TestAssemble:
 
     def test_zero_source_zero_load(self):
         mesh = structured_unit_square(3)
-        system = assemble(mesh, None, 0.0)
+        system = assemble(mesh, unit_coefficient(mesh), 0.0)
         assert np.all(system.rhs == 0.0)
 
     def test_stiffness_scales_linearly_in_coefficient(self):
         mesh = structured_unit_square(4)
-        one = assemble(mesh, 1.0, 1.0).matrix
-        seven = assemble(mesh, 7.0, 1.0).matrix
+        one = assemble(mesh, unit_coefficient(mesh), 1.0).matrix
+        seven = assemble(mesh, 7.0 * unit_coefficient(mesh), 1.0).matrix
         assert np.allclose((7.0 * one - seven).toarray(), 0.0)
 
     def test_symmetry_and_coercivity(self):
         mesh = structured_unit_square(5)
         coeff = CoefficientSample("box", 0.5, 0.5, 300.0, length=0.25)
-        system = assemble(mesh, coeff, 1.0)
+        system = assemble(mesh, coeff.element_values(mesh), 1.0)
         asym = abs(system.matrix - system.matrix.T).max()
         assert asym == 0.0
         eigvals = np.linalg.eigvalsh(system.matrix.toarray())
@@ -103,15 +101,15 @@ class TestAssemble:
 
     def test_callable_source_matches_constant(self):
         mesh = structured_unit_square(4)
-        const = assemble(mesh, None, 2.5).rhs
-        func = assemble(mesh, None, lambda p: np.full(len(p), 2.5)).rhs
+        const = assemble(mesh, unit_coefficient(mesh), 2.5).rhs
+        func = assemble(mesh, unit_coefficient(mesh), lambda p: np.full(len(p), 2.5)).rhs
         assert np.allclose(const, func)
 
 
 class TestSolve:
     def test_zero_rhs_zero_solution(self):
         mesh = structured_unit_square(4)
-        sol = solve(assemble(mesh, None, 0.0))
+        sol = solve(assemble(mesh, unit_coefficient(mesh), 0.0))
         assert np.all(sol.values == 0.0)
 
     def test_cg_exact_on_small_spd_system(self):
@@ -130,7 +128,7 @@ class TestSolve:
     def test_residual_below_tolerance(self):
         mesh = structured_unit_square(8)
         coeff = CoefficientSample("cross", 0.45, 0.55, 300.0)
-        system = assemble(mesh, coeff, 1.0)
+        system = assemble(mesh, coeff.element_values(mesh), 1.0)
         sol = solve(system)
         residual = system.rhs - system.matrix @ sol.values[system.free]
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(system.rhs)
@@ -139,7 +137,7 @@ class TestSolve:
         # f >= 0 and a > 0 on a non-obtuse structured mesh: u >= 0
         mesh = structured_unit_square(9)
         coeff = CoefficientSample("box", 0.5, 0.5, 50.0, length=0.3)
-        sol = solve(assemble(mesh, coeff, 1.0))
+        sol = solve(assemble(mesh, coeff.element_values(mesh), 1.0))
         assert sol.values.min() >= -1e-14
 
     def test_nonconvergence_raises_with_residual(self):
@@ -149,7 +147,8 @@ class TestSolve:
             solve(cg_system, rtol=1e-30)
         assert err.value.residual > 0
         assert err.value.iterations > 0
-        banded_system = assemble(structured_unit_square(12), None, 1.0)
+        banded_mesh = structured_unit_square(12)
+        banded_system = assemble(banded_mesh, unit_coefficient(banded_mesh), 1.0)
         assert banded_system.band is not None
         with pytest.raises(SolverError) as err:
             solve(banded_system, rtol=1e-30)
@@ -158,7 +157,7 @@ class TestSolve:
 
     def test_boundary_values_exactly_zero(self):
         mesh = structured_unit_square(6)
-        sol = solve(assemble(mesh, None, 1.0))
+        sol = solve(assemble(mesh, unit_coefficient(mesh), 1.0))
         assert np.all(sol.values[mesh.boundary_vertex] == 0.0)
 
 
@@ -167,7 +166,7 @@ class TestNorms:
         mesh = structured_unit_square(3)
         sol = FESolution(mesh, np.zeros(mesh.num_vertices))
         assert h1_norm(sol) == 0.0
-        assert energy_norm(sol, 1.0) == 0.0
+        assert energy_norm(sol, unit_coefficient(mesh)) == 0.0
 
     def test_linear_interpolant_exact(self):
         # v(x, y) = x: integral of v^2 + |grad v|^2 = 1/3 + 1 = 4/3
@@ -177,15 +176,16 @@ class TestNorms:
 
     def test_energy_norm_equals_h1_seminorm_for_unit_coefficient(self):
         mesh = structured_unit_square(4)
-        sol = solve(assemble(mesh, None, 1.0))
+        sol = solve(assemble(mesh, unit_coefficient(mesh), 1.0))
         grad_sq = h1_norm(sol) ** 2 - _mass_sq(sol)
-        assert energy_norm(sol, 1.0) ** 2 == pytest.approx(grad_sq, rel=1e-10)
+        assert energy_norm(sol, unit_coefficient(mesh)) ** 2 == pytest.approx(grad_sq, rel=1e-10)
 
     def test_energy_norm_nondecreasing_on_nested_refinement(self):
         # aligned meshes keep the elementwise coefficient exact under
         # refinement, so Galerkin energy maximization applies verbatim
         coeff = REPLAYED["aligned"][0]
-        energies = [energy_norm(sol, coeff) for _, sol, _ in replay_hierarchy(*REPLAYED["aligned"])]
+        energies = [energy_norm(sol, coeff.element_values(mesh))
+                    for mesh, sol, _ in replay_hierarchy(*REPLAYED["aligned"])]
         assert all(b >= a - 1e-12 for a, b in zip(energies, energies[1:]))
 
     def test_weak_error_decreases_with_adaptivity(self):
@@ -223,7 +223,8 @@ class TestManufacturedSolution:
         sizes = [8, 12, 18, 27, 40]
         l2, h1 = [], []
         for n in sizes:
-            sol = solve(assemble(structured_unit_square(n), None, f))
+            mesh = structured_unit_square(n)
+            sol = solve(assemble(mesh, unit_coefficient(mesh), f))
             e_l2, e_h1 = error_norms(sol, exact, grad)
             l2.append(e_l2)
             h1.append(e_h1)
@@ -321,7 +322,7 @@ class TestColumnKernelsBitIdentical:
         cases += [(CONTRAST_300[kind], level_mesh(kind, level, aligned=True))
                   for kind in ("box", "cross") for level in (0, 3, 5)]
         for coeff, mesh in cases:
-            matrix = assemble(mesh, coeff, 1.0).matrix
+            matrix = assemble(mesh, coeff.element_values(mesh), 1.0).matrix
             indices, indptr, data = lexsort_stiffness(mesh, coeff.element_values(mesh))
             assert np.array_equal(matrix.indices, indices)
             assert np.array_equal(matrix.indptr, indptr)
@@ -329,7 +330,7 @@ class TestColumnKernelsBitIdentical:
 
     def test_level_6_assembler_holds_less_than_the_scatter_matrix(self):
         mesh = uniform_family(6)
-        assemble(mesh)
+        assemble(mesh, unit_coefficient(mesh))
         held = vars(mesh._fem_assembler).copy()
         # the corner list is the mesh's own triangles, not a copy
         corners = held.pop("_corners")
@@ -347,7 +348,8 @@ class TestColumnKernelsBitIdentical:
         for mesh in meshes:
             load = np.zeros(mesh.num_vertices)
             np.add.at(load, mesh.triangles.ravel(), np.repeat(mesh.areas / 3.0, 3))
-            assert np.array_equal(assemble(mesh, None, 1.0).rhs, load[~mesh.boundary_vertex])
+            assert np.array_equal(assemble(mesh, unit_coefficient(mesh), 1.0).rhs,
+                                  load[~mesh.boundary_vertex])
 
     def test_pcg_matches_allocating_loop(self):
         coeff, meshes = contrast_300_meshes()
@@ -355,7 +357,7 @@ class TestColumnKernelsBitIdentical:
         # at 1e-14 one recursive residual passes while the true one does
         # not, so the loop restarts from the true residual once
         for mesh, rtol in itertools.product(meshes, (1e-10, 1e-14)):
-            system = assemble(mesh, coeff, 1.0)
+            system = assemble(mesh, coeff.element_values(mesh), 1.0)
             x, iterations, relres = pcg(system.matrix, system.rhs, rtol=rtol)
             x_ref, iterations_ref, relres_ref = allocating_pcg(system.matrix, system.rhs, rtol)
             assert iterations == iterations_ref
@@ -367,7 +369,7 @@ class TestColumnKernelsBitIdentical:
     def test_h1_norm_matches_row_reductions(self):
         coeff, meshes = contrast_300_meshes()
         for mesh in meshes:
-            sol = solve(assemble(mesh, coeff, 1.0))
+            sol = solve(assemble(mesh, coeff.element_values(mesh), 1.0))
             ue = sol.values[mesh.triangles]
             b, c = gathered_gradient_factors(mesh)
             grad_sq = ((ue * b).sum(axis=1) ** 2 + (ue * c).sum(axis=1) ** 2) \
@@ -410,7 +412,8 @@ def wide_bisected_mesh():
 
 
 def wide_bisected_system():
-    return assemble(wide_bisected_mesh(), REPLAYED["contrast-300"][0])
+    mesh = wide_bisected_mesh()
+    return assemble(mesh, REPLAYED["contrast-300"][0].element_values(mesh))
 
 
 def rcm_band(matrix):
@@ -443,7 +446,8 @@ class TestMultigrid:
         assert np.allclose(interpolated[inside], linear(*points[inside].T), rtol=0, atol=1e-12)
 
     def test_transfers_halve_the_cells_down_to_the_coarsest_grid(self):
-        system = assemble(uniform_family(6))        # 171 cells a side
+        mesh = uniform_family(6)                    # 171 cells a side
+        system = assemble(mesh, unit_coefficient(mesh))
         assert [p.shape for p, _ in system.transfers] == \
             [(170**2, 84**2), (84**2, 41**2), (41**2, 20**2), (20**2, 9**2)]
         assert all((r != p.T).nnz == 0 for p, r in system.transfers)
@@ -451,12 +455,14 @@ class TestMultigrid:
         _, meshes = contrast_300_meshes()
         for mesh in meshes + [wide_bisected_mesh(), structured_unit_square(BAND_MAX + 1),
                               uniform_family(1)]:
-            assert assemble(mesh).transfers == ()
-        assert assemble(structured_unit_square(BAND_MAX + 2)).transfers
+            assert assemble(mesh, unit_coefficient(mesh)).transfers == ()
+        mesh = structured_unit_square(BAND_MAX + 2)
+        assert assemble(mesh, unit_coefficient(mesh)).transfers
 
     @pytest.mark.parametrize("kind", ["box", "cross"])
     def test_vcycle_is_symmetric_and_positive_definite(self, kind):
-        system = assemble(uniform_family(2), CONTRAST_300[kind])
+        mesh = uniform_family(2)
+        system = assemble(mesh, CONTRAST_300[kind].element_values(mesh))
         transfers = _grid_transfers(system.mesh, system.free)    # 34 -> 17 -> 8 cells
         assert len(transfers) == 2
         m = preconditioner_matrix(system, transfers)
@@ -469,7 +475,8 @@ class TestMultigrid:
 
     @pytest.mark.parametrize("kind, aligned", itertools.product(["box", "cross"], [False, True]))
     def test_multigrid_solve_matches_jacobi_pcg(self, kind, aligned):
-        system = assemble(level_mesh(kind, 3, aligned), CONTRAST_300[kind])
+        mesh = level_mesh(kind, 3, aligned)
+        system = assemble(mesh, CONTRAST_300[kind].element_values(mesh))
         transfers = _grid_transfers(system.mesh, system.free)
         assert transfers
         x_mg, iterations, relres = pcg(system.matrix, system.rhs,
@@ -481,7 +488,8 @@ class TestMultigrid:
 
     def test_iterations_stay_bounded_at_uniform_level_6(self):
         # uniform level 5 is factored; on level 6 the V-cycle takes 31 iterations
-        system = assemble(uniform_family(6), CONTRAST_300["box"])
+        mesh = uniform_family(6)
+        system = assemble(mesh, CONTRAST_300["box"].element_values(mesh))
         assert system.band is None and system.transfers
         sol = solve(system)
         assert 0 < sol.iterations <= 40
@@ -514,7 +522,8 @@ class TestBandedCholesky:
     @pytest.mark.parametrize("kind, mesh_kind", itertools.product(
         ["box", "cross"], ["uniform", "aligned", "bisected", "uniform-5", "aligned-5"]))
     def test_banded_solve_matches_jacobi_pcg(self, kind, mesh_kind):
-        system = assemble(narrow_band_mesh(kind, mesh_kind), CONTRAST_300[kind])
+        mesh = narrow_band_mesh(kind, mesh_kind)
+        system = assemble(mesh, CONTRAST_300[kind].element_values(mesh))
         assert system.band is not None and system.transfers == ()
         sol = solve(system)
         x, _, _ = pcg(system.matrix, system.rhs)
@@ -528,7 +537,8 @@ class TestBandedCholesky:
 
     @pytest.mark.parametrize("cells", [3, 7, 15, 34, 101, BAND_MAX + 1])
     def test_band_of_a_tensor_mesh_is_cells_minus_one(self, cells):
-        assert assemble(structured_unit_square(cells)).band.width == cells - 1
+        mesh = structured_unit_square(cells)
+        assert assemble(mesh, unit_coefficient(mesh)).band.width == cells - 1
 
     def test_layout_exists_exactly_when_the_band_is_narrow(self):
         _, meshes = contrast_300_meshes()
@@ -537,7 +547,7 @@ class TestBandedCholesky:
                    structured_unit_square(BAND_MAX + 2)]
         narrow = []
         for mesh in meshes:
-            system = assemble(mesh, CONTRAST_300["box"])
+            system = assemble(mesh, CONTRAST_300["box"].element_values(mesh))
             band = rcm_band(system.matrix)
             narrow.append(band <= BAND_MAX)
             assert (system.band is not None) == (band <= BAND_MAX)
@@ -546,7 +556,8 @@ class TestBandedCholesky:
         assert sum(narrow) == len(narrow) - 2
 
     def test_indefinite_matrix_raises_and_zero_rhs_gives_zero(self):
-        system = assemble(uniform_family(0), CONTRAST_300["box"])
+        mesh = uniform_family(0)
+        system = assemble(mesh, CONTRAST_300["box"].element_values(mesh))
         assert system.band is not None
         with pytest.raises(SolverError) as err:
             solve(dataclasses.replace(system, matrix=-system.matrix))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from adaptive_replay import REPLAYED, replay_hierarchy
-from reference_numerics import energy_norm, error_norms
+from reference_numerics import energy_norm, error_norms, unit_coefficient
 
 from levelmc.coefficient import CoefficientSample
 from levelmc.fem import FESolution, assemble, h1_norm, solve
@@ -34,7 +34,7 @@ class TestResidualIndicators:
     def test_zero_solution_zero_source(self):
         mesh = structured_unit_square(2)
         sol = FESolution(mesh, np.zeros(mesh.num_vertices))
-        ind = residual_indicators(sol, None, 0.0)
+        ind = residual_indicators(sol, unit_coefficient(mesh), 0.0)
         assert np.all(ind.eta == 0.0)
 
     def test_two_triangle_hand_value(self):
@@ -42,14 +42,14 @@ class TestResidualIndicators:
         # eta_K^2 = h_K^2 * ||f||^2 = 2 * 1/2 = 1, no jumps
         mesh = structured_unit_square(1)
         sol = FESolution(mesh, np.zeros(mesh.num_vertices))
-        ind = residual_indicators(sol, None, 1.0)
+        ind = residual_indicators(sol, unit_coefficient(mesh), 1.0)
         assert np.allclose(ind.eta, 1.0)
         assert ind.total == pytest.approx(np.sqrt(2.0))
 
     def test_linear_field_no_jumps(self):
         mesh = structured_unit_square(4)
         values = 0.7 * mesh.vertices[:, 0] - 1.3 * mesh.vertices[:, 1]
-        ind = residual_indicators(FESolution(mesh, values), 2.0, 0.0)
+        ind = residual_indicators(FESolution(mesh, values), 2.0 * unit_coefficient(mesh), 0.0)
         assert np.allclose(ind.eta, 0.0, atol=1e-14)
 
     def test_efficiency_band_on_manufactured_problem(self):
@@ -65,8 +65,9 @@ class TestResidualIndicators:
             2 * np.pi**2 * np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
         )
         for n in (8, 12, 18, 27, 40):
-            sol = solve(assemble(structured_unit_square(n), None, f))
-            ind = residual_indicators(sol, None, f)
+            mesh = structured_unit_square(n)
+            sol = solve(assemble(mesh, unit_coefficient(mesh), f))
+            ind = residual_indicators(sol, unit_coefficient(mesh), f)
             _, h1_err = error_norms(
                 sol,
                 lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]),
@@ -142,6 +143,21 @@ class TestAdaptiveHierarchy:
         assert [(s.estimator, s.qoi, s.dof) for s in h.steps] == \
             [(ind.total, h1_norm(sol), m.num_vertices) for m, sol, ind in replayed]
 
+    def test_coefficient_is_evaluated_once_per_mesh(self, monkeypatch):
+        # the solve and the indicators of a step share one evaluation
+        calls = []
+        original = CoefficientSample.value_at
+
+        def value_at(self, points):
+            calls.append(len(points))
+            return original(self, points)
+
+        monkeypatch.setattr(CoefficientSample, "value_at", value_at)
+        coeff, mesh, _ = REPLAYED["contrast-300"]
+        # levels 0.775 and 0.930 at steps 5 and 6: the path stops at step 6
+        path = adaptive_hierarchy(coeff, 0.5, mesh, max_level=0.9)
+        assert len(calls) == len(path.steps) == 7
+
     def test_zero_refinements_single_step(self):
         coeff = CoefficientSample("box", 0.5, 0.5, 300.0, length=0.25)
         mesh = structured_unit_square(8)
@@ -198,9 +214,10 @@ class TestEnergyGalerkin:
     def test_energy_norm_of_difference(self):
         mesh = structured_unit_square(6)
         coeff = CoefficientSample("cross", 0.5, 0.5, 10.0)
-        sol = solve(assemble(mesh, coeff, 1.0))
+        a_k = coeff.element_values(mesh)
+        sol = solve(assemble(mesh, a_k, 1.0))
         diff = FESolution(mesh, sol.values - sol.values)
-        assert energy_norm(diff, coeff) == 0.0
+        assert energy_norm(diff, a_k) == 0.0
 
 
 def row_reduction_indicators(sol, coeff, f=1.0):
@@ -238,7 +255,8 @@ class TestColumnKernelsBitIdentical:
         for _, sol, ind in replay_hierarchy(*REPLAYED["contrast-300"]):
             want = row_reduction_indicators(sol, coeff)
             assert np.array_equal(ind.eta, want)
-            assert np.array_equal(residual_indicators(sol, coeff).eta, want)
+            assert np.array_equal(residual_indicators(sol, coeff.element_values(sol.mesh)).eta,
+                                  want)
 
     def test_marking_matches_lexsort_order(self):
         rng = np.random.default_rng(5)

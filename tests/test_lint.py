@@ -3,8 +3,9 @@
 The project depends on no linter, so the checks a linter would make on
 dead code are spelled out here: every module-level import is used, every
 function parameter is read, and every ``__all__`` entry names a
-module-level definition that is used outside its module.  A last check
-keeps the package's start-up free of the libraries only a solve needs.
+module-level definition that is used outside its module.  Two last checks
+keep the finite element layer free of the coefficient model and the
+package's start-up free of the libraries only a solve needs.
 """
 
 import ast
@@ -77,6 +78,19 @@ def referenced(path):
     return out
 
 
+def imported_modules(tree):
+    """Absolute names of the modules a file of the package imports from,
+    anywhere in it: ``from .x import y`` gives levelmc.x and levelmc.x.y."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "levelmc" if node.level else ""
+            module = ".".join(filter(None, [base, node.module]))
+            yield module
+            yield from (f"{module}.{a.name}" for a in node.names)
+
+
 def unused_parameters(tree):
     """(function, parameter) pairs whose parameter the body never reads."""
     for func in ast.walk(tree):
@@ -113,6 +127,13 @@ def test_all_entries_resolve(path):
 def test_all_entries_used_outside_their_module(path):
     used = set().union(*(referenced(user) for user in USERS if user != path))
     assert [name for name in exported(parse(path)) if name not in used] == []
+
+
+@pytest.mark.parametrize("name", ["fem.py", "indicator.py", "mesh.py"])
+def test_finite_element_layer_imports_no_coefficient_model(name):
+    # these take element values; their callers evaluate the coefficient
+    assert [m for m in imported_modules(parse(SRC / name))
+            if m == "levelmc.coefficient" or m.startswith("levelmc.coefficient.")] == []
 
 
 def test_import_loads_no_solver_library():

@@ -132,7 +132,8 @@ class TestCoupledPairs:
         # levels of 122 and 183 cells a side: too wide to factor, both take CG
         model = PdeLevelModel(kind="cross", contrast=300.0, base_n=BAND_MAX + 2, seed=2)
         coeff = model._draw_coefficient(1, 0)
-        expected = sum(solve(assemble(model.mesh(l), coeff)).iterations for l in (1, 0))
+        meshes = [model.mesh(l) for l in (1, 0)]
+        expected = sum(solve(assemble(m, coeff.element_values(m))).iterations for m in meshes)
         pair = model.pair(1, 0)
         assert pair.cg_iterations == expected > 0
         assert pair.factored_solves == 0
@@ -182,7 +183,8 @@ class TestCoupledPairs:
         # one coefficient sample solved on every level: the level sum collapses
         model = PdeLevelModel(kind="box", contrast=300.0, seed=5)
         coeff = model._draw_coefficient(0, 0)
-        qois = [h1_norm(solve(assemble(model.mesh(l), coeff, 1.0))) for l in range(4)]
+        meshes = [model.mesh(l) for l in range(4)]
+        qois = [h1_norm(solve(assemble(m, coeff.element_values(m), 1.0))) for m in meshes]
         telescoped = sum(qois[l] - qois[l - 1] for l in range(1, 4))
         assert telescoped == pytest.approx(qois[3] - qois[0], abs=1e-12)
 
