@@ -12,14 +12,15 @@ contributes
     w_j = (exp(r min(l_j, L)) - exp(r l_{j-1})) / (r (l_j - l_{j-1})),
 
 the discretized form of weighting each level increment by the reciprocal
-survival probability of L.  A path is the ``Hierarchy`` record of
-``levelmc.indicator``, which holds per step only (e_j, Q_j, DOF) and the
-continuous levels, and ends at its first level l_j >= L, so J is its last
-index and only w_J is clipped.  The estimator is the plain average of the
-Y values; its variance is estimated on the fly and stops the sampling
-loop at the target tolerance.  Feeding the maximal levels from a
-scrambled low-discrepancy stream instead of a pseudo-random one gives the
-quasi variant; nothing else changes.
+survival probability of L.  Every path starts from MLMC's level-0 mesh,
+``uniform_family(0, base_n)``, so its step-0 QoI is MLMC's Q_0.  A path is
+the ``Hierarchy`` record of ``levelmc.indicator``, which holds per step
+only (e_j, Q_j, DOF) and the continuous levels, and ends at its first
+level l_j >= L, so J is its last index and only w_J is clipped.  The
+estimator is the plain average of the Y values; its variance is estimated
+on the fly and stops the sampling loop at the target tolerance.  Feeding
+the maximal levels from a scrambled low-discrepancy stream instead of a
+pseudo-random one gives the quasi variant; nothing else changes.
 
 Paths that would exceed the machine's DOF budget are cut; the level
 process is frozen beyond the cap (zero further increments), which biases
@@ -35,7 +36,7 @@ import numpy as np
 
 from .coefficient import draw_coefficient
 from .indicator import Hierarchy, adaptive_hierarchy
-from .mesh import structured_unit_square
+from .mesh import uniform_family
 from .mlmc import EstimatorRun, RateFit, sequential_sampling
 from .sampling import SOURCE_KINDS, ExponentialLevelSampler, UniformSource
 
@@ -84,6 +85,7 @@ class AdaptivePathSampler:
 
     Coefficient randomness lives on pseudo-random substreams keyed by
     (seed, k), independent of whatever stream produces maximal levels.
+    Every path refines from MLMC's level-0 mesh, built once, and shares its Q_0.
     """
 
     kind: str
@@ -92,12 +94,10 @@ class AdaptivePathSampler:
     base_n: int = 15
     seed: int = 0
     dof_max: int = 200_000
-    _mesh0: object = field(default=None, init=False, repr=False)
+    _mesh0: object = field(init=False, repr=False, compare=False)
 
-    def initial_mesh(self):
-        if self._mesh0 is None:
-            self._mesh0 = structured_unit_square(self.base_n)
-        return self._mesh0
+    def __post_init__(self):
+        self._mesh0 = uniform_family(0, self.base_n)
 
     def path(self, k: int, max_level: float) -> Hierarchy:
         """Refine sample k until its continuous level reaches max_level,
@@ -107,7 +107,7 @@ class AdaptivePathSampler:
         first (``truncated``).
         """
         coeff = draw_coefficient(self.kind, self.contrast, self.seed, k)
-        return adaptive_hierarchy(coeff, self.theta, self.initial_mesh(), max_level=max_level,
+        return adaptive_hierarchy(coeff, self.theta, self._mesh0, max_level=max_level,
                                   max_dof=self.dof_max)
 
 

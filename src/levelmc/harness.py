@@ -41,9 +41,8 @@ from .clmc import (
     run_clmc,
 )
 from .coefficient import KINDS, CoefficientSample
-from .fem import assemble, h1_norm, solve
 from .indicator import adaptive_hierarchy, may_refine
-from .mesh import aligned_structured_mesh, level_resolution, structured_unit_square, uniform_family
+from .mesh import aligned_structured_mesh, level_resolution, uniform_family
 from .mlmc import (
     MlmcConfig,
     PdeLevelModel,
@@ -53,6 +52,7 @@ from .mlmc import (
     optimal_bias_weight,
     run_mlmc,
     sequential_sampling,
+    solve_qoi,
 )
 from .sampling import SOURCE_KINDS, moment_mse_experiment
 
@@ -384,31 +384,25 @@ def _loglog_slope(x, y) -> float:
 # converge
 
 
-def aligned_reference_qoi(sample: CoefficientSample, resolution: int) -> float:
-    """QoI on a fine mesh aligned with the sample's discontinuities."""
-    bx, by = sample.break_lines()
-    mesh = aligned_structured_mesh(bx, by, resolution)
-    return h1_norm(solve(assemble(mesh, sample.element_values(mesh))))
-
-
 def cmd_converge(config: ConvergeConfig, out_dir) -> dict:
     """Uniform vs adaptive single-sample convergence (CSV) with fitted rates."""
     out = Path(out_dir)
     rows, summary = [], {}
     for kind in config.kinds:
         sample = CoefficientSample(kind=kind, contrast=config.contrast, **CONVERGE_SAMPLES[kind])
-        q_ref = aligned_reference_qoi(sample, config.reference_n)
+        aligned = aligned_structured_mesh(*sample.break_lines(), config.reference_n)
+        q_ref = solve_qoi(aligned, sample)[0]
 
         for level in range(config.uniform_levels + 1):
             mesh = uniform_family(level, config.base_n)
-            q = h1_norm(solve(assemble(mesh, sample.element_values(mesh))))
+            q = solve_qoi(mesh, sample)[0]
             rows.append({
                 "kind": kind, "series": "uniform", "level": level,
                 "dof": mesh.num_vertices, "weak_h1_error": abs(q_ref - q),
                 "estimator": "", "qoi": q,
             })
 
-        hierarchy = adaptive_hierarchy(sample, config.theta, structured_unit_square(config.base_n),
+        hierarchy = adaptive_hierarchy(sample, config.theta, uniform_family(0, config.base_n),
                                        max_level=config.adaptive_level)
         w = config.fit_window
         if len(hierarchy.steps) < w:

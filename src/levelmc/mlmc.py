@@ -8,11 +8,14 @@ telescopes the per-level difference means,
 
     estimate = sum_l mean(Q_l - Q_{l-1}),    l = 1..L,
 
-targeting E[Q - Q_0].  On its current levels the driver first extends the
-per-level sample counts to the variance-optimal allocation (never
-discarding computed samples), then tests a rate-corrected bias proxy built
-from the last three difference means against the bias share of the
-tolerance, and adds a level while that test fails.
+targeting E[Q - Q_0], where Q_0 is Q on ``uniform_family(0, base_n)``, the
+mesh every adaptive path of ``levelmc.clmc`` starts from, and ``solve_qoi``
+is the QoI of one solve for the pairs, the reference and ``uq converge``.
+On its current levels the driver first extends the per-level sample counts
+to the variance-optimal allocation (never discarding computed samples),
+then tests a rate-corrected bias proxy built from the last three difference
+means against the bias share of the tolerance, and adds a level while that
+test fails.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "PdeLevelModel",
     "RateFit",
     "Welford",
+    "solve_qoi",
     "estimate_rates_mlmc",
     "bias_level",
     "computable_mlmc_cost",
@@ -112,6 +116,13 @@ def sequential_sampling(target: float, warmup: int, prefix: str = ""):
         yield acc
 
 
+def solve_qoi(mesh, coeff):
+    """The QoI of one solve, the H1 norm of the solution for the coefficient
+    sample on the mesh, with its CG iteration count and whether it was factored."""
+    solution = solve(assemble(mesh, coeff.element_values(mesh)))
+    return h1_norm(solution), solution.iterations, solution.factored
+
+
 @dataclass
 class PairSample:
     fine: float
@@ -162,12 +173,6 @@ class PdeLevelModel:
     def _draw_coefficient(self, level: int, k: int):
         return draw_coefficient(self.kind, self.contrast, self.seed, (level, k))
 
-    @staticmethod
-    def _qoi(mesh, coeff):
-        """The QoI of a solve, its CG iteration count and whether it was factored."""
-        solution = solve(assemble(mesh, coeff.element_values(mesh)))
-        return h1_norm(solution), solution.iterations, solution.factored
-
     def pair(self, level: int, k: int) -> PairSample:
         """Solve one coefficient draw on levels (level, level-1); the pair's
         seconds include building the two meshes."""
@@ -176,8 +181,8 @@ class PdeLevelModel:
         coeff = self._draw_coefficient(level, k)
         t0 = time.perf_counter()
         fine_mesh, coarse_mesh = self.mesh(level, coeff), self.mesh(level - 1, coeff)
-        fine, fine_iterations, fine_factored = self._qoi(fine_mesh, coeff)
-        coarse, coarse_iterations, coarse_factored = self._qoi(coarse_mesh, coeff)
+        fine, fine_iterations, fine_factored = solve_qoi(fine_mesh, coeff)
+        coarse, coarse_iterations, coarse_factored = solve_qoi(coarse_mesh, coeff)
         seconds = time.perf_counter() - t0
         return PairSample(fine, coarse,
                           fine_mesh.num_vertices + coarse_mesh.num_vertices, seconds,
@@ -186,7 +191,7 @@ class PdeLevelModel:
     def single(self, level: int, k: int) -> float:
         """One plain QoI sample at a level."""
         coeff = self._draw_coefficient(level, k)
-        return self._qoi(self.mesh(level, coeff), coeff)[0]
+        return solve_qoi(self.mesh(level, coeff), coeff)[0]
 
 
 @dataclass

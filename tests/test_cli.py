@@ -283,7 +283,7 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     def failing_solve(system, rtol=None):
         raise SolverError("CG did not converge", residual=1.0, iterations=1)
 
-    monkeypatch.setattr(levelmc.harness, "solve", failing_solve)
+    monkeypatch.setattr(levelmc.mlmc, "solve", failing_solve)
     assert run(tmp_path, "converge", {"kinds": ["box"]}) == 3
     assert capsys.readouterr().err.startswith("numerical failure: CG did not converge")
 

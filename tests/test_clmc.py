@@ -15,8 +15,10 @@ from levelmc.clmc import (
     run_clmc,
     truncation_bias_bound,
 )
-from levelmc.indicator import Hierarchy, HierarchyStep, continuous_levels
-from levelmc.mlmc import RateFit
+from levelmc.coefficient import draw_coefficient
+from levelmc.indicator import Hierarchy, HierarchyStep, adaptive_hierarchy, continuous_levels
+from levelmc.mesh import uniform_family
+from levelmc.mlmc import PdeLevelModel, RateFit, solve_qoi
 from levelmc.sampling import UniformSource
 
 
@@ -316,6 +318,37 @@ class TestAdaptivePath:
         records = [r for r in caplog.records if r.name == "levelmc.indicator"]
         assert len(records) == 1
         assert f"level_fixes={path.level_fixes}" in records[0].getMessage()
+
+
+class TestSharedCoarseMesh:
+    """E[Q - Q_0] is one target for every estimator: an adaptive path starts
+    from MLMC's level-0 mesh, so its step-0 QoI is the Q_0 of MLMC's level 0
+    and of the reference's plain MC on the standard coarse mesh."""
+
+    MESH_ARRAYS = ("vertices", "triangles", "edges", "tri_edges", "edge_sides")
+
+    @pytest.mark.parametrize("kind", ["box", "cross"])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_path_starts_from_level_zero(self, kind, k, monkeypatch):
+        first_meshes = []
+
+        def recording(coeff, theta, initial_mesh, **kwargs):
+            first_meshes.append(initial_mesh)
+            return adaptive_hierarchy(coeff, theta, initial_mesh, **kwargs)
+
+        monkeypatch.setattr(levelmc.clmc, "adaptive_hierarchy", recording)
+        sampler = AdaptivePathSampler(kind, 300.0, base_n=15, seed=11)
+        path = sampler.path(k, max_level=0.5)
+        level0 = uniform_family(0, 15)
+        [mesh] = first_meshes
+        for name in self.MESH_ARRAYS:
+            np.testing.assert_array_equal(getattr(mesh, name), getattr(level0, name))
+
+        coeff = draw_coefficient(kind, 300.0, sampler.seed, k)
+        q0 = solve_qoi(level0, coeff)[0]
+        assert path.qois[0] == q0
+        # the mesh of MLMC's level 0, which the reference's plain MC also uses
+        assert solve_qoi(PdeLevelModel(kind, 300.0, base_n=15).mesh(0), coeff)[0] == q0
 
 
 class TestRunClmc:

@@ -3,9 +3,10 @@
 The project depends on no linter, so the checks a linter would make on
 dead code are spelled out here: every module-level import is used, every
 function parameter is read, and every ``__all__`` entry names a
-module-level definition that is used outside its module.  Two last checks
-keep the finite element layer free of the coefficient model and the
-package's start-up free of the libraries only a solve needs.
+module-level definition that is used outside its module.  Further checks
+keep the finite element layer free of the coefficient model, the
+package's start-up free of the libraries only a solve needs, and the
+coarse mesh and the QoI of one solve each defined in one module.
 """
 
 import ast
@@ -148,3 +149,34 @@ def test_import_loads_no_solver_library():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def callers(module, function):
+    """The files of the package that call ``function`` of ``levelmc.<module>``:
+    by its own name in the defining file, elsewhere through a name imported
+    from that module or as an attribute of the module."""
+    out = []
+    for path in MODULES:
+        tree = parse(path)
+        names = {function} if path.stem == module else {
+            a.asname or a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module in (module, f"levelmc.{module}")
+            for a in node.names if a.name == function}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id in names
+                    or isinstance(node.func, ast.Attribute) and node.func.attr == function
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == module):
+                out.append(path.name)
+                break
+    return out
+
+
+@pytest.mark.parametrize("module, function, allowed", [
+    # the coarse mesh is uniform_family(0, base_n)
+    ("mesh", "structured_unit_square", ["mesh.py"]),
+    # the QoI of one solve is mlmc.solve_qoi; an adaptive step also needs the solution
+    ("fem", "solve", ["indicator.py", "mlmc.py"]),
+])
+def test_one_definition(module, function, allowed):
+    assert callers(module, function) == allowed
