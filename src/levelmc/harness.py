@@ -516,22 +516,24 @@ def _decaying_alpha(fit, name) -> float:
     return fit.alpha
 
 
-def _mc_to_variance(single, target_var):
-    """Plain MC of the level-0 QoI until the estimator variance is below target;
+def _mc_to_variance(sample, target_var):
+    """Plain MC of ``sample(k)`` until the estimator variance is below target;
     returns the mean, the estimator variance and the sample count."""
     for acc in sequential_sampling(target_var, REFERENCE_MIN_SAMPLES, "plain MC of level 0 "):
-        acc.push(single(0, acc.count))
+        acc.push(sample(acc.count))
     return acc.mean, acc.variance / acc.count, acc.count
 
 
 def cmd_reference(config: ReferenceConfig, out_dir) -> dict:
     """Aligned-mesh estimate of E[Q - Q_0] with a three-way MSE budget.
 
-    E[Q] is estimated by a level-telescoped run on aligned meshes plus a
-    plain MC estimate of its own coarse level; an independent plain MC
-    estimate of E[Q_0] on the standard coarse mesh is subtracted.  Each of
-    the three budget components (estimator variance, squared bias, MC
-    variance) is held below component_tol^2.
+    The estimate telescopes down to Q_0, with every term coupled:
+    E[Q - Q_0] ~ E[Q_al,0 - Q_0] + sum_l E[Q_al,l - Q_al,l-1].  A
+    level-telescoped run on aligned meshes estimates the sum (variance
+    <= t^2/2, squared bias <= t^2), and plain MC estimates the level-0
+    correction (variance <= t^2), whose two QoIs solve one coefficient draw
+    on its aligned mesh and on Q_0's mesh.  So each budget component stays
+    below t^2 = component_tol^2, and the budget is 2.5 t^2.
     """
     t = config.component_tol
     results = {}
@@ -542,33 +544,28 @@ def cmd_reference(config: ReferenceConfig, out_dir) -> dict:
                                         levels=config.pilot_levels, samples=config.pilot_m)
         alpha = _decaying_alpha(pilot, f"aligned pilot for {key}")
         with _reraised(ValueError, NumericalError, f"reference for {key} failed"):
-            # difference part: variance <= t^2/2, squared bias <= t^2
             diff_run = run_mlmc(
                 MlmcConfig(eps=math.sqrt(1.5) * t, alpha=alpha, b_w=2.0 / 3.0,
                            m_ini=config.m_ini, l_max=config.l_max),
                 model(seed=config.seed + 1, aligned=True),
             )
-            # aligned coarse level: variance <= t^2/2
-            mc0_aligned = _mc_to_variance(model(seed=config.seed + 2, aligned=True).single,
-                                          t**2 / 2.0)
-            # standard coarse level Q_0: variance <= t^2
-            mc0_std = _mc_to_variance(model(seed=config.seed + 3).single, t**2)
+            level0 = partial(model, seed=config.seed + 2)
+            aligned, standard = level0(aligned=True), level0()
+            correction, correction_variance, correction_samples = _mc_to_variance(
+                lambda k: aligned.single(0, k) - standard.single(0, k), t**2)
 
-        reference = diff_run.estimate + mc0_aligned[0] - mc0_std[0]
         results[key] = {
-            "reference": reference,
-            "budget": 3.0 * t**2,
+            "reference": diff_run.estimate + correction,
+            "budget": 2.5 * t**2,
             "components": {
-                "estimator_variance": diff_run.variance_estimate + mc0_aligned[1],
+                "difference_variance": diff_run.variance_estimate,
                 "bias_squared": diff_run.bias_proxy**2,
-                "mc_variance": mc0_std[1],
+                "level0_variance": correction_variance,
             },
             "detail": {
                 "aligned_difference": diff_run.estimate,
-                "aligned_level0_mean": mc0_aligned[0],
-                "standard_level0_mean": mc0_std[0],
-                "aligned_level0_samples": mc0_aligned[2],
-                "standard_level0_samples": mc0_std[2],
+                "level0_correction": correction,
+                "level0_samples": correction_samples,
                 "mlmc_flags": diff_run.flags,
                 "pilot_alpha": pilot.alpha,
             },

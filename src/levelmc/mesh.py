@@ -36,6 +36,8 @@ __all__ = [
     "bisect_refine",
 ]
 
+LEVEL_RATIO = 1.5  # per-dimension resolution growth from one mesh level to the next
+
 
 class TriMesh:
     """Conforming 2D triangle mesh with edge adjacency.
@@ -196,16 +198,16 @@ def structured_unit_square(n: int) -> TriMesh:
 
 
 def level_resolution(level: int, base_n: int = 15) -> int:
-    """Per-dimension resolution round(base_n * 1.5^level) of a mesh level."""
+    """Per-dimension resolution round(base_n * LEVEL_RATIO^level) of a mesh level."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    return int(np.floor(base_n * 1.5**level + 0.5))
+    return int(np.floor(base_n * LEVEL_RATIO**level + 0.5))
 
 
 def uniform_family(level: int, base_n: int = 15) -> TriMesh:
     """Structured mesh at the resolution of ``level_resolution``.
 
-    Vertex counts grow by a factor of about 1.5^2 = 2.25 per level.
+    Vertex counts grow by a factor of about LEVEL_RATIO^2 = 2.25 per level.
     """
     return structured_unit_square(level_resolution(level, base_n))
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .coefficient import draw_coefficient
 from .fem import assemble, h1_norm, solve
-from .mesh import aligned_structured_mesh, level_resolution, uniform_family
+from .mesh import LEVEL_RATIO, aligned_structured_mesh, level_resolution, uniform_family
 
 __all__ = [
     "EstimatorRun",
@@ -153,7 +153,7 @@ class PdeLevelModel:
     supplies ``pair(level, k)`` and the growth factor ``s`` the drivers read.
     """
 
-    s: ClassVar[float] = 1.5**2  # DOF growth factor of the uniform family
+    s: ClassVar[float] = LEVEL_RATIO**2  # DOF growth factor of the level family
     kind: str                  # "box" | "cross"
     contrast: float
     base_n: int = 15

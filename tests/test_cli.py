@@ -4,6 +4,7 @@ output files, on configurations small enough to run in a few seconds."""
 import json
 import math
 from dataclasses import asdict, fields, replace
+from functools import partial
 
 import pytest
 
@@ -30,7 +31,7 @@ from levelmc.harness import (
     _mc_to_variance,
     _summarize_compare,
 )
-from levelmc.mlmc import EstimatorRun, RateFit, optimal_bias_weight
+from levelmc.mlmc import EstimatorRun, PdeLevelModel, RateFit, optimal_bias_weight
 
 # MLMC and CLMC fits of a desk-scale `uq rates` run for the box coefficient
 # (rounded), with the continuous-level rate r-hat of a 24-refinement
@@ -434,17 +435,40 @@ def test_lds_csv_cells_are_numbers(tmp_path):
         assert all(math.isfinite(float(cell)) for cell in numbers), line
 
 
+ALIGNED = {"kinds": ["box"], "component_tol": 0.2, "pilot_levels": 3, "pilot_m": 2,
+           "m_ini": 2, "l_max": 4, "base_n": 8}
+
+
 def test_reference_on_aligned_meshes(tmp_path):
-    config = {"kinds": ["box"], "component_tol": 0.2, "pilot_levels": 3, "pilot_m": 2,
-              "m_ini": 2, "l_max": 4, "base_n": 8}
-    assert run(tmp_path, "reference", config) == 0
+    assert run(tmp_path, "reference", ALIGNED) == 0
     payload = json.loads((tmp_path / "out" / "reference.json").read_text())
     entry = payload["values"]["box:300"]
     assert math.isfinite(entry["reference"])
+    assert entry["reference"] == (entry["detail"]["aligned_difference"]
+                                  + entry["detail"]["level0_correction"])
     assert all(v <= 0.2**2 for v in entry["components"].values())
-    assert entry["detail"]["aligned_level0_samples"] >= 50
+    assert entry["detail"]["level0_samples"] >= REFERENCE_MIN_SAMPLES
     assert_envelope(tmp_path / "out" / "reference.json", "reference",
-                    ReferenceConfig.from_dict(config))
+                    ReferenceConfig.from_dict(ALIGNED))
+
+
+@pytest.mark.parametrize("kind", ["box", "cross"])
+def test_reference_level0_correction_solves_one_draw_on_both_meshes(tmp_path, monkeypatch, kind):
+    # sample k of the correction Q_al,0 - Q_0 takes one coefficient draw to
+    # the aligned level-0 mesh and to Q_0's mesh
+    firsts = []
+
+    def recording(sample, target_var):
+        firsts.append([sample(k) for k in range(4)])
+        return _mc_to_variance(sample, target_var)
+
+    monkeypatch.setattr(levelmc.harness, "_mc_to_variance", recording)
+    config = {**ALIGNED, "kinds": [kind]}
+    assert run(tmp_path, "reference", config) == 0
+    resolved = ReferenceConfig.from_dict(config)
+    model = partial(PdeLevelModel, kind, 300.0, base_n=8, seed=resolved.seed + 2)
+    assert firsts == [[model(aligned=True).single(0, k) - model().single(0, k)
+                       for k in range(4)]]
 
 
 def test_reference_pilot_whose_bias_does_not_decay_exits_3(tmp_path, capsys):
@@ -523,15 +547,15 @@ def test_reference_past_the_sample_cap_exits_3(tmp_path, capsys):
 
 
 def test_reference_level0_mc_stops_at_the_sample_cap(tmp_path, capsys, monkeypatch):
-    # the difference run meets component_tol 0.2 with at most 75 samples a level;
-    # after its first 50 samples, plain MC of the aligned level 0 projects 101,
+    # the difference run meets component_tol 0.08 with at most 2 samples a level;
+    # after its first 50 samples, plain MC of the level-0 correction projects 110,
     # more than the lowered cap
     monkeypatch.setattr(levelmc.mlmc, "M_MAX", 80)
-    assert run(tmp_path, "reference", {**REFERENCE_REPRO, "component_tol": 0.2}) == 3
+    assert run(tmp_path, "reference", {**ALIGNED, "component_tol": 0.08}) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: reference for box:300 failed: plain MC of "
-                          "level 0 after 50 samples at variance 0.0405, the projected sample "
-                          "count 101.")
+                          "level 0 after 50 samples at variance 0.014, the projected sample "
+                          "count 109.")
     assert err.rstrip().endswith("exceeds M_MAX = 80")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
@@ -540,15 +564,15 @@ def test_reference_level0_mc_stops_at_the_sample_cap(tmp_path, capsys, monkeypat
 def test_reference_mc_refuses_a_target_past_the_cap_after_its_warm_up():
     calls = []
 
-    def single(level, k):
-        calls.append((level, k))
+    def sample(k):
+        calls.append(k)
         return float(k % 2)  # sample variance about 1/4
 
     with pytest.raises(ValueError, match=f"^plain MC of level 0 after {REFERENCE_MIN_SAMPLES} "
                        r"samples at variance 0\.0051, the projected sample count 2\.5\d*e\+19 "
                        r"exceeds M_MAX = 2000000$"):
-        _mc_to_variance(single, 1e-20)
-    assert calls == [(0, k) for k in range(REFERENCE_MIN_SAMPLES)]
+        _mc_to_variance(sample, 1e-20)
+    assert calls == list(range(REFERENCE_MIN_SAMPLES))
 
 
 def test_compare_emits_reproducible_samples(tmp_path, monkeypatch):

@@ -3,12 +3,15 @@ import pytest
 from reference_numerics import min_angle
 
 from levelmc.mesh import (
+    LEVEL_RATIO,
     TriMesh,
     aligned_structured_mesh,
     bisect_refine,
+    level_resolution,
     structured_unit_square,
     uniform_family,
 )
+from levelmc.mlmc import PdeLevelModel
 
 
 def assert_conforming(mesh):
@@ -55,6 +58,12 @@ class TestUniformFamily:
         counts = [uniform_family(level, 15).num_vertices for level in range(8)]
         ratios = np.array(counts[1:]) / np.array(counts[:-1])
         assert (ratios >= 2.0).all() and (ratios <= 2.5).all()
+
+    def test_one_level_ratio(self):
+        # the resolutions and MLMC's DOF growth s both come from LEVEL_RATIO
+        assert [level_resolution(level, 15) for level in range(8)] == [
+            15, 23, 34, 51, 76, 114, 171, 256]
+        assert PdeLevelModel.s == LEVEL_RATIO**2 == 2.25
 
 
 class TestBisectRefine:
