@@ -12,35 +12,43 @@ the int32 CSR indices and row pointers, where each entry takes its value,
 the triangles and terms g of the two sides of each edge joining free
 vertices (an off-diagonal entry is their two-term sum: the same bits in
 either order), each element's diagonal terms g_ii (a bincount adds them in
-element-major order), the unit load, and the band layout or the transfers.
+element-major order), the unit load, and the band layout or the multigrid
+coarsenings.
 
 One rule picks the solver of a mesh, from its geometry alone, when the mesh
-is first assembled: the band of its stiffness pattern under a reverse
-Cuthill-McKee ordering (Cuthill & McKee 1969; George & Liu 1981).
+is first assembled.
 
-* A band of at most BAND_MAX is factored with LAPACK's banded Cholesky.
-  On a tensor mesh of c cells a side RCM gives the optimal band c - 1, so
-  these are the tensor meshes of at most BAND_MAX + 1 cells a side (the
-  uniform and aligned levels 0-5) and the bisected meshes of adaptive paths
-  up to about 1,000 DOF, whose graded bands are 1-4 times the square root
-  of their size.  A factorisation costs about c^4 and holds c^3 doubles; CG
-  with the V-cycle costs about c^2 times its 20-30 iterations.  So the
-  factorisation wins on small meshes by far (7.8 against 16.8 ms at 76
-  cells, 25.7 against 36.5 ms at 114) and the two meet at about 130 cells
-  (box coefficient, contrast 300, one BLAS thread).  BAND_MAX = 120 is the
-  smallest round value above every level-5 band, uniform (113) or aligned
-  with a box or cross coefficient (at most 115), and stays below that
-  crossover; a factor, which lives for one solve, holds at most
-  (BAND_MAX + 1) BAND_MAX^2 doubles, about 14 MB.
-* Wider tensor meshes get preconditioned conjugate gradients with a
-  symmetric V-cycle on auxiliary uniform grids (Xu, Computing 1996).  Its
-  transfers interpolate the coarse grids' hat functions at the fine free
-  vertices, which need not be coarse-grid nodes; they depend on geometry
-  alone and are cached with the mesh's assembly data, while the Galerkin
-  operators P^T A P are built per solve.  CG then takes 10-40 iterations.
-* Wider bisected meshes get Jacobi-preconditioned CG.  They are graded
-  towards the coefficient's jumps, which uniform auxiliary grids do not
-  resolve, and each is solved only once.
+* A tensor mesh with at least MULTIGRID_CELLS cells on each side gets
+  conjugate gradients preconditioned by a symmetric V(1,1)-cycle of
+  black-box multigrid (the multigrid module; Alcouffe, Brandt, Dendy &
+  Painter, SISSC 1981; Dendy, J. Comput. Phys. 1982).  Its grids are the mesh's own grid of
+  free vertices and, below it, every other row and column of the grid
+  above.  The interpolation P takes its weights from the operator it
+  coarsens, the coarse operators are the Galerkin products P^T A P, and
+  all of them are built per solve; only their patterns are kept with the
+  mesh.  The weights must depend on the operator: across a jump of the
+  coefficient by a factor of 300 the solution's gradient jumps by as much,
+  and geometric interpolation, which averages across it, cannot represent
+  the smooth error there: a V-cycle with geometric transfers took 24-39
+  iterations on uniform levels 6-7 (five draws each of the box and cross
+  coefficients), and 24 with an exact coarse solve.  This cycle takes
+  13-15 on tensor meshes of 64-257 cells a side.
+* Every other mesh whose stiffness band under a reverse Cuthill-McKee
+  ordering (Cuthill & McKee 1969; George & Liu 1981) is at most BAND_MAX
+  is factored with LAPACK's banded Cholesky.  On a tensor mesh of c cells
+  a side RCM gives the optimal band c - 1.  A factorisation costs about c^4
+  and the multigrid about c^2 times its iterations: at 76 cells the band
+  takes 3.9 ms against the multigrid's 5.1-5.4 ms, at 114 cells 14.1-14.2
+  against 10.4 ms, and the two meet at 90-96 cells (contrast 300, box and
+  cross coefficients, least of 9 solves, one BLAS thread).
+  MULTIGRID_CELLS = 100, the round value just above, puts the uniform and
+  aligned levels 0-4 (at most 78 cells) on the band and levels 5 and up
+  (at least 114) on the multigrid.  The bisected meshes of adaptive paths are factored up to
+  about 1,000 DOF, where their graded bands, 1-4 times the square root of
+  their size, reach BAND_MAX = 120; a factor, which lives for one solve,
+  holds at most (BAND_MAX + 1) BAND_MAX^2 doubles, about 14 MB.
+* Wider bisected meshes get Jacobi-preconditioned CG.  Their vertices lie
+  on no grid, and each is solved only once.
 
 CG stops at a true relative residual of 1e-10 (far below every statistical
 error in the estimators) or at 20 * sqrt(DOF) iterations; a factored
@@ -70,11 +78,12 @@ __all__ = [
 
 CG_RTOL = 1e-10
 DEGENERATE_AREA = 1e-14
-COARSEST_CELLS = 16       # the V-cycle's coarsest grid has at most this many cells a side
-# Systems whose band is at most this wide are factored: a factor then holds at
-# most 14 MB, and the factorisation beats the V-cycle (see the module docstring)
+# Tensor meshes with at least this many cells on each side take multigrid-PCG,
+# which beats their banded factorisation there (see the module docstring)
+MULTIGRID_CELLS = 100
+# Other systems whose band is at most this wide are factored: a factor then
+# holds at most 14 MB
 BAND_MAX = 120
-SMOOTHING_WEIGHT = 0.7    # of the V-cycle's damped Jacobi sweeps
 
 
 class AssemblyError(RuntimeError):
@@ -96,8 +105,8 @@ class SparseSystem:
     rhs: np.ndarray
     free: np.ndarray          # interior vertex ids in DOF order
     mesh: TriMesh
-    transfers: tuple          # the mesh's multigrid transfers (P, P^T), if any
     band: _BandLayout | None  # the mesh's band layout, if it is factored
+    coarsenings: tuple        # the mesh's multigrid coarsenings, if it has them
 
     @property
     def num_dof(self) -> int:
@@ -238,8 +247,16 @@ class _MeshAssembler:
         del side_terms, sides
         self._corners = mesh.triangles.ravel()
         self._unit_load = _load_vector(mesh, 1.0)[self.free]
-        self.band = _band_layout(self.indptr, self.indices)
-        self.transfers = () if self.band else _grid_transfers(mesh, self.free)
+        shape = mesh.tensor_cells
+        self.coarsenings, self.band = (), None
+        if shape and min(shape) >= MULTIGRID_CELLS:
+            # imported where a mesh first takes it: compiled at import, the
+            # module would add to every start-up
+            from .multigrid import coarsenings
+
+            self.coarsenings = coarsenings(shape, self.indptr, self.indices)
+        else:
+            self.band = _band_layout(self.indptr, self.indices)
 
     def stiffness(self, a_k: np.ndarray) -> sp.csr_matrix:
         n = len(self.free)
@@ -269,87 +286,12 @@ def assemble(mesh: TriMesh, a_k: np.ndarray, f=1.0) -> SparseSystem:
     boundary, where a takes the value a_k[K] on element K."""
     asm = _assembler(mesh)
     return SparseSystem(matrix=asm.stiffness(a_k), rhs=asm.load(mesh, f), free=asm.free,
-                        mesh=mesh, transfers=asm.transfers, band=asm.band)
+                        mesh=mesh, band=asm.band, coarsenings=asm.coarsenings)
 
 
 def _norm(v) -> float:
     """Euclidean norm; the same bits as np.linalg.norm of a 1-D float array."""
     return math.sqrt(v @ v)
-
-
-def _grid_transfer(points, cells: int) -> sp.csr_matrix:
-    """P1 interpolation at ``points`` in [0,1]^2 of the interior hat functions
-    of the uniform ``cells`` x ``cells`` grid split as ``_tensor_triangulation``
-    splits it; columns follow the grid's interior vertices, x fastest."""
-    scaled = points * cells
-    cell = np.minimum(scaled.astype(np.int64), cells - 1)   # floor: points are >= 0
-    xi, eta = (scaled - cell).T
-    i, j = cell.T
-    v00 = j * (cells + 1) + i
-    # the (i, j) -> (i+1, j+1) diagonal splits the cell; the third corner is
-    # (i+1, j) below it and (i, j+1) above it
-    third = np.where(xi >= eta, v00 + 1, v00 + cells + 1)
-    corners = np.column_stack([v00, third, v00 + cells + 2])
-    weights = np.column_stack([1.0 - np.maximum(xi, eta), np.abs(xi - eta),
-                               np.minimum(xi, eta)])
-    gi, gj = corners % (cells + 1), corners // (cells + 1)
-    keep = (gi > 0) & (gi < cells) & (gj > 0) & (gj < cells) & (weights != 0.0)
-    rows = np.repeat(np.arange(len(points)), 3).reshape(-1, 3)
-    return sp.csr_matrix(
-        (weights[keep], (rows[keep], (gj[keep] - 1) * (cells - 1) + gi[keep] - 1)),
-        shape=(len(points), (cells - 1) ** 2))
-
-
-def _grid_transfers(mesh: TriMesh, free) -> tuple:
-    """Transfers (P, P^T) from the free vertices of a tensor mesh down a chain
-    of uniform grids, halving the cells per side until at most COARSEST_CELLS;
-    empty for any other mesh."""
-    cells = mesh.tensor_cells
-    if cells is None:
-        return ()
-    points = mesh.vertices[free]
-    transfers = []
-    while cells > COARSEST_CELLS:
-        cells //= 2
-        transfer = _grid_transfer(points, cells)
-        transfers.append((transfer, transfer.T.tocsr()))
-        axis = np.arange(1, cells) / cells
-        points = np.column_stack([np.tile(axis, cells - 1), np.repeat(axis, cells - 1)])
-    return tuple(transfers)
-
-
-def _vcycle(matrix, transfers):
-    """Symmetric V-cycle preconditioner ``apply(r, z)``, z = B r.
-
-    The Galerkin operators P^T A P of this matrix are built per call.  Each
-    level makes one damped Jacobi sweep before and one after its coarse
-    correction, which makes B symmetric; the coarsest level is solved with
-    a dense inverse.
-    """
-    operators = [matrix]
-    for transfer, restrict in transfers:
-        operators.append(restrict @ (operators[-1] @ transfer))
-    coarsest = np.linalg.inv(operators.pop().toarray())
-    coarsest = 0.5 * (coarsest + coarsest.T)
-    weights = [SMOOTHING_WEIGHT / op.diagonal() for op in operators]
-
-    def apply(r, z):
-        # down the levels: smooth from zero, restrict the residual
-        smoothed = []
-        for op, weight, (_, restrict) in zip(operators, weights, transfers):
-            x = weight * r
-            smoothed.append((r, x))
-            r = restrict @ (r - op @ x)
-        x = coarsest @ r
-        # and up: prolong the correction, smooth again
-        for op, weight, (transfer, _), (r, fine) in zip(
-                reversed(operators), reversed(weights), reversed(transfers), reversed(smoothed)):
-            fine += transfer @ x
-            fine += weight * (r - op @ fine)
-            x = fine
-        z[:] = x
-
-    return apply
 
 
 def pcg(matrix, rhs, rtol=CG_RTOL, precondition=None):
@@ -358,9 +300,8 @@ def pcg(matrix, rhs, rtol=CG_RTOL, precondition=None):
     ``precondition(r, z)`` writes the preconditioned residual into z; it
     must be symmetric positive definite.  The default is Jacobi,
     z = r / diag(A), which allocates nothing per iteration.  ``solve``
-    passes the V-cycle for tensor meshes whose band is wider than BAND_MAX
-    and keeps Jacobi for bisected meshes, whose graded refinement the
-    uniform auxiliary grids do not see.
+    passes the V-cycle for tensor meshes of at least MULTIGRID_CELLS cells
+    a side and keeps Jacobi for bisected meshes, which have no grid.
 
     Returns (solution, iterations, relative residual); convergence is
     certified on the true residual rhs - A x.  The reduction order is
@@ -434,15 +375,20 @@ def solve(system: SparseSystem, rtol=CG_RTOL) -> FESolution:
     """Solve the reduced system to a true relative residual of ``rtol``;
     raises SolverError if the solver does not reach it.
 
-    A system whose band is at most BAND_MAX is factored (``iterations`` is
-    0), a wider one on a tensor mesh takes CG with the V-cycle on its
-    mesh's grid transfers, and any other takes Jacobi-PCG.
+    A system on a tensor mesh of at least MULTIGRID_CELLS cells a side takes
+    CG with the V-cycle on its mesh's coarsenings, any other whose band is
+    at most BAND_MAX is factored (``iterations`` is 0), and the rest take
+    Jacobi-PCG.
     """
     if system.band is not None:
         x, relres = _band_cholesky(system.matrix, system.rhs, system.band)
         iterations, method = 0, "banded Cholesky"
     else:
-        precondition = _vcycle(system.matrix, system.transfers) if system.transfers else None
+        precondition = None
+        if system.coarsenings:
+            from .multigrid import vcycle
+
+            precondition = vcycle(system.matrix, system.coarsenings)
         x, iterations, relres = pcg(system.matrix, system.rhs, rtol=rtol,
                                     precondition=precondition)
         method = f"CG within {iterations} iterations"

@@ -54,8 +54,8 @@ class TriMesh:
     boundary_edge, boundary_vertex : boolean masks
     parent_ids : (M,) triangle ids in the coarser mesh this was refined
         from, or None for a root mesh
-    tensor_cells : cells per side of the tensor grid of [0,1]^2 this mesh
-        triangulates (the larger side count), or None for any other mesh
+    tensor_cells : the cells (nx, ny) of the tensor grid of [0,1]^2 this mesh
+        triangulates, or None for any other mesh
     areas, barycenters, gradient_factors : element geometry, computed at
         construction; edge_lengths : computed on first use.  All read-only;
         they refer to no other object, so a mesh is freed as soon as its
@@ -186,7 +186,7 @@ def _tensor_triangulation(xs, ys) -> TriMesh:
     v11 = v01 + 1
     lower = np.column_stack([v11, v00, v10])  # refinement edge = diagonal
     upper = np.column_stack([v00, v11, v01])
-    return TriMesh(vertices, np.concatenate([lower, upper]), tensor_cells=max(nx, ny))
+    return TriMesh(vertices, np.concatenate([lower, upper]), tensor_cells=(nx, ny))
 
 
 def structured_unit_square(n: int) -> TriMesh:

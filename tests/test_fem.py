@@ -15,12 +15,12 @@ import levelmc.mlmc
 from levelmc.coefficient import CoefficientSample
 from levelmc.fem import (
     BAND_MAX,
+    CG_RTOL,
+    MULTIGRID_CELLS,
     AssemblyError,
     FESolution,
     SolverError,
-    _grid_transfer,
-    _grid_transfers,
-    _vcycle,
+    _band_layout,
     assemble,
     h1_norm,
     pcg,
@@ -35,6 +35,7 @@ from levelmc.mesh import (
     uniform_family,
 )
 from levelmc.mlmc import PdeLevelModel, solve_qoi
+from levelmc.multigrid import _prolongation_weights, _stencil, coarsenings, vcycle
 
 
 def hand_assembled_two_triangle_stiffness():
@@ -335,7 +336,7 @@ class TestColumnKernelsBitIdentical:
         assert np.shares_memory(corners, mesh.triangles) and corners.base is not None
         assert {held[name].dtype for name in ("indices", "indptr", "_source", "_side_tris")} \
             == {np.dtype(np.int32)}
-        held.pop("transfers")     # the V-cycle's, as before
+        held.pop("coarsenings")   # the V-cycle's patterns, as its transfers were before
         arrays = [value for value in held.values() if isinstance(value, np.ndarray)]
         arrays += [part for value in held.values() if sp.issparse(value)
                    for part in (value.data, value.indices, value.indptr)]
@@ -392,14 +393,37 @@ def level_mesh(kind, level, aligned):
     return uniform_family(level)
 
 
-def preconditioner_matrix(system, transfers):
+def uneven_aligned_mesh(kind):
+    """An aligned tensor mesh with more cells in y than in x, above MULTIGRID_CELLS."""
+    coeff = {"box": CoefficientSample("box", 0.3, 0.61, 300.0, length=0.27),
+             "cross": CoefficientSample("cross", 0.3, 0.61, 300.0)}[kind]
+    mesh = aligned_structured_mesh(*coeff.break_lines(), {"box": 114, "cross": 120}[kind])
+    return coeff, mesh
+
+
+def coarsenings_of(system):
+    """The V-cycle's coarsenings of a system on a tensor mesh of any size."""
+    return coarsenings(system.mesh.tensor_cells, system.matrix.indptr, system.matrix.indices)
+
+
+def preconditioner_matrix(system, patterns):
     """The V-cycle of a system as a dense matrix, one column per unit vector."""
-    apply = _vcycle(system.matrix, transfers)
+    apply = vcycle(system.matrix, patterns)
     n = system.num_dof
     columns = np.empty((n, n))
     for i, unit in enumerate(np.eye(n)):
         apply(unit, columns[i])
     return columns.T
+
+
+def prolongation(system):
+    """The first coarsening's P of a system, as a sparse matrix."""
+    coarsening = coarsenings_of(system)[0]
+    values = _prolongation_weights(_stencil(system.matrix, coarsening.shape, coarsening.slots))
+    indptr, indices, source = coarsening.prolong
+    (my, mx), (myc, mxc) = coarsening.shape, coarsening.coarse_shape
+    return sp.csr_matrix((values[source], indices, indptr), shape=(my * mx, myc * mxc)), \
+        coarsening
 
 
 @cache
@@ -425,45 +449,72 @@ def rcm_band(matrix):
 
 
 class TestMultigrid:
-    # tensor meshes of at most BAND_MAX + 1 cells a side are factored, so the
-    # V-cycle's own properties are checked with explicitly built transfers
+    # tensor meshes of fewer than MULTIGRID_CELLS cells a side are factored, so
+    # the V-cycle's own properties are checked there with explicitly built
+    # coarsenings
     def test_transfer_reproduces_linear_functions_inside_the_coarse_grid(self):
-        cells = 9
-        # gridlines at the box's breaks: most fine vertices are not coarse ones
-        points = level_mesh("box", 2, aligned=True).vertices
-        axis = np.arange(1, cells) / cells
-        coarse_x, coarse_y = np.tile(axis, cells - 1), np.repeat(axis, cells - 1)
+        # for a constant coefficient the operator-dependent weights are those
+        # of bilinear interpolation, away from the boundary's rows
+        mesh = uniform_family(2)                    # 34 cells: 33 x 33 free vertices
+        transfer, coarsening = prolongation(assemble(mesh, unit_coefficient(mesh)))
+        (my, mx), (myc, mxc) = coarsening.shape, coarsening.coarse_shape
+        fine_y, fine_x = np.divmod(np.arange(my * mx), mx)
+        coarse_y, coarse_x = np.divmod(np.arange(myc * mxc), mxc)
 
         def linear(x, y):
             return 0.3 + 1.7 * x - 2.9 * y
 
-        # cells whose corners are all interior grid vertices
-        inside = np.all((points >= 1.0 / cells) & (points <= 1.0 - 1.0 / cells), axis=1)
-        interpolated = _grid_transfer(points, cells) @ linear(coarse_x, coarse_y)
-        assert inside.sum() > 100
-        assert np.allclose(interpolated[inside], linear(*points[inside].T), rtol=0, atol=1e-12)
+        # coarse point (l, k) is fine point (2l + 1, 2k + 1)
+        interpolated = transfer @ linear(2 * coarse_x + 1, 2 * coarse_y + 1)
+        inside = np.minimum(np.minimum(fine_x, mx - 1 - fine_x),
+                            np.minimum(fine_y, my - 1 - fine_y)) >= 2
+        assert inside.sum() > 700
+        assert np.allclose(interpolated[inside], linear(fine_x, fine_y)[inside],
+                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["box", "cross"])
+    def test_prolongation_reproduces_constants_away_from_the_boundary(self, kind):
+        # the weights sum to 1 where every row they are taken from sums to 0:
+        # at points whose own neighbours do not touch the boundary
+        for coeff, mesh in (uneven_aligned_mesh(kind), (CONTRAST_300[kind], uniform_family(3))):
+            transfer, coarsening = prolongation(assemble(mesh, coeff.element_values(mesh)))
+            (my, mx) = coarsening.shape
+            fine_y, fine_x = np.divmod(np.arange(my * mx), mx)
+            inside = np.minimum(np.minimum(fine_x, mx - 1 - fine_x),
+                                np.minimum(fine_y, my - 1 - fine_y)) >= 2
+            ones = transfer @ np.ones(transfer.shape[1])
+            assert np.abs(ones[inside] - 1.0).max() <= 1e-10
+        # where a jump cuts the cells, a fine point takes nearly all of its
+        # value from the side with the larger coefficient
+        assert transfer.data[transfer.data < 1.0].max() > 0.99
 
     def test_transfers_halve_the_cells_down_to_the_coarsest_grid(self):
         mesh = uniform_family(6)                    # 171 cells a side
         system = assemble(mesh, unit_coefficient(mesh))
-        assert [p.shape for p, _ in system.transfers] == \
-            [(170**2, 84**2), (84**2, 41**2), (41**2, 20**2), (20**2, 9**2)]
-        assert all((r != p.T).nnz == 0 for p, r in system.transfers)
-        # bisected meshes and tensor meshes narrow enough to be factored
+        assert system.band is None
+        assert [c.shape for c in system.coarsenings] == \
+            [(170, 170), (85, 85), (42, 42), (21, 21), (10, 10)]
+        assert system.coarsenings[-1].coarse_shape == (5, 5)
+        # the rows of the grid are the mesh's y lines
+        _, mesh = uneven_aligned_mesh("box")
+        assert mesh.tensor_cells == (115, 116)
+        assert assemble(mesh, unit_coefficient(mesh)).coarsenings[0].shape == (115, 114)
+        # bisected meshes and tensor meshes small enough to be factored
         _, meshes = contrast_300_meshes()
-        for mesh in meshes + [wide_bisected_mesh(), structured_unit_square(BAND_MAX + 1),
-                              uniform_family(1)]:
-            assert assemble(mesh, unit_coefficient(mesh)).transfers == ()
-        mesh = structured_unit_square(BAND_MAX + 2)
-        assert assemble(mesh, unit_coefficient(mesh)).transfers
+        for mesh in meshes + [wide_bisected_mesh(), structured_unit_square(MULTIGRID_CELLS - 1),
+                              uniform_family(4), aligned_structured_mesh([0.5], [0.5], 98)]:
+            assert assemble(mesh, unit_coefficient(mesh)).coarsenings == ()
+        for mesh in (structured_unit_square(MULTIGRID_CELLS), uniform_family(5)):
+            system = assemble(mesh, unit_coefficient(mesh))
+            assert system.coarsenings and system.band is None
 
     @pytest.mark.parametrize("kind", ["box", "cross"])
     def test_vcycle_is_symmetric_and_positive_definite(self, kind):
         mesh = uniform_family(2)
         system = assemble(mesh, CONTRAST_300[kind].element_values(mesh))
-        transfers = _grid_transfers(system.mesh, system.free)    # 34 -> 17 -> 8 cells
-        assert len(transfers) == 2
-        m = preconditioner_matrix(system, transfers)
+        patterns = coarsenings_of(system)                 # 33 -> 16 -> 8 -> 4 points
+        assert len(patterns) == 3
+        m = preconditioner_matrix(system, patterns)
         assert np.abs(m - m.T).max() <= 1e-12 * np.abs(m).max()
         assert np.linalg.eigvalsh(0.5 * (m + m.T)).min() > 0.0
         rng = np.random.default_rng(3)
@@ -475,28 +526,48 @@ class TestMultigrid:
     def test_multigrid_solve_matches_jacobi_pcg(self, kind, aligned):
         mesh = level_mesh(kind, 3, aligned)
         system = assemble(mesh, CONTRAST_300[kind].element_values(mesh))
-        transfers = _grid_transfers(system.mesh, system.free)
-        assert transfers
         x_mg, iterations, relres = pcg(system.matrix, system.rhs,
-                                       precondition=_vcycle(system.matrix, transfers))
+                                       precondition=vcycle(system.matrix,
+                                                           coarsenings_of(system)))
         x, jacobi_iterations, _ = pcg(system.matrix, system.rhs)
         assert relres <= 1e-10
-        assert iterations < jacobi_iterations / 5
+        assert iterations < jacobi_iterations / 10
         assert np.abs(x_mg - x).max() <= 1e-9 * np.abs(x).max()
 
-    def test_iterations_stay_bounded_at_uniform_level_6(self):
-        # uniform level 5 is factored; on level 6 the V-cycle takes 31 iterations
-        mesh = uniform_family(6)
-        system = assemble(mesh, CONTRAST_300["box"].element_values(mesh))
-        assert system.band is None and system.transfers
+    @pytest.mark.parametrize("kind", ["box", "cross"])
+    def test_uneven_aligned_mesh_matches_the_banded_solve(self, kind):
+        coeff, mesh = uneven_aligned_mesh(kind)
+        system = assemble(mesh, coeff.element_values(mesh))
+        assert system.coarsenings and system.band is None
         sol = solve(system)
-        assert 0 < sol.iterations <= 40
-        assert not sol.factored
+        assert 0 < sol.iterations <= 20
+        band = _band_layout(system.matrix.indptr, system.matrix.indices)
+        banded = solve(dataclasses.replace(system, band=band, coarsenings=()))
+        assert banded.factored
+        assert np.abs(sol.values - banded.values).max() <= 1e-9 * np.abs(banded.values).max()
+
+    def test_iterations_stay_bounded_at_uniform_level_6(self):
+        # the V-cycle with geometric transfers took 31 (box) and 33 (cross)
+        mesh = uniform_family(6)
+        for kind in ("box", "cross"):
+            system = assemble(mesh, CONTRAST_300[kind].element_values(mesh))
+            sol = solve(system)
+            assert sol.residual <= CG_RTOL
+            assert 0 < sol.iterations <= 20
+            assert not sol.factored
+
+    def test_iterations_stay_bounded_at_uniform_level_7(self):
+        # the V-cycle with geometric transfers took 28 (box) and 34 (cross)
+        mesh = uniform_family(7)
+        for kind in ("box", "cross"):
+            sol = solve(assemble(mesh, CONTRAST_300[kind].element_values(mesh)))
+            assert sol.residual <= CG_RTOL
+            assert 0 < sol.iterations <= 20
 
     def test_bisected_and_coarse_meshes_keep_the_jacobi_bits(self):
         # the bisected meshes that are not factored: bands wider than BAND_MAX
         system = wide_bisected_system()
-        assert system.band is None and system.transfers == ()
+        assert system.band is None and system.coarsenings == ()
         sol = solve(system)
         x, iterations, relres = pcg(system.matrix, system.rhs)
         assert (sol.iterations, sol.residual) == (iterations, relres)
@@ -506,23 +577,31 @@ class TestMultigrid:
 # -- banded Cholesky on narrow-band systems ----------------------------------
 
 
-def narrow_band_mesh(kind, mesh_kind):
-    """A uniform, aligned or bisected mesh whose band is at most BAND_MAX; a
-    uniform or aligned mesh is of level 3, or of level 5 with the suffix -5,
-    the widest factored level (114 cells a side, aligned up to 116)."""
+def narrow_band_system(kind, mesh_kind):
+    """The system of a uniform, aligned or bisected mesh whose band is at
+    most BAND_MAX, with its band layout.  A uniform or aligned mesh is of
+    level 3, or of level 5 with the suffix -5, whose bands (113-115) are the
+    widest of the levels; level 5 takes the multigrid, so its layout is
+    built here."""
     if mesh_kind == "bisected":
-        return replay_hierarchy(CONTRAST_300[kind], structured_unit_square(7), 8)[-1][0]
-    tensor, _, level = mesh_kind.partition("-")
-    return level_mesh(kind, int(level or 3), tensor == "aligned")
+        mesh = replay_hierarchy(CONTRAST_300[kind], structured_unit_square(7), 8)[-1][0]
+    else:
+        tensor, _, level = mesh_kind.partition("-")
+        mesh = level_mesh(kind, int(level or 3), tensor == "aligned")
+    system = assemble(mesh, CONTRAST_300[kind].element_values(mesh))
+    if mesh_kind.endswith("-5"):
+        assert system.coarsenings and system.band is None
+        band = _band_layout(system.matrix.indptr, system.matrix.indices)
+        system = dataclasses.replace(system, band=band, coarsenings=())
+    return system
 
 
 class TestBandedCholesky:
     @pytest.mark.parametrize("kind, mesh_kind", itertools.product(
         ["box", "cross"], ["uniform", "aligned", "bisected", "uniform-5", "aligned-5"]))
     def test_banded_solve_matches_jacobi_pcg(self, kind, mesh_kind):
-        mesh = narrow_band_mesh(kind, mesh_kind)
-        system = assemble(mesh, CONTRAST_300[kind].element_values(mesh))
-        assert system.band is not None and system.transfers == ()
+        system = narrow_band_system(kind, mesh_kind)
+        assert system.band is not None and system.coarsenings == ()
         sol = solve(system)
         x, _, _ = pcg(system.matrix, system.rhs)
         assert sol.iterations == 0 and sol.factored
@@ -536,22 +615,28 @@ class TestBandedCholesky:
     @pytest.mark.parametrize("cells", [3, 7, 15, 34, 101, BAND_MAX + 1])
     def test_band_of_a_tensor_mesh_is_cells_minus_one(self, cells):
         mesh = structured_unit_square(cells)
-        assert assemble(mesh, unit_coefficient(mesh)).band.width == cells - 1
+        system = assemble(mesh, unit_coefficient(mesh))
+        assert _band_layout(system.matrix.indptr, system.matrix.indices).width == cells - 1
+        # from MULTIGRID_CELLS cells a side on, tensor meshes skip the layout
+        assert (system.band is None) == (cells >= MULTIGRID_CELLS)
 
     def test_layout_exists_exactly_when_the_band_is_narrow(self):
         _, meshes = contrast_300_meshes()
         meshes += [wide_bisected_mesh(), uniform_family(0), uniform_family(4),
-                   level_mesh("cross", 2, aligned=True), structured_unit_square(BAND_MAX + 1),
-                   structured_unit_square(BAND_MAX + 2)]
-        narrow = []
+                   level_mesh("cross", 2, aligned=True), structured_unit_square(MULTIGRID_CELLS - 1),
+                   structured_unit_square(BAND_MAX + 1), structured_unit_square(BAND_MAX + 2)]
+        narrow, laid_out = [], []
         for mesh in meshes:
             system = assemble(mesh, CONTRAST_300["box"].element_values(mesh))
             band = rcm_band(system.matrix)
             narrow.append(band <= BAND_MAX)
-            assert (system.band is not None) == (band <= BAND_MAX)
+            laid_out.append(system.band is not None)
+            # tensor meshes of MULTIGRID_CELLS cells a side take the multigrid
+            assert laid_out[-1] == (band <= BAND_MAX and not system.coarsenings)
             if system.band is not None:
                 assert system.band.width == band
         assert sum(narrow) == len(narrow) - 2
+        assert sum(laid_out) == len(laid_out) - 3
 
     def test_indefinite_matrix_raises_and_zero_rhs_gives_zero(self):
         mesh = uniform_family(0)

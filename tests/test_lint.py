@@ -5,7 +5,7 @@ dead code are spelled out here: every module-level import is used, every
 function parameter is read, and every ``__all__`` entry names a
 module-level definition that is used outside its module.  Further checks
 keep the finite element layer free of the coefficient model, the
-package's start-up free of the libraries only a solve needs, and the
+package's start-up free of the modules only a solve needs, and the
 coarse mesh and the QoI of one solve each defined in one module.
 """
 
@@ -139,10 +139,11 @@ def test_finite_element_layer_imports_no_coefficient_model(name):
 
 def test_import_loads_no_solver_library():
     # scipy.linalg and scipy.sparse.csgraph are imported where a mesh is
-    # first factored; loaded at import they add to every start-up
+    # first factored, and levelmc.multigrid where one first takes the
+    # multigrid; loaded at import they add to every start-up
     code = ("import sys, levelmc, levelmc.cli; "
             "print(sorted(m for m in sys.modules if m.startswith("
-            "('scipy.linalg', 'scipy.sparse.csgraph'))))")
+            "('scipy.linalg', 'scipy.sparse.csgraph', 'levelmc.multigrid'))))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

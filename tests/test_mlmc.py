@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import levelmc.mlmc
-from levelmc.fem import BAND_MAX, assemble, h1_norm, solve
+from levelmc.fem import MULTIGRID_CELLS, assemble, h1_norm, solve
 from levelmc.mesh import uniform_family
 from levelmc.mlmc import (
     M_MAX,
@@ -129,8 +129,8 @@ class TestCoupledPairs:
         assert pair.cost_dof == expected
 
     def test_pair_counts_the_cg_iterations_of_both_solves(self):
-        # levels of 122 and 183 cells a side: too wide to factor, both take CG
-        model = PdeLevelModel(kind="cross", contrast=300.0, base_n=BAND_MAX + 2, seed=2)
+        # levels of 100 and 150 cells a side: both take multigrid-PCG
+        model = PdeLevelModel(kind="cross", contrast=300.0, base_n=MULTIGRID_CELLS, seed=2)
         coeff = model._draw_coefficient(1, 0)
         meshes = [model.mesh(l) for l in (1, 0)]
         expected = sum(solve(assemble(m, coeff.element_values(m))).iterations for m in meshes)
@@ -142,11 +142,11 @@ class TestCoupledPairs:
         assert (pair.cg_iterations, pair.factored_solves) == (0, 2)
 
     @pytest.mark.parametrize("aligned", [False, True])
-    def test_levels_up_to_5_are_factored_and_level_6_takes_cg(self, aligned):
+    def test_levels_up_to_4_are_factored_and_level_5_takes_cg(self, aligned):
         model = PdeLevelModel(kind="box", contrast=300.0, seed=6, aligned=aligned)
-        pair = model.pair(5, 0)
+        pair = model.pair(4, 0)
         assert (pair.cg_iterations, pair.factored_solves) == (0, 2)
-        pair = model.pair(6, 0)
+        pair = model.pair(5, 0)
         assert pair.cg_iterations > 0
         assert pair.factored_solves == 1
 
