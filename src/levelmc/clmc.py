@@ -23,8 +23,12 @@ the maximal levels from a scrambled low-discrepancy stream instead of a
 pseudo-random one gives the quasi variant; nothing else changes.
 
 Paths that would exceed the machine's DOF budget are cut; the level
-process is frozen beyond the cap (zero further increments), which biases
-the estimate by at most M exp(-r L_cap).
+process is frozen beyond the cap (zero further increments).  That biases
+the estimate by E[Q_inf - Q_trunc], the mean QoI change that the frozen
+refinement leaves out, which depends on neither r nor the sample count M.
+The run's ``bias_proxy`` is not that bias: it is M exp(-r L_cap), the
+expected number of its M draws past the lowest level L_cap at which a path
+was cut (``truncation_bias_bound``), a count of samples, not QoI units.
 """
 
 from __future__ import annotations

@@ -51,7 +51,6 @@ from .mlmc import (
     estimate_rates_mlmc,
     optimal_bias_weight,
     run_mlmc,
-    sequential_sampling,
     solve_qoi,
 )
 from .sampling import SOURCE_KINDS, moment_mse_experiment
@@ -79,8 +78,6 @@ CONVERGE_SAMPLES = {"box": dict(x=0.4, y=0.6, length=0.3), "cross": dict(x=0.4, 
 
 TOLERANCE_BASE = 0.04    # eps_i^2 = 0.04 * 0.8^(2 i)
 TOLERANCE_DECAY = 0.8
-
-REFERENCE_MIN_SAMPLES = 50  # plain MC samples of a reference level before its stop test
 
 MIN_FIT_R2 = 0.5  # least mean and variance R^2 of a CLMC pilot fit that gives r_hat
 
@@ -516,57 +513,41 @@ def _decaying_alpha(fit, name) -> float:
     return fit.alpha
 
 
-def _mc_to_variance(sample, target_var):
-    """Plain MC of ``sample(k)`` until the estimator variance is below target;
-    returns the mean, the estimator variance and the sample count."""
-    for acc in sequential_sampling(target_var, REFERENCE_MIN_SAMPLES, "plain MC of level 0 "):
-        acc.push(sample(acc.count))
-    return acc.mean, acc.variance / acc.count, acc.count
-
-
 def cmd_reference(config: ReferenceConfig, out_dir) -> dict:
-    """Aligned-mesh estimate of E[Q - Q_0] with a three-way MSE budget.
+    """Aligned-mesh estimate of E[Q - Q_0] within an MSE budget of 2.5 t^2,
+    with t = component_tol.
 
-    The estimate telescopes down to Q_0, with every term coupled:
-    E[Q - Q_0] ~ E[Q_al,0 - Q_0] + sum_l E[Q_al,l - Q_al,l-1].  A
-    level-telescoped run on aligned meshes estimates the sum (variance
-    <= t^2/2, squared bias <= t^2), and plain MC estimates the level-0
-    correction (variance <= t^2), whose two QoIs solve one coefficient draw
-    on its aligned mesh and on Q_0's mesh.  So each budget component stays
-    below t^2 = component_tol^2, and the budget is 2.5 t^2.
+    One MLMC run on aligned meshes telescopes down to Q_0, with every term
+    coupled: E[Q - Q_0] ~ E[Q_al,0 - Q_0] + sum_l E[Q_al,l - Q_al,l-1],
+    l = 1..L, where its level-0 pair solves one coefficient draw on the
+    aligned level-0 mesh and on Q_0's mesh.  At eps^2 = 2.5 t^2 and bias
+    weight 0.4, its squared bias stays below t^2, tested on levels 1 and up,
+    and its variance below 1.5 t^2, split at least cost over levels 0..L.
+    The pilot fits the bias rate on levels 1..pilot_levels.
     """
     t = config.component_tol
     results = {}
     for key, kind, contrast in _cases(config):
-        model = partial(PdeLevelModel, kind=kind, contrast=contrast, base_n=config.base_n)
+        model = partial(PdeLevelModel, kind=kind, contrast=contrast, base_n=config.base_n,
+                        aligned=True)
         with _reraised(ValueError, NumericalError, f"rate fit for {key} failed"):
-            pilot = estimate_rates_mlmc(model(seed=config.seed, aligned=True),
+            pilot = estimate_rates_mlmc(model(seed=config.seed),
                                         levels=config.pilot_levels, samples=config.pilot_m)
         alpha = _decaying_alpha(pilot, f"aligned pilot for {key}")
         with _reraised(ValueError, NumericalError, f"reference for {key} failed"):
-            diff_run = run_mlmc(
-                MlmcConfig(eps=math.sqrt(1.5) * t, alpha=alpha, b_w=2.0 / 3.0,
+            run = run_mlmc(
+                MlmcConfig(eps=math.sqrt(2.5) * t, alpha=alpha, b_w=0.4,
                            m_ini=config.m_ini, l_max=config.l_max),
-                model(seed=config.seed + 1, aligned=True),
+                model(seed=config.seed + 1),
             )
-            level0 = partial(model, seed=config.seed + 2)
-            aligned, standard = level0(aligned=True), level0()
-            correction, correction_variance, correction_samples = _mc_to_variance(
-                lambda k: aligned.single(0, k) - standard.single(0, k), t**2)
-
         results[key] = {
-            "reference": diff_run.estimate + correction,
+            "reference": run.estimate,
             "budget": 2.5 * t**2,
-            "components": {
-                "difference_variance": diff_run.variance_estimate,
-                "bias_squared": diff_run.bias_proxy**2,
-                "level0_variance": correction_variance,
-            },
+            "components": {"variance": run.variance_estimate,
+                           "bias_squared": run.bias_proxy**2},
             "detail": {
-                "aligned_difference": diff_run.estimate,
-                "level0_correction": correction,
-                "level0_samples": correction_samples,
-                "mlmc_flags": diff_run.flags,
+                "samples": [level["samples"] for level in run.diagnostics["per_level"]],
+                "mlmc_flags": run.flags,
                 "pilot_alpha": pilot.alpha,
             },
         }

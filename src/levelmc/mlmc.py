@@ -1,21 +1,27 @@
 """Multilevel Monte Carlo: calibration, cost optimization and the driver loop.
 
-A level model supplies coupled samples ``pair(level, k)`` and the factor
-``s`` by which its DOF grow per level (2.25 on the uniform mesh family);
-the drivers read s from the model.  Each level-l sample couples the fine
-and coarse solve through a common coefficient draw; the estimator
-telescopes the per-level difference means,
+A level model supplies three things, which the drivers read from it:
 
-    estimate = sum_l mean(Q_l - Q_{l-1}),    l = 1..L,
+- ``pair(level, k)``, the k-th coupled sample of level ``level``: one
+  coefficient draw solved on the level's fine and coarse meshes;
+- ``s``, the factor by which its DOF grow per level (2.25 on the uniform
+  mesh family);
+- ``first_level``, the first level the estimator sums: 1 when the level-0
+  pair is identically 0, as on the uniform family, whose level 0 is Q_0's
+  mesh, and 0 when it is not.
+
+The estimator telescopes the per-level difference means,
+
+    estimate = sum_l mean(Q_l - Q_{l-1}),    l = first_level..L,
 
 targeting E[Q - Q_0], where Q_0 is Q on ``uniform_family(0, base_n)``, the
 mesh every adaptive path of ``levelmc.clmc`` starts from, and ``solve_qoi``
-is the QoI of one solve for the pairs, the reference and ``uq converge``.
-On its current levels the driver first extends the per-level sample counts
-to the variance-optimal allocation (never discarding computed samples),
-then tests a rate-corrected bias proxy built from the last three difference
-means against the bias share of the tolerance, and adds a level while that
-test fails.
+is the QoI of one solve for the pairs and ``uq converge``.  On its current
+levels the driver first extends the per-level sample counts to the
+variance-optimal allocation (never discarding computed samples), then tests
+a rate-corrected bias proxy built from the last three difference means
+against the bias share of the tolerance, and adds a level while that test
+fails.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ __all__ = [
 ]
 
 BIAS_WEIGHT_POINTS = 10_000  # midpoint grid of the cost-optimal MSE weight search
-M_MAX = 2_000_000  # sample cap of an MLMC level, a CLMC run and a plain MC reference
+M_MAX = 2_000_000  # sample cap of an MLMC level and of a CLMC run
 
 
 def check_sample_cap(counts, what: str):
@@ -97,21 +103,20 @@ class Welford:
         return self._m2 / (self.count - 1)
 
 
-def sequential_sampling(target: float, warmup: int, prefix: str = ""):
-    """The stop rule of every sequential sampler: yield one ``Welford``
-    accumulator, into which the caller pushes one sample per step, while fewer
-    than ``warmup`` samples are in or the variance of their mean exceeds target.
+def sequential_sampling(target: float, warmup: int):
+    """The stop rule of CLMC and QCLMC: yield one ``Welford`` accumulator,
+    into which the caller pushes one sample per step, while fewer than
+    ``warmup`` samples are in or the variance of their mean exceeds target.
 
     From the warm-up on, each further sample's projected count, sample variance
-    / target, must pass ``check_sample_cap``; ``prefix`` names the sampler in
-    its message.
+    / target, must pass ``check_sample_cap``.
     """
     if warmup < 2:
         raise ValueError("the warm-up needs at least 2 samples for a variance")
     acc = Welford()
     while acc.count < warmup or acc.variance / acc.count > target:
         if acc.count >= warmup:
-            check_sample_cap(acc.variance / target, f"{prefix}after {acc.count} samples at "
+            check_sample_cap(acc.variance / target, f"after {acc.count} samples at "
                              f"variance {acc.variance / acc.count:.3g}, the projected sample count")
         yield acc
 
@@ -145,12 +150,13 @@ class PdeLevelModel:
     of the same resolutions whose gridlines contain each sample's
     discontinuities.  Aligned meshes represent the coefficient exactly, so
     the weak error decays at the fast rate; the reference computation uses
-    them.
+    them.  The coarse mesh of level 0 is Q_0's, ``uniform_family(0, base_n)``:
+    on the uniform family that pair is identically 0, so the sum starts at
+    level 1, and on the aligned family it is Q_al,0 - Q_0, so it starts at 0.
 
     Each (level, k) pair owns an independent substream of the coefficient
     seed, so extending sample counts never re-draws earlier samples and
-    results do not depend on evaluation order.  Like any level model, it
-    supplies ``pair(level, k)`` and the growth factor ``s`` the drivers read.
+    results do not depend on evaluation order.
     """
 
     s: ClassVar[float] = LEVEL_RATIO**2  # DOF growth factor of the level family
@@ -161,11 +167,18 @@ class PdeLevelModel:
     aligned: bool = False
     _meshes: dict = field(default_factory=dict, init=False, repr=False)
 
+    @property
+    def first_level(self) -> int:
+        return 0 if self.aligned else 1
+
     def mesh(self, level: int, coeff=None):
         """Mesh of a level; aligned meshes need the coefficient sample."""
         if self.aligned:
             return aligned_structured_mesh(*coeff.break_lines(),
                                            level_resolution(level, self.base_n))
+        return self._uniform(level)
+
+    def _uniform(self, level: int):
         if level not in self._meshes:
             self._meshes[level] = uniform_family(level, self.base_n)
         return self._meshes[level]
@@ -174,24 +187,21 @@ class PdeLevelModel:
         return draw_coefficient(self.kind, self.contrast, self.seed, (level, k))
 
     def pair(self, level: int, k: int) -> PairSample:
-        """Solve one coefficient draw on levels (level, level-1); the pair's
-        seconds include building the two meshes."""
-        if level < 1:
-            raise ValueError("coupled pairs need level >= 1")
+        """Solve one coefficient draw on levels (level, level-1), where the
+        coarse mesh of level 0 is Q_0's; the pair's seconds include building
+        the two meshes."""
+        if level < self.first_level:
+            raise ValueError(f"coupled pairs need level >= {self.first_level}")
         coeff = self._draw_coefficient(level, k)
         t0 = time.perf_counter()
-        fine_mesh, coarse_mesh = self.mesh(level, coeff), self.mesh(level - 1, coeff)
+        fine_mesh = self.mesh(level, coeff)
+        coarse_mesh = self.mesh(level - 1, coeff) if level else self._uniform(0)  # Q_0's mesh
         fine, fine_iterations, fine_factored = solve_qoi(fine_mesh, coeff)
         coarse, coarse_iterations, coarse_factored = solve_qoi(coarse_mesh, coeff)
         seconds = time.perf_counter() - t0
         return PairSample(fine, coarse,
                           fine_mesh.num_vertices + coarse_mesh.num_vertices, seconds,
                           fine_iterations + coarse_iterations, fine_factored + coarse_factored)
-
-    def single(self, level: int, k: int) -> float:
-        """One plain QoI sample at a level."""
-        coeff = self._draw_coefficient(level, k)
-        return solve_qoi(self.mesh(level, coeff), coeff)[0]
 
 
 @dataclass
@@ -403,9 +413,9 @@ class _LevelState:
 
 def run_mlmc(config: MlmcConfig, model) -> EstimatorRun:
     """On-the-fly driver in the order of Giles (Acta Numerica 2015, Algorithm 1):
-    warm up levels 1..3; then extend the sample counts to the variance-optimal
-    allocation until no level is short, test the bias, and add a level while
-    the test fails."""
+    warm up levels ``model.first_level``..3; then extend the sample counts to
+    the variance-optimal allocation until no level is short, test the bias on
+    the last three levels, and add a level while the test fails."""
     states: dict[int, _LevelState] = {}
 
     def ensure(level, target):
@@ -413,11 +423,11 @@ def run_mlmc(config: MlmcConfig, model) -> EstimatorRun:
         state.extend(model, level, target)
 
     flags = []
-    for level in (1, 2, 3):
+    for level in range(model.first_level, 4):
         ensure(level, config.m_ini)
     top = 3
     while True:
-        levels = list(range(1, top + 1))
+        levels = list(range(model.first_level, top + 1))
         while True:
             variances = np.array([states[l].stats.variance for l in levels])
             costs = np.array([states[l].cost_dof / states[l].stats.count for l in levels])

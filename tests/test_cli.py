@@ -4,7 +4,6 @@ output files, on configurations small enough to run in a few seconds."""
 import json
 import math
 from dataclasses import asdict, fields, replace
-from functools import partial
 
 import pytest
 
@@ -12,6 +11,7 @@ import levelmc.cli
 import levelmc.harness
 import levelmc.mlmc
 from levelmc.cli import main
+from levelmc.coefficient import draw_coefficient
 from levelmc.fem import SolverError
 from levelmc.harness import (
     _CROSS_RULES,
@@ -20,7 +20,6 @@ from levelmc.harness import (
     _FULL_SCALE,
     OUT_ROOT,
     _RULES,
-    REFERENCE_MIN_SAMPLES,
     CompareConfig,
     ConfigError,
     ConvergeConfig,
@@ -28,10 +27,10 @@ from levelmc.harness import (
     RatesConfig,
     ReferenceConfig,
     _ConfigBase,
-    _mc_to_variance,
     _summarize_compare,
 )
-from levelmc.mlmc import EstimatorRun, PdeLevelModel, RateFit, optimal_bias_weight
+from levelmc.mesh import aligned_structured_mesh, level_resolution, uniform_family
+from levelmc.mlmc import EstimatorRun, PdeLevelModel, RateFit, optimal_bias_weight, solve_qoi
 
 # MLMC and CLMC fits of a desk-scale `uq rates` run for the box coefficient
 # (rounded), with the continuous-level rate r-hat of a 24-refinement
@@ -443,32 +442,56 @@ def test_reference_on_aligned_meshes(tmp_path):
     assert run(tmp_path, "reference", ALIGNED) == 0
     payload = json.loads((tmp_path / "out" / "reference.json").read_text())
     entry = payload["values"]["box:300"]
+    t = ALIGNED["component_tol"]
     assert math.isfinite(entry["reference"])
-    assert entry["reference"] == (entry["detail"]["aligned_difference"]
-                                  + entry["detail"]["level0_correction"])
-    assert all(v <= 0.2**2 for v in entry["components"].values())
-    assert entry["detail"]["level0_samples"] >= REFERENCE_MIN_SAMPLES
+    assert entry["budget"] == 2.5 * t**2
+    # the squared bias below t^2 and the variance below 1.5 t^2: one MLMC run
+    # at eps^2 = 2.5 t^2 with bias weight 0.4
+    assert sorted(entry["components"]) == ["bias_squared", "variance"]
+    assert entry["components"]["variance"] <= 1.5 * t**2
+    assert entry["components"]["bias_squared"] <= t**2
+    assert sorted(entry["detail"]) == ["mlmc_flags", "pilot_alpha", "samples"]
+    # levels 0..3 or more, the first the level-0 pairs Q_al,0 - Q_0
+    samples = entry["detail"]["samples"]
+    assert len(samples) >= 4 and min(samples) >= ALIGNED["m_ini"]
+    assert entry["detail"]["mlmc_flags"] == []
     assert_envelope(tmp_path / "out" / "reference.json", "reference",
                     ReferenceConfig.from_dict(ALIGNED))
 
 
+def recording_pairs(monkeypatch):
+    """(seed, aligned, level, k) of every pair a PdeLevelModel solves, mapped
+    to the pair's difference."""
+    pairs = {}
+    solve_pair = PdeLevelModel.pair
+
+    def recording(model, level, k):
+        sample = solve_pair(model, level, k)
+        pairs[model.seed, model.aligned, level, k] = sample.difference
+        return sample
+
+    monkeypatch.setattr(PdeLevelModel, "pair", recording)
+    return pairs
+
+
 @pytest.mark.parametrize("kind", ["box", "cross"])
 def test_reference_level0_correction_solves_one_draw_on_both_meshes(tmp_path, monkeypatch, kind):
-    # sample k of the correction Q_al,0 - Q_0 takes one coefficient draw to
-    # the aligned level-0 mesh and to Q_0's mesh
-    firsts = []
-
-    def recording(sample, target_var):
-        firsts.append([sample(k) for k in range(4)])
-        return _mc_to_variance(sample, target_var)
-
-    monkeypatch.setattr(levelmc.harness, "_mc_to_variance", recording)
+    # the level-0 pairs of the one MLMC run, Q_al,0 - Q_0, take one coefficient
+    # draw to the aligned level-0 mesh and to Q_0's mesh; the pilot has none
+    pairs = recording_pairs(monkeypatch)
     config = {**ALIGNED, "kinds": [kind]}
     assert run(tmp_path, "reference", config) == 0
-    resolved = ReferenceConfig.from_dict(config)
-    model = partial(PdeLevelModel, kind, 300.0, base_n=8, seed=resolved.seed + 2)
-    assert firsts == [[model(aligned=True).single(0, k) - model().single(0, k)
-                       for k in range(4)]]
+    samples = json.loads((tmp_path / "out" / "reference.json").read_text())[
+        "values"][f"{kind}:300"]["detail"]["samples"]
+    seed = ReferenceConfig.from_dict(config).seed + 1
+    level0 = sorted(key for key in pairs if key[2] == 0)
+    assert level0 == [(seed, True, 0, k) for k in range(samples[0])]
+    q0_mesh = uniform_family(0, 8)
+    for k in range(4):
+        coeff = draw_coefficient(kind, 300.0, seed, (0, k))
+        aligned = aligned_structured_mesh(*coeff.break_lines(), level_resolution(0, 8))
+        assert pairs[seed, True, 0, k] == (solve_qoi(aligned, coeff)[0]
+                                           - solve_qoi(q0_mesh, coeff)[0])
 
 
 def test_reference_pilot_whose_bias_does_not_decay_exits_3(tmp_path, capsys):
@@ -546,33 +569,22 @@ def test_reference_past_the_sample_cap_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_reference_level0_mc_stops_at_the_sample_cap(tmp_path, capsys, monkeypatch):
-    # the difference run meets component_tol 0.08 with at most 2 samples a level;
-    # after its first 50 samples, plain MC of the level-0 correction projects 110,
-    # more than the lowered cap
+def test_reference_allocation_after_the_warm_up_stops_at_the_sample_cap(tmp_path, capsys,
+                                                                       monkeypatch):
+    # after m_ini = 2 samples on each of levels 0..3, the first allocation of
+    # the one MLMC run asks for more level-0 pairs than the lowered cap
     monkeypatch.setattr(levelmc.mlmc, "M_MAX", 80)
+    pairs = recording_pairs(monkeypatch)
     assert run(tmp_path, "reference", {**ALIGNED, "component_tol": 0.08}) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: reference for box:300 failed: plain MC of "
-                          "level 0 after 50 samples at variance 0.014, the projected sample "
-                          "count 109.")
-    assert err.rstrip().endswith("exceeds M_MAX = 80")
+    assert err.startswith("numerical failure: reference for box:300 failed: MLMC sample "
+                          "counts [")
+    assert err.rstrip().endswith("exceed M_MAX = 80")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
-
-
-def test_reference_mc_refuses_a_target_past_the_cap_after_its_warm_up():
-    calls = []
-
-    def sample(k):
-        calls.append(k)
-        return float(k % 2)  # sample variance about 1/4
-
-    with pytest.raises(ValueError, match=f"^plain MC of level 0 after {REFERENCE_MIN_SAMPLES} "
-                       r"samples at variance 0\.0051, the projected sample count 2\.5\d*e\+19 "
-                       r"exceeds M_MAX = 2000000$"):
-        _mc_to_variance(sample, 1e-20)
-    assert calls == list(range(REFERENCE_MIN_SAMPLES))
+    seed = ReferenceConfig.from_dict(ALIGNED).seed + 1
+    assert sorted(key for key in pairs if key[0] == seed) == [
+        (seed, True, level, k) for level in range(4) for k in range(2)]
 
 
 def test_compare_emits_reproducible_samples(tmp_path, monkeypatch):

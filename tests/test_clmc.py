@@ -323,7 +323,7 @@ class TestAdaptivePath:
 class TestSharedCoarseMesh:
     """E[Q - Q_0] is one target for every estimator: an adaptive path starts
     from MLMC's level-0 mesh, so its step-0 QoI is the Q_0 of MLMC's level 0
-    and the Q_0 of the reference's level-0 correction."""
+    and the Q_0 of the reference's level-0 pair."""
 
     MESH_ARRAYS = ("vertices", "triangles", "edges", "tri_edges", "edge_sides")
 
@@ -347,7 +347,7 @@ class TestSharedCoarseMesh:
         coeff = draw_coefficient(kind, 300.0, sampler.seed, k)
         q0 = solve_qoi(level0, coeff)[0]
         assert path.qois[0] == q0
-        # the mesh of MLMC's level 0, which the reference's level-0 correction also uses
+        # the mesh of MLMC's level 0, the coarse mesh of the reference's level-0 pair
         assert solve_qoi(PdeLevelModel(kind, 300.0, base_n=15).mesh(0), coeff)[0] == q0
 
 

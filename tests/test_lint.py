@@ -178,6 +178,8 @@ def callers(module, function):
     ("mesh", "structured_unit_square", ["mesh.py"]),
     # the QoI of one solve is mlmc.solve_qoi; an adaptive step also needs the solution
     ("fem", "solve", ["indicator.py", "mlmc.py"]),
+    # the one plain-MC loop is CLMC's; the reference telescopes inside MLMC
+    ("mlmc", "sequential_sampling", ["clmc.py"]),
 ])
 def test_one_definition(module, function, allowed):
     assert callers(module, function) == allowed

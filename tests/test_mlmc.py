@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import levelmc.mlmc
+from levelmc.coefficient import draw_coefficient
 from levelmc.fem import MULTIGRID_CELLS, assemble, h1_norm, solve
-from levelmc.mesh import uniform_family
+from levelmc.mesh import aligned_structured_mesh, level_resolution, uniform_family
 from levelmc.mlmc import (
     M_MAX,
     MlmcConfig,
@@ -23,11 +24,14 @@ from levelmc.mlmc import (
     optimal_samples,
     run_mlmc,
     sequential_sampling,
+    solve_qoi,
 )
 
 
 class ExactRateModel:
     """Per-level samples with exact sample mean/variance on a log-linear decay."""
+
+    first_level = 1
 
     def __init__(self, alpha=1.0, beta=2.0, s=2.0, c1=1.0, c2=1.0, samples=10):
         self.alpha, self.beta, self.s = alpha, beta, s
@@ -46,6 +50,8 @@ class ExactRateModel:
 
 class GaussianModel:
     """Synthetic differences with known limit sum(c1 s^-al) and noise."""
+
+    first_level = 1
 
     def __init__(self, seed, alpha=1.0, beta=2.0, s=2.25, c1=0.5, c2=0.05):
         self.seed, self.alpha, self.beta = seed, alpha, beta
@@ -68,6 +74,7 @@ class StepModel:
     levels 1-3 pass the bias test long before level 1 has its samples."""
 
     s = 2.25
+    first_level = 1
 
     def __init__(self, seed):
         self.seed = seed
@@ -81,9 +88,28 @@ class StepModel:
 
 class ConstantModel:
     s = 2.25
+    first_level = 1
 
     def pair(self, level, k):
         return PairSample(fine=3.25, coarse=3.25, cost_dof=10, seconds=0.0)
+
+
+class LevelZeroModel(GaussianModel):
+    """GaussianModel whose sum starts at level 0, with a level-0 mean of 100;
+    it records the (level, k) of every pair it is asked for."""
+
+    first_level = 0
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = []
+
+    def pair(self, level, k):
+        self.calls.append((level, k))
+        pair = super().pair(level, k)
+        if level == 0:
+            pair.fine += 100.0 - self.c1
+        return pair
 
 
 def make_fit(alpha=1.0, beta=2.0, gamma=1.0, c1=1.0, c2=1.0, c3=1.0, s=2.25):
@@ -149,6 +175,27 @@ class TestCoupledPairs:
         pair = model.pair(5, 0)
         assert pair.cg_iterations > 0
         assert pair.factored_solves == 1
+
+    @pytest.mark.parametrize("kind", ["box", "cross"])
+    def test_aligned_level_0_pair_is_the_aligned_mesh_against_q0(self, kind):
+        # one draw on the aligned level-0 mesh and on Q_0's mesh
+        model = PdeLevelModel(kind=kind, contrast=300.0, base_n=8, seed=3, aligned=True)
+        assert model.first_level == 0
+        for k in range(3):
+            coeff = draw_coefficient(kind, 300.0, 3, (0, k))
+            aligned = aligned_structured_mesh(*coeff.break_lines(), level_resolution(0, 8))
+            q0_mesh = uniform_family(0, 8)
+            pair = model.pair(0, k)
+            assert pair.fine == solve_qoi(aligned, coeff)[0]
+            assert pair.coarse == solve_qoi(q0_mesh, coeff)[0]
+            assert pair.cost_dof == aligned.num_vertices + q0_mesh.num_vertices
+            assert pair.difference != 0.0
+
+    def test_uniform_level_0_pair_raises(self):
+        model = PdeLevelModel(kind="box", contrast=300.0, base_n=8)
+        assert model.first_level == 1
+        with pytest.raises(ValueError, match="coupled pairs need level >= 1"):
+            model.pair(0, 0)
 
     def test_pair_seconds_include_building_the_meshes(self, monkeypatch):
         build = levelmc.mlmc.aligned_structured_mesh
@@ -398,6 +445,23 @@ class TestRunMlmc:
         top = run.diagnostics["per_level"][-1]
         assert run.bias_proxy == abs(top["mean"]) / abs(1.0 - 3.0**1.0)
 
+    def test_sums_from_the_first_level_and_tests_the_bias_above_it(self):
+        model = LevelZeroModel(seed=4)
+        cfg = MlmcConfig(eps=0.1, alpha=1.0, b_w=0.5, m_ini=6)
+        run = run_mlmc(cfg, model)
+        per_level = run.diagnostics["per_level"]
+        # the warm-up takes levels 0..3 in order
+        assert model.calls[:24] == [(l, k) for l in range(4) for k in range(6)]
+        assert [d["level"] for d in per_level] == [0, 1, 2, 3]
+        assert run.estimate == sum(d["mean"] for d in per_level)
+        assert run.samples == sum(d["samples"] for d in per_level)
+        assert 99.0 < per_level[0]["mean"] < 101.0
+        assert run.variance_estimate <= (1 - cfg.b_w) * cfg.eps**2
+        # a level-0 mean of 100 does not enter the bias test of levels 1..3
+        assert run.diagnostics["max_level"] == 3 and not run.flags
+        assert bias_stop([d["mean"] for d in per_level[1:]], model.s, 1.0, 0.5, 0.1)
+        assert run.bias_proxy == abs(per_level[-1]["mean"]) / abs(1.0 - model.s)
+
     def test_bias_unconverged_flag(self):
         model = GaussianModel(seed=1, alpha=0.05, c1=5.0)  # near-flat bias decay
         run = run_mlmc(MlmcConfig(eps=0.01, alpha=0.05, b_w=0.5, m_ini=4, l_max=4),
@@ -476,9 +540,9 @@ class TestSequentialSampling:
     def test_refuses_a_target_past_the_cap_after_exactly_its_warm_up(self):
         ys = np.random.default_rng(22).normal(size=100)
         pushed = []
-        with pytest.raises(ValueError, match=r"^level 0 after 7 samples at variance \S+, the "
+        with pytest.raises(ValueError, match=r"^after 7 samples at variance \S+, the "
                            r"projected sample count \S+e\+\d+ exceeds M_MAX = 2000000$"):
-            for acc in sequential_sampling(1e-20, 7, "level 0 "):
+            for acc in sequential_sampling(1e-20, 7):
                 pushed.append(acc.count)
                 acc.push(ys[acc.count])
         assert pushed == list(range(7))
