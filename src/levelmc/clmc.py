@@ -41,7 +41,7 @@ import numpy as np
 from .coefficient import draw_coefficient
 from .indicator import Hierarchy, adaptive_hierarchy
 from .mesh import uniform_family
-from .mlmc import EstimatorRun, RateFit, sequential_sampling
+from .mlmc import EstimatorRun, RateFit, midpoint_argmin, sequential_sampling
 from .sampling import SOURCE_KINDS, ExponentialLevelSampler, UniformSource
 
 __all__ = [
@@ -153,11 +153,12 @@ def clmc_cost(fit: RateFit, eps: float, rate: float) -> float:
     return fit.c3 / (eps**2 * (rate - g)) * var_part
 
 
-def optimal_rate_param(fit: RateFit, eps: float) -> float:
+def optimal_rate_param(fit: RateFit) -> float:
     """Cost-minimizing exponential rate on the open feasibility interval.
 
     Searches a midpoint grid of (gamma, min(beta, 2 alpha)); endpoints are
-    excluded by half a grid step (the objective has poles there).
+    excluded by half a grid step (the objective has poles there).  The cost
+    scales as eps^-2 at every rate, so the argmin holds for every tolerance.
     """
     lo, hi = fit.feasible_interval()
     if not lo < hi:
@@ -165,9 +166,7 @@ def optimal_rate_param(fit: RateFit, eps: float) -> float:
             f"infeasible rate interval: need gamma < min(beta, 2 alpha), got "
             f"gamma={fit.gamma:.3g}, beta={fit.beta:.3g}, alpha={fit.alpha:.3g}"
         )
-    rates = lo + (np.arange(RATE_SEARCH_POINTS) + 0.5) * (hi - lo) / RATE_SEARCH_POINTS
-    costs = np.array([clmc_cost(fit, eps, r) for r in rates])
-    return float(rates[np.argmin(costs)])
+    return midpoint_argmin(lambda r: clmc_cost(fit, 1.0, r), lo, hi, RATE_SEARCH_POINTS)
 
 
 def truncation_bias_bound(samples: int, rate: float, level_cap: float) -> float:

@@ -1,10 +1,9 @@
-"""Piecewise-linear Galerkin solver with homogeneous Dirichlet conditions.
+"""Piecewise-linear Galerkin solver for -div(a grad u) = 1, u = 0 on the boundary.
 
 The diffusion coefficient enters as one value a_K per element, which the
 caller evaluates (the coefficient model takes it at the barycenter, exact
-on meshes aligned with the discontinuities).  Stiffness integrals are
-exact for P1; loads are exact for constant sources and use the three-point
-edge-midpoint rule (degree 2) otherwise.
+on meshes aligned with the discontinuities).  Stiffness and load integrals
+are exact for P1.
 
 The stiffness pattern and values come from the mesh's edge table.  All but
 a_K is set up on first assembly and kept with the mesh: the free vertices,
@@ -138,25 +137,6 @@ class FESolution:
         return u0 * b0 + u1 * b1 + u2 * b2, u0 * c0 + u1 * c1 + u2 * c2
 
 
-def _edge_midpoints(mesh: TriMesh) -> np.ndarray:
-    """(M, 3, 2) midpoints of the edges opposite each local vertex."""
-    p = mesh.vertices[mesh.triangles]
-    return 0.5 * (p[:, [1, 2, 0]] + p[:, [2, 0, 1]])
-
-
-def _load_vector(mesh: TriMesh, f) -> np.ndarray:
-    areas = mesh.areas
-    if callable(f):
-        fm = np.asarray(f(_edge_midpoints(mesh).reshape(-1, 2))).reshape(-1, 3)
-        # phi_i = 1/2 at the two midpoints not opposite vertex i
-        contrib = (areas / 6.0)[:, None] * (fm[:, [1, 2, 0]] + fm[:, [2, 0, 1]])
-    else:
-        contrib = np.repeat(float(f) * areas / 3.0, 3)
-    # bincount adds in input order from zero, as np.add.at would
-    return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
-                       minlength=mesh.num_vertices)
-
-
 @dataclass(frozen=True)
 class _BandLayout:
     """Where a pattern's entries on and below the diagonal go in LAPACK's
@@ -228,8 +208,6 @@ class _MeshAssembler:
         keys %= n
         self.indices = keys.astype(np.int32)
         del keys, order, rows, cols
-        for arr in (self.indices, self.indptr):
-            arr.setflags(write=False)
 
         # local edge k of an element joins its corners k + 1 and k + 2
         b, c = mesh.gradient_factors
@@ -246,7 +224,12 @@ class _MeshAssembler:
         self._side_tris = sides.astype(np.int32)
         del side_terms, sides
         self._corners = mesh.triangles.ravel()
-        self._unit_load = _load_vector(mesh, 1.0)[self.free]
+        # the unit source gives each corner a third of its element's area;
+        # bincount adds in input order from zero, as np.add.at would
+        self.load = np.bincount(self._corners, weights=np.repeat(areas / 3.0, 3),
+                                minlength=mesh.num_vertices)[self.free]
+        for arr in (self.indices, self.indptr, self.load):
+            arr.setflags(write=False)
         shape = mesh.tensor_cells
         self.coarsenings, self.band = (), None
         if shape and min(shape) >= MULTIGRID_CELLS:
@@ -267,11 +250,6 @@ class _MeshAssembler:
         data = np.concatenate([diagonal[self.free], edges]).take(self._source)
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
-    def load(self, mesh: TriMesh, f) -> np.ndarray:
-        if callable(f):
-            return _load_vector(mesh, f)[self.free]
-        return float(f) * self._unit_load
-
 
 def _assembler(mesh: TriMesh) -> _MeshAssembler:
     cache = getattr(mesh, "_fem_assembler", None)
@@ -281,11 +259,11 @@ def _assembler(mesh: TriMesh) -> _MeshAssembler:
     return cache
 
 
-def assemble(mesh: TriMesh, a_k: np.ndarray, f=1.0) -> SparseSystem:
-    """Assemble the stiffness system for -div(a grad u) = f, u = 0 on the
-    boundary, where a takes the value a_k[K] on element K."""
+def assemble(mesh: TriMesh, a_k: np.ndarray) -> SparseSystem:
+    """The system of -div(a grad u) = 1, u = 0 on the boundary, with a = a_k[K]
+    on element K; every system of a mesh shares its one read-only load."""
     asm = _assembler(mesh)
-    return SparseSystem(matrix=asm.stiffness(a_k), rhs=asm.load(mesh, f), free=asm.free,
+    return SparseSystem(matrix=asm.stiffness(a_k), rhs=asm.load, free=asm.free,
                         mesh=mesh, band=asm.band, coarsenings=asm.coarsenings)
 
 
@@ -355,9 +333,6 @@ def _band_cholesky(matrix, rhs, band: _BandLayout):
     from scipy.linalg.lapack import dpbsv
 
     n = len(rhs)
-    rhs_norm = _norm(rhs)
-    if rhs_norm == 0.0:
-        return np.zeros(n), 0.0
     buffer = np.zeros(n * (band.width + 1))
     buffer[band.slots] = matrix.data[band.entries]
     # the transpose is Fortran-ordered, so LAPACK factors it in place
@@ -368,7 +343,7 @@ def _band_cholesky(matrix, rhs, band: _BandLayout):
                           "the matrix is not positive definite", iterations=0)
     x = np.empty(n)
     x[band.perm] = y[:, 0]
-    return x, _norm(rhs - matrix @ x) / rhs_norm
+    return x, _norm(rhs - matrix @ x) / _norm(rhs)
 
 
 def solve(system: SparseSystem, rtol=CG_RTOL) -> FESolution:

@@ -47,8 +47,8 @@ from .mlmc import (
     MlmcConfig,
     PdeLevelModel,
     RateFit,
-    _log_fit,
     estimate_rates_mlmc,
+    log_fit,
     optimal_bias_weight,
     run_mlmc,
     solve_qoi,
@@ -374,7 +374,7 @@ def _write_summary(path, experiment, config, **results) -> dict:
 
 
 def _loglog_slope(x, y) -> float:
-    return _log_fit(np.log(x), np.log(y))[0]
+    return log_fit(np.log(x), np.log(y))[0]
 
 
 # --------------------------------------------------------------------------
@@ -468,7 +468,7 @@ def cmd_rates(config: RatesConfig, out_dir) -> dict:
                                       f"{MIN_FIT_R2}: {r2['mean']:.3g}, {r2['variance']:.3g}")
         else:
             with _reraised(ValueError, NumericalError, f"rate fit for {key} failed"):
-                entry["r_hat"] = optimal_rate_param(clmc_fit, eps=1.0)
+                entry["r_hat"] = optimal_rate_param(clmc_fit)
             entry["feasible_interval"] = list(clmc_fit.feasible_interval())
         results[key] = entry
     return _write_summary(Path(out_dir) / "rates.json", "rates", config,
@@ -623,9 +623,8 @@ def cmd_compare(config: CompareConfig, out_dir) -> dict:
                                      f"{entry.get('r_hat_refused', 'the rates file has no r_hat')}")
             r_hat = entry["r_hat"]
             _check_type(f"r_hat of {rates_at}", r_hat, "float")
-            if not r_hat > 0:
-                raise ConfigError(f"r_hat of {rates_at} must be finite and positive, "
-                                  f"got {r_hat!r}")
+            ok, rule = _RULES["rate"]
+            _require(ok(r_hat), f"r_hat of {rates_at} {rule}, got {r_hat!r}")
         inputs[key] = alpha, r_hat, ref_value
 
     records = []
@@ -716,7 +715,7 @@ def _summarize_compare(records, config: CompareConfig, calibration: RatesConfig)
                 log_cost = np.log([c[cost] for c in cells_m])
                 slope = r2 = None
                 if np.ptp(log_cost) > 0:
-                    slope, _, r2 = _log_fit(log_cost, np.log([c["mean_mse"] for c in cells_m]))
+                    slope, _, r2 = log_fit(log_cost, np.log([c["mean_mse"] for c in cells_m]))
                 per_kind[key] |= {f"{name}_mse_slope": slope, f"{name}_mse_r2": r2}
         out["methods"][method] = per_kind
 

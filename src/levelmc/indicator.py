@@ -1,17 +1,16 @@
-"""Residual a-posteriori error indicators and Doerfler-marked refinement.
+"""Residual error indicators and Doerfler-marked refinement for -div(a grad u) = 1.
 
 The per-element indicator combines the scaled interior residual with the
 normal-flux jumps of the discrete solution,
 
-    eta_K^2 = h_K^2 a_K^{-1} ||f||_{L2(K)}^2
+    eta_K^2 = h_K^2 a_K^{-1} |K|
               + 1/2 sum_{edges of K not on the boundary} h_e a_e^{-1}
                 ||[n . a grad u]||_{L2(e)}^2,
 
-with a_e the larger of the two adjacent element values.  For P1 elements
-the flux jump is constant along each edge, so the edge integral is the
-squared jump times the edge length; the source is used exactly (constant
-case) or through the degree-2 edge-midpoint rule, so no separate data
-oscillation terms arise.
+with a_e the larger of the two adjacent element values.  The source is 1,
+so no data oscillation terms arise and every indicator is positive.  For
+P1 elements the flux jump is constant along each edge, so the edge
+integral is the squared jump times the edge length.
 
 The total estimator e_j drives the marking loop and gives the samplewise
 continuous level l_j = -log(e_j / e_0) of the level-continuous estimators.
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import FESolution, _edge_midpoints, assemble, h1_norm, solve
+from .fem import FESolution, assemble, h1_norm, solve
 from .mesh import TriMesh, bisect_refine
 
 __all__ = [
@@ -59,19 +58,14 @@ class ErrorIndicators:
         return float(np.sqrt((self.eta**2).sum()))
 
 
-def residual_indicators(sol: FESolution, a_k: np.ndarray, f=1.0) -> ErrorIndicators:
+def residual_indicators(sol: FESolution, a_k: np.ndarray) -> ErrorIndicators:
     """Elementwise residual indicators for the discontinuous-coefficient
     problem, with the element values a_k the solution was assembled with."""
     mesh = sol.mesh
     areas = mesh.areas
 
-    # interior residual: h_K^2 a_K^-1 ||f||^2_{L2(K)}
-    if callable(f):
-        fm = np.asarray(f(_edge_midpoints(mesh).reshape(-1, 2))).reshape(-1, 3)
-        fsq = (fm**2).mean(axis=1) * areas
-    else:
-        fsq = float(f) ** 2 * areas
-    eta_sq = mesh.diameters**2 / a_k * fsq
+    # interior residual: h_K^2 a_K^-1 ||1||^2_{L2(K)}
+    eta_sq = mesh.diameters**2 / a_k * areas
 
     # flux jumps: constant per edge for P1
     gx, gy = sol.gradient_sums
@@ -181,7 +175,7 @@ def may_refine(num_vertices: int, max_dof: int) -> bool:
 
 def adaptive_hierarchy(coeff, theta: float, initial_mesh: TriMesh, *,
                        max_level: float, max_dof: int | None = None) -> Hierarchy:
-    """Solve/estimate/mark/refine, for the source f = 1, until a stopping rule fires.
+    """Solve/estimate/mark/refine until a stopping rule fires.
     The coefficient's ``element_values`` are taken once per mesh, for both
     the solve and the indicators.
 
@@ -206,7 +200,7 @@ def adaptive_hierarchy(coeff, theta: float, initial_mesh: TriMesh, *,
         if max_dof is not None and not may_refine(mesh.num_vertices, max_dof):
             hierarchy.truncated = True
             break
-        # f = 1 keeps every estimator positive, so marking marks an element
+        # the unit source keeps every estimator positive, so marking marks an element
         marked = doerfler_mark(ind, theta)
         del sol, ind  # the solution refers to the mesh, which dies once refined
         mesh = bisect_refine(mesh, marked)

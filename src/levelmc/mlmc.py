@@ -47,8 +47,10 @@ __all__ = [
     "Welford",
     "solve_qoi",
     "estimate_rates_mlmc",
+    "log_fit",
     "bias_level",
     "computable_mlmc_cost",
+    "midpoint_argmin",
     "optimal_bias_weight",
     "optimal_samples",
     "bias_stop",
@@ -246,7 +248,7 @@ class RateFit:
         return lo < hi
 
 
-def _log_fit(x, y):
+def log_fit(x, y):
     """Least-squares line through (x, y); returns slope, intercept, R^2."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
@@ -261,7 +263,7 @@ def _masked_log_fit(x, values, name: str, base: float):
     """Line through (x, log_base(values)) over the positive values only.
 
     Nonpositive values are excluded with a warning; fewer than 3 usable
-    points is an error.  Returns slope, intercept, R^2 as ``_log_fit`` and
+    points is an error.  Returns slope, intercept, R^2 as ``log_fit`` and
     the number of points used.
     """
     values = np.asarray(values, float)
@@ -272,7 +274,7 @@ def _masked_log_fit(x, values, name: str, base: float):
                       "(nonpositive estimates)")
     if count < 3:
         raise ValueError(f"fewer than 3 usable points for the {name} fit")
-    return (*_log_fit(np.asarray(x, float)[usable], np.log(values[usable]) / math.log(base)), count)
+    return (*log_fit(np.asarray(x, float)[usable], np.log(values[usable]) / math.log(base)), count)
 
 
 def estimate_rates_mlmc(model, levels: int, samples: int) -> RateFit:
@@ -320,6 +322,13 @@ def computable_mlmc_cost(fit: RateFit, eps: float, b_w: float) -> float:
     return max(2.0 * geo, var_term) + geo
 
 
+def midpoint_argmin(cost, lo: float, hi: float, points: int) -> float:
+    """The first point where ``cost`` is least on the midpoint grid
+    lo + (i + 1/2)(hi - lo)/points, i < points, of the open interval (lo, hi)."""
+    grid = lo + (np.arange(points) + 0.5) * (hi - lo) / points
+    return float(grid[np.argmin([cost(x) for x in grid])])
+
+
 def optimal_bias_weight(fit: RateFit, eps: float, level_cap: int) -> float:
     """Cost-minimizing MSE weight over (b_low, 1).
 
@@ -334,9 +343,8 @@ def optimal_bias_weight(fit: RateFit, eps: float, level_cap: int) -> float:
     if b_low >= 1.0 - 1e-6:
         warnings.warn("empty feasible interval for the MSE weight; using 0.5")
         return 0.5
-    bs = b_low + (np.arange(BIAS_WEIGHT_POINTS) + 0.5) * (1.0 - b_low) / BIAS_WEIGHT_POINTS
-    costs = np.array([computable_mlmc_cost(fit, eps, b) for b in bs])
-    return float(bs[np.argmin(costs)])
+    return midpoint_argmin(lambda b: computable_mlmc_cost(fit, eps, b), b_low, 1.0,
+                           BIAS_WEIGHT_POINTS)
 
 
 def optimal_samples(variances, costs, eps: float, b_w: float) -> np.ndarray:

@@ -1,6 +1,7 @@
-"""Reference numerics that only the tests use: the L2 and H1 errors against a
-smooth exact solution, the energy norm, the smallest angle of a mesh, the
-CDF of Exp(r) and the element values of the unit coefficient.
+"""Reference numerics that only the tests use: the exact solution of
+-div(grad u) = 1 on the unit square with u = 0 on its boundary and the L2 and
+H1 errors against it, the energy norm, the smallest angle of a mesh, the CDF
+of Exp(r) and the element values of the unit coefficient.
 
 The package computes none of them; the tests check the solver, the
 bisection and the level draws against them.
@@ -22,6 +23,42 @@ def energy_norm(sol: FESolution, a_k) -> float:
     return float(np.sqrt((a_k * ((gx**2 + gy**2) / (4.0 * sol.mesh.areas))).sum()))
 
 
+# the exact solution of -div(grad u) = 1 is the sine series
+#     u = sum_{m, n odd} 16 / (pi^4 m n (m^2 + n^2)) sin(m pi x) sin(n pi y);
+# its terms up to m, n = 199 leave an L2 error below 1e-7
+_ODD = np.arange(1, 200, 2)
+_COEFFS = 16.0 / (np.pi**4 * np.outer(_ODD, _ODD) * (_ODD[:, None] ** 2 + _ODD**2))
+
+
+def _exact_integral() -> float:
+    """int u = sum_{m, n odd} 64 / (pi^6 m^2 n^2 (m^2 + n^2)), up to m, n = 2001:
+    the tail is below 1e-11."""
+    odd = np.arange(1, 2002, 2, dtype=np.float64)
+    return float((64.0 / (np.pi**6 * np.outer(odd**2, odd**2) * (odd[:, None] ** 2 + odd**2)))
+                 .sum())
+
+
+EXACT_INTEGRAL = _exact_integral()  # 0.0351442537383...
+
+
+def exact_solution(points) -> np.ndarray:
+    """u at (N, 2) points, from the truncated sine series."""
+    x, y = np.asarray(points, dtype=np.float64).T
+    sin_x = np.sin(np.pi * np.outer(x, _ODD))
+    sin_y = np.sin(np.pi * np.outer(y, _ODD))
+    return ((sin_x @ _COEFFS) * sin_y).sum(axis=1)
+
+
+def h1_seminorm_error(sol: FESolution) -> float:
+    """|u - u_h|_1 by the energy identity |u - v|_1^2 = int u - 2 int v + |v|_1^2,
+    which holds for every v in H^1_0 since int grad u . grad v = int v; for the
+    Galerkin solution, where |u_h|_1^2 = int u_h, it is int u - rhs . x."""
+    u0, u1, u2 = sol.corner_values
+    integral = ((sol.mesh.areas / 3.0) * (u0 + u1 + u2)).sum()
+    energy_sq = energy_norm(sol, unit_coefficient(sol.mesh)) ** 2
+    return float(np.sqrt(EXACT_INTEGRAL - 2.0 * integral + energy_sq))
+
+
 # degree-5 quadrature on the reference triangle (barycentric points, weights sum to 1)
 _QW = np.array(
     [9.0 / 40.0]
@@ -39,24 +76,15 @@ _QP = np.array(
 )
 
 
-def error_norms(sol: FESolution, exact, exact_grad):
-    """(L2, H1) errors against a smooth exact solution via degree-5 quadrature."""
+def error_norms(sol: FESolution):
+    """(L2, H1) errors against the exact solution: the L2 error by degree-5
+    quadrature of the sine series, the H1 seminorm by the energy identity."""
     mesh = sol.mesh
-    p = mesh.vertices[mesh.triangles]          # (M, 3, 2)
-    pts = np.einsum("qi,mid->mqd", _QP, p)     # (M, Q, 2)
-    flat = pts.reshape(-1, 2)
+    pts = np.einsum("qi,mid->mqd", _QP, mesh.vertices[mesh.triangles])  # (M, Q, 2)
     uh = np.einsum("qi,mi->mq", _QP, np.column_stack(sol.corner_values))
-    gx, gy = sol.gradient_sums
-    gxh = gx / (2.0 * mesh.areas)
-    gyh = gy / (2.0 * mesh.areas)
-
-    du = (np.asarray(exact(flat)).reshape(uh.shape) - uh) ** 2
-    g = np.asarray(exact_grad(flat)).reshape(pts.shape[0], pts.shape[1], 2)
-    dg = (g[:, :, 0] - gxh[:, None]) ** 2 + (g[:, :, 1] - gyh[:, None]) ** 2
-
+    du = (exact_solution(pts.reshape(-1, 2)).reshape(uh.shape) - uh) ** 2
     l2_sq = (mesh.areas[:, None] * _QW * du).sum()
-    h1_semi_sq = (mesh.areas[:, None] * _QW * dg).sum()
-    return float(np.sqrt(l2_sq)), float(np.sqrt(l2_sq + h1_semi_sq))
+    return float(np.sqrt(l2_sq)), float(np.sqrt(l2_sq + h1_seminorm_error(sol) ** 2))
 
 
 def min_angle(mesh) -> float:

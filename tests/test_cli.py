@@ -310,8 +310,11 @@ NON_OBJECT_ENTRY = json.dumps({**RATES, "fits": {"box:300": 5}})
      ALL_METHODS),
     ("reference.json", json.dumps({**REFERENCE, "values": {"box:300": {}}}),
      ["malformed entry box:300", "'reference'"], ALL_METHODS),
-    ("rates.json", with_mlmc_fit(r_hat=-1.0), ["r_hat of box:300", "finite and positive"],
+    ("rates.json", with_mlmc_fit(r_hat=-1.0), ["r_hat of box:300", "must lie in [0.01, 50]"],
      ALL_METHODS),
+    # the rate rule of every config: inv_exp_cdf draws distinct levels inside it
+    ("rates.json", with_mlmc_fit(r_hat=60.0),
+     ["r_hat of box:300", "must lie in [0.01, 50], got 60.0"], ["clmc"]),
     ("rates.json", with_mlmc_fit(r_hat=math.inf), ["r_hat of box:300", "got inf"], ALL_METHODS),
     ("rates.json", with_mlmc_fit(r_hat=10**400), ["r_hat of box:300", "a finite number"],
      ALL_METHODS),
@@ -331,8 +334,8 @@ NON_OBJECT_ENTRY = json.dumps({**RATES, "fits": {"box:300": 5}})
     ("rates.json", with_mlmc_fit(domain=None, levels=[1, 6]),
      ["malformed entry box:300", "rerun `uq rates`", "'levels'"], ["mlmc"]),
 ], ids=["empty", "not-json", "fit-without-beta", "string-alpha", "no-reference-value",
-        "negative-r_hat", "infinite-r_hat", "huge-r_hat", "huge-alpha", "nan-c3",
-        "huge-reference", "stale-rates-config", "non-object-entry-mlmc",
+        "negative-r_hat", "r_hat-past-the-rate-rule", "infinite-r_hat", "huge-r_hat",
+        "huge-alpha", "nan-c3", "huge-reference", "stale-rates-config", "non-object-entry-mlmc",
         "non-object-entry-clmc", "stale-mlmc-levels"])
 def test_malformed_results_file_exits_2(tmp_path, capsys, name, text, messages, methods):
     files = {"rates.json": json.dumps(RATES), "reference.json": json.dumps(REFERENCE), name: text}
@@ -708,20 +711,72 @@ def test_compare_runs_the_cases_of_its_rates_file(tmp_path, monkeypatch):
     assert all(list(per_case) == ["box:300"] for per_case in summary["methods"].values())
 
 
+def compare_records(method, sq_errors, seconds, cost_dof):
+    """Hand-made compare records of box:300, one list of per-run values per
+    tolerance index 0, 1, 2."""
+    return [{"method": method, "kind": "box", "contrast": 300.0, "tol_index": i,
+             "sq_error": e, "seconds": t, "cost_dof": c}
+            for i in (0, 1, 2)
+            for e, t, c in zip(sq_errors[i], seconds[i], cost_dof[i], strict=True)]
+
+
 def test_compare_summary_fits_mse_against_seconds_and_dof():
-    # mean MSE 0.04 * 4^-i against seconds 0.5 * 2^i and DOF 1000 * 4^i:
+    # MLMC: mean MSE 0.04 * 4^-i against seconds 0.5 * 2^i and DOF 1000 * 4^i,
     # exact power laws of exponents -2 and -1
-    config = CompareConfig.from_dict({"methods": ["mlmc"], "tolerance_indices": [0, 1, 2]})
-    records = [{"method": "mlmc", "kind": "box", "contrast": 300.0, "tol_index": i,
-                "sq_error": 0.04 * 4.0**-i, "seconds": 0.5 * 2.0**i, "cost_dof": 1000 * 4**i}
-               for i in (0, 1, 2) for _ in range(2)]
-    summary = _summarize_compare(records, config, RatesConfig.from_dict({"kinds": ["box"]}))
+    mlmc = compare_records("mlmc", [[0.04 * 4.0**-i] * 2 for i in (0, 1, 2)],
+                           [[0.5 * 2.0**i] * 2 for i in (0, 1, 2)],
+                           [[1000 * 4**i] * 2 for i in (0, 1, 2)])
+    # CLMC: two runs of x and 3x, x = 0.01 * 4^-i, so the half-width
+    # 1.96 sd / sqrt(2) is 1.96 x
+    clmc = compare_records("clmc", [[0.01 * 4.0**-i, 0.03 * 4.0**-i] for i in (0, 1, 2)],
+                           [[0.2 * 2.0**i, 0.4 * 2.0**i] for i in (0, 1, 2)],
+                           [[100 * 4**i, 300 * 4**i] for i in (0, 1, 2)])
+    # QCLMC: below CLMC at index 0, tied with it at 1 (the same records) and
+    # above it at 2: a tie counts as a QCLMC win
+    qclmc = compare_records("qclmc", [[0.01, 0.01], [0.01 * 4.0**-1, 0.03 * 4.0**-1],
+                                      [0.02, 0.03]],
+                            [[0.1, 0.3], [0.5, 0.7], [1.0, 2.0]],
+                            [[50, 150], [500, 700], [1000, 3000]])
+    rates = RatesConfig.from_dict({"kinds": ["box"]})
+    config = CompareConfig.from_dict({"tolerance_indices": [0, 1, 2]})
+    summary = _summarize_compare(mlmc + clmc + qclmc, config, rates)
     fits = summary["methods"]["mlmc"]["box:300"]
     assert fits["time_mse_slope"] == pytest.approx(-2.0, rel=1e-12)
     assert fits["dof_mse_slope"] == pytest.approx(-1.0, rel=1e-12)
     assert fits["time_mse_r2"] == pytest.approx(1.0, abs=1e-12)
     assert fits["dof_mse_r2"] == pytest.approx(1.0, abs=1e-12)
     assert fits["mse_within_budget"]
+    assert summary["qclmc_vs_clmc"] == {"box:300": {"qclmc_wins": 2, "cells": 3}}
+
+    cells = {(c["method"], c["tol_index"]): c for c in summary["cells"]}
+    assert len(cells) == len(summary["cells"]) == 9
+    for i in (0, 1, 2):
+        for method in ("mlmc", "clmc", "qclmc"):
+            cell = cells[method, i]
+            assert (cell["kind"], cell["contrast"], cell["runs"]) == ("box", 300.0, 2)
+            assert cell["eps_sq"] == pytest.approx(0.04 * 0.64**i, rel=1e-12)
+        mlmc_cell, clmc_cell = cells["mlmc", i], cells["clmc", i]
+        assert mlmc_cell["mean_mse"] == mlmc_cell["ci_low"] == mlmc_cell["ci_high"] \
+            == pytest.approx(0.04 * 4.0**-i, rel=1e-12)
+        x = 0.01 * 4.0**-i
+        assert clmc_cell["mean_mse"] == pytest.approx(2 * x, rel=1e-12)
+        assert clmc_cell["ci_low"] == pytest.approx(2 * x - 1.96 * x, rel=1e-12)
+        assert clmc_cell["ci_high"] == pytest.approx(2 * x + 1.96 * x, rel=1e-12)
+        assert clmc_cell["mean_seconds"] == pytest.approx(0.3 * 2.0**i, rel=1e-12)
+        assert clmc_cell["mean_cost_dof"] == pytest.approx(200 * 4**i, rel=1e-12)
+    assert [cells["qclmc", i]["mean_mse"] for i in (0, 1, 2)] == \
+        pytest.approx([0.01, 0.005, 0.025], rel=1e-12)
+    assert [cells["qclmc", i]["mean_seconds"] for i in (0, 1, 2)] == \
+        pytest.approx([0.2, 0.6, 1.5], rel=1e-12)
+    assert [cells["qclmc", i]["mean_cost_dof"] for i in (0, 1, 2)] == [100.0, 600.0, 2000.0]
+
+    # the head-to-head needs both continuous methods
+    for methods, records in ((["mlmc"], mlmc), (["mlmc", "clmc"], mlmc + clmc),
+                             (["qclmc"], qclmc)):
+        config = CompareConfig.from_dict({"methods": methods, "tolerance_indices": [0, 1, 2]})
+        summary = _summarize_compare(records, config, rates)
+        assert set(summary["methods"]) == set(methods)
+        assert "qclmc_vs_clmc" not in summary
 
 
 def test_default_pipeline_chains_through_the_default_output_directories(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 
 import levelmc.clmc
 from levelmc.clmc import (
+    RATE_SEARCH_POINTS,
     AdaptivePathSampler,
     ClmcConfig,
     clmc_cost,
@@ -18,7 +19,7 @@ from levelmc.clmc import (
 from levelmc.coefficient import draw_coefficient
 from levelmc.indicator import Hierarchy, HierarchyStep, adaptive_hierarchy, continuous_levels
 from levelmc.mesh import uniform_family
-from levelmc.mlmc import PdeLevelModel, RateFit, solve_qoi
+from levelmc.mlmc import PdeLevelModel, RateFit, midpoint_argmin, solve_qoi
 from levelmc.sampling import UniformSource
 
 
@@ -258,7 +259,7 @@ class TestEstimateRatesClmc:
 class TestRateOptimization:
     def test_interior_argmin(self):
         fit = make_fit()
-        r = optimal_rate_param(fit, eps=0.5)
+        r = optimal_rate_param(fit)
         lo, hi = fit.feasible_interval()
         assert lo < r < hi
 
@@ -271,11 +272,15 @@ class TestRateOptimization:
 
     def test_infeasible_interval_rejected(self):
         with pytest.raises(ValueError):
-            optimal_rate_param(make_fit(alpha=0.5, beta=1.0, gamma=2.0), 1.0)
+            optimal_rate_param(make_fit(alpha=0.5, beta=1.0, gamma=2.0))
 
     def test_argmin_independent_of_eps(self):
+        # the cost scales as eps^-2, so the rate takes no tolerance
         fit = make_fit()
-        assert optimal_rate_param(fit, 0.01) == optimal_rate_param(fit, 1.0)
+        lo, hi = fit.feasible_interval()
+        for eps in (0.01, 0.2, 1.0):
+            assert midpoint_argmin(lambda r: clmc_cost(fit, eps, r), lo, hi,
+                                   RATE_SEARCH_POINTS) == optimal_rate_param(fit)
 
 
 class TestTruncationBiasBound:

@@ -5,8 +5,9 @@ dead code are spelled out here: every module-level import is used, every
 function parameter is read, and every ``__all__`` entry names a
 module-level definition that is used outside its module.  Further checks
 keep the finite element layer free of the coefficient model, the
-package's start-up free of the modules only a solve needs, and the
-coarse mesh and the QoI of one solve each defined in one module.
+package's start-up free of the modules only a solve needs, the coarse
+mesh and the QoI of one solve each defined in one module, and each
+module's underscore names its own.
 """
 
 import ast
@@ -128,6 +129,16 @@ def test_all_entries_resolve(path):
 def test_all_entries_used_outside_their_module(path):
     used = set().union(*(referenced(user) for user in USERS if user != path))
     assert [name for name in exported(parse(path)) if name not in used] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_name_imported_from_another_module(path):
+    # what one module needs of another is public in that other module
+    tree = parse(path)
+    assert [f"{node.module}.{a.name}" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "levelmc")
+            for a in node.names if a.name.startswith("_")] == []
 
 
 @pytest.mark.parametrize("name", ["fem.py", "indicator.py", "mesh.py"])

@@ -20,6 +20,7 @@ from levelmc.mlmc import (
     check_sample_cap,
     computable_mlmc_cost,
     estimate_rates_mlmc,
+    midpoint_argmin,
     optimal_bias_weight,
     optimal_samples,
     run_mlmc,
@@ -231,7 +232,7 @@ class TestCoupledPairs:
         model = PdeLevelModel(kind="box", contrast=300.0, seed=5)
         coeff = model._draw_coefficient(0, 0)
         meshes = [model.mesh(l) for l in range(4)]
-        qois = [h1_norm(solve(assemble(m, coeff.element_values(m), 1.0))) for m in meshes]
+        qois = [h1_norm(solve(assemble(m, coeff.element_values(m)))) for m in meshes]
         telescoped = sum(qois[l] - qois[l - 1] for l in range(1, 4))
         assert telescoped == pytest.approx(qois[3] - qois[0], abs=1e-12)
 
@@ -401,6 +402,12 @@ class TestOptimalBiasWeight:
     def test_cost_formula_positive(self):
         fit = make_fit()
         assert computable_mlmc_cost(fit, eps=0.1, b_w=0.5) > 0
+
+    def test_midpoint_argmin_takes_the_first_least_grid_point(self):
+        # the grid of (1, 2) in 4 points is 1.125, 1.375, 1.625, 1.875
+        assert midpoint_argmin(lambda x: 0.0, 1.0, 2.0, 4) == 1.125
+        assert midpoint_argmin(lambda x: -x, 1.0, 2.0, 4) == 1.875
+        assert midpoint_argmin(lambda x: abs(x - 1.4), 1.0, 2.0, 4) == 1.375
 
 
 class TestRunMlmc:
