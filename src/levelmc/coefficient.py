@@ -11,8 +11,9 @@ the contrast value P on the first region and 1/P on the second.
   themselves) carries 1/P.  Which diagonal pair carries P is a convention;
   both choices are equal in distribution.
 
-Uniform draw order (x, y, then l for the box) is part of the contract so
-pseudo- and quasi-random runs are reproducible.
+``from_uniforms`` is the one map from uniforms to a sample.  It reads them
+in the order x, y, then l for the box; that order is part of the contract
+so pseudo- and quasi-random runs are reproducible.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .mesh import TriMesh
 from .sampling import UniformSource
 
-__all__ = ["KINDS", "CoefficientSample", "draw_coefficient", "sample_box", "sample_cross"]
+__all__ = ["KINDS", "CoefficientSample", "draw_coefficient", "from_uniforms", "sample_box"]
 
 KINDS = ("box", "cross")
 
@@ -50,19 +51,16 @@ class CoefficientSample:
         if self.kind == "box" and self.length is None:
             raise ValueError("box samples need an edge length")
 
-    def value_at(self, points) -> np.ndarray:
-        """Coefficient value (P or 1/P) at each point; vectorized."""
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        px, py = pts[:, 0], pts[:, 1]
+    def value_at(self, points: np.ndarray) -> np.ndarray:
+        """Coefficient value (P or 1/P) at each row of the (N, 2) array ``points``."""
+        px, py = points[:, 0], points[:, 1]
         P = self.contrast
         if self.kind == "box":
             h = self.length / 2.0
             inside = (np.abs(px - self.x) <= h) & (np.abs(py - self.y) <= h)
-            values = np.where(inside, 1.0 / P, P)
-        else:
-            first = ((px < self.x) & (py < self.y)) | ((px > self.x) & (py > self.y))
-            values = np.where(first, P, 1.0 / P)
-        return values if np.asarray(points).ndim > 1 else values[0]
+            return np.where(inside, 1.0 / P, P)
+        first = ((px < self.x) & (py < self.y)) | ((px > self.x) & (py > self.y))
+        return np.where(first, P, 1.0 / P)
 
     def element_values(self, mesh: TriMesh) -> np.ndarray:
         """Piecewise-constant element values a_K = value at the barycenter.
@@ -79,37 +77,27 @@ class CoefficientSample:
         return (self.x,), (self.y,)
 
 
-def sample_box(source: UniformSource, contrast: float) -> CoefficientSample:
-    """Draw a box sample; consumes three uniforms in the order x, y, l."""
-    u = source.next_block(3)
+def from_uniforms(kind: str, contrast: float, u) -> CoefficientSample:
+    """The sample of ``kind`` that the uniforms ``u`` give: x, y, then the box's l."""
     lo, hi = BOX_CENTER_RANGE
     a, b = BOX_LENGTH_RANGE
     return CoefficientSample(
-        kind="box",
+        kind=kind,
         x=lo + (hi - lo) * u[0],
         y=lo + (hi - lo) * u[1],
-        length=a + (b - a) * u[2],
+        length=a + (b - a) * u[2] if kind == "box" else None,
         contrast=contrast,
     )
 
 
-def sample_cross(source: UniformSource, contrast: float) -> CoefficientSample:
-    """Draw a cross sample; consumes two uniforms in the order x, y."""
-    u = source.next_block(2)
-    lo, hi = BOX_CENTER_RANGE
-    return CoefficientSample(
-        kind="cross",
-        x=lo + (hi - lo) * u[0],
-        y=lo + (hi - lo) * u[1],
-        contrast=contrast,
-    )
+def sample_box(source: UniformSource, contrast: float) -> CoefficientSample:
+    """Draw a box sample from the next three uniforms of ``source``."""
+    return from_uniforms("box", contrast, source.next_block(3))
 
 
 def draw_coefficient(kind: str, contrast: float, seed: int, stream) -> CoefficientSample:
     """Draw a box or cross sample from the pseudo-random substream (seed, stream)."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown coefficient kind {kind!r}")
     source = UniformSource("pseudo", seed=seed, stream=stream)
-    if kind == "box":
+    if kind == "box":  # through sample_box, which bench/tracer.py times
         return sample_box(source, contrast)
-    return sample_cross(source, contrast)
+    return from_uniforms(kind, contrast, source.next_block(2))

@@ -6,8 +6,9 @@ function parameter is read, and every ``__all__`` entry names a
 module-level definition that is used outside its module.  Further checks
 keep the finite element layer free of the coefficient model, the
 package's start-up free of the modules only a solve needs, the coarse
-mesh and the QoI of one solve each defined in one module, and each
-module's underscore names its own.
+mesh and the QoI of one solve each defined in one module, each
+module's underscore names its own, and every CLI config field read by
+its command.
 """
 
 import ast
@@ -194,3 +195,42 @@ def callers(module, function):
 ])
 def test_one_definition(module, function, allowed):
     assert callers(module, function) == allowed
+
+
+def config_reads(command):
+    """Fields that ``harness.<command>`` reads of its ``config``, with those
+    of ``_cases`` when it hands the config to it."""
+    functions = {node.name: node for node in parse(SRC / "harness.py").body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def reads(func):
+        return {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "config"}
+
+    out = reads(functions[command])
+    if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+           and node.func.id == "_cases" and [ast.unparse(a) for a in node.args] == ["config"]
+           for node in ast.walk(functions[command])):
+        out |= reads(functions["_cases"])
+    return out
+
+
+# fields that no command reads, each kept for a reason: removing theta would
+# move the pinned reference config hash e06b4949bcbc that bench/workloads.py cites
+UNREAD_FIELDS = {"ReferenceConfig": {"theta"}}
+
+
+@pytest.mark.parametrize("config, command", [
+    ("ConvergeConfig", "cmd_converge"),
+    ("RatesConfig", "cmd_rates"),
+    ("LdsConfig", "cmd_lds"),
+    ("ReferenceConfig", "cmd_reference"),
+    ("CompareConfig", "cmd_compare"),
+])
+def test_every_config_field_is_read(config, command):
+    # full_scale is read when the config is parsed, not by its command
+    cls = next(node for node in parse(SRC / "harness.py").body
+               if isinstance(node, ast.ClassDef) and node.name == config)
+    fields = {node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)}
+    unread = fields - config_reads(command) - {"full_scale"}
+    assert unread == UNREAD_FIELDS.get(config, set())
